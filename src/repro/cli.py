@@ -38,6 +38,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro._version import __version__
+from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -958,9 +959,18 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    Invalid input the library rejects (a ``ValueError`` or any
+    :class:`~repro.errors.ReproError`) becomes a one-line message on
+    stderr and exit code 2, never a traceback.
+    """
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, ReproError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

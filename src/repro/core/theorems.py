@@ -30,7 +30,7 @@ Checked claims:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.core.regions import DisabledRegion
 from repro.core.status import SafetyDefinition
 from repro.geometry.boundary import corner_cells
 from repro.geometry.cells import CellSet
-from repro.geometry.components import set_distance
 from repro.geometry.orthoconvex import is_orthoconvex, orthoconvex_closure
 from repro.geometry.quadrants import quadrant_extreme_corner, quadrants_with_members
 from repro.geometry.rectangles import is_rectangle
@@ -81,6 +80,22 @@ def _fail(claim: str, detail: str) -> CheckOutcome:
     return CheckOutcome(claim, False, detail)
 
 
+def _box(*sets: CellSet) -> Tuple[slice, slice]:
+    """The smallest window holding every member of ``sets`` (or an empty one)."""
+    boxes = [s.bounding_box() for s in sets if s]
+    if not boxes:
+        return slice(0, 0), slice(0, 0)
+    x0, y0, x1, y1 = zip(*boxes)
+    return slice(min(x0), max(x1) + 1), slice(min(y0), max(y1) + 1)
+
+
+def _crop(cells: CellSet, box: Tuple[slice, slice]) -> CellSet:
+    """``cells`` on the window ``box``.  The geometric tests only look at
+    members and treat beyond-the-grid as outside, so on a window holding
+    every member they agree with the full grid, shifted to its origin."""
+    return CellSet(cells.mask[box])
+
+
 def check_blocks_rectangular(result: LabelingResult) -> CheckOutcome:
     """Faulty blocks are full rectangles (Section 3)."""
     claim = "faulty blocks are rectangles"
@@ -95,14 +110,25 @@ def check_block_separation(result: LabelingResult) -> CheckOutcome:
     need = result.definition.min_block_separation
     claim = f"block separation >= {need}"
     blocks = result.blocks
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            d = blocks[i].rect.distance(blocks[j].rect)
-            if d < need:
-                return _fail(
-                    claim,
-                    f"blocks {blocks[i].rect} and {blocks[j].rect} at distance {d}",
-                )
+    rects = np.array(
+        [(b.rect.x0, b.rect.y0, b.rect.x1, b.rect.y1) for b in blocks], dtype=np.int64
+    ).reshape(-1, 4)
+    lo, hi = rects[:, :2], rects[:, 2:]
+    # Rect.distance of a band of rows against every block at once; the
+    # band bounds the pair matrix on meshes with many blocks.
+    band = 1 + (1 << 20) // max(1, len(blocks))
+    for start in range(0, len(blocks), band):
+        rows = slice(start, start + band)
+        gap = np.maximum(lo[rows, None], lo) - np.minimum(hi[rows, None], hi)
+        dist = np.maximum(gap, 0).sum(axis=2)
+        bad = np.argwhere(np.triu(dist < need, start + 1))  # pairs i < j only
+        if bad.size:
+            i, j = bad[0]
+            return _fail(
+                claim,
+                f"blocks {blocks[start + i].rect} and {blocks[j].rect} "
+                f"at distance {dist[i, j]}",
+            )
     return _ok(claim)
 
 
@@ -110,19 +136,42 @@ def check_region_separation(result: LabelingResult) -> CheckOutcome:
     """Distance between disabled regions >= 2 (Section 3)."""
     claim = "region separation >= 2"
     regions = result.regions
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            d = set_distance(regions[i].cells, regions[j].cells)
-            if d < 2:
-                return _fail(claim, f"regions {i} and {j} at distance {d}")
-    return _ok(claim)
+    n = len(regions)
+    if n < 2:
+        return _ok(claim)
+    h = regions[0].cells.shape[1]
+    # Every member cell as a row-major key tagged with its region id; the
+    # stable sort keeps ids ascending among equal keys.
+    coords = [np.nonzero(r.cells.mask) for r in regions]
+    key = np.concatenate([xs.astype(np.int64) * h + ys for xs, ys in coords])
+    rid = np.repeat(np.arange(n), [xs.size for xs, _ in coords])
+    order = np.argsort(key, kind="stable")
+    key, rid = key[order], rid[order]
+    # A shared cell is a hit on the key itself (distance 0); 4-adjacent
+    # cells are a hit on key + h (east) or key + 1 (north, unless that
+    # wraps into the next column).  A hit lands on the smallest id at the
+    # target cell, which is enough to find the smallest violating pair:
+    # any id it hides overlaps a smaller one there.
+    best = (n * n, 2)  # (pair code i * n + j, distance); n * n is "none"
+    steps = ((0, 0, slice(None)), (1, h, slice(None)), (1, 1, key % h < h - 1))
+    for d, step, src in steps:
+        target = key[src] + step
+        pos = np.minimum(np.searchsorted(key, target), key.size - 1)
+        hit = (key[pos] == target) & (rid[pos] != rid[src])
+        if hit.any():
+            a, b = rid[src][hit], rid[pos][hit]
+            best = min(best, (int((np.minimum(a, b) * n + np.maximum(a, b)).min()), d))
+    if best[0] == n * n:
+        return _ok(claim)
+    i, j = divmod(best[0], n)
+    return _fail(claim, f"regions {i} and {j} at distance {best[1]}")
 
 
 def check_theorem1(result: LabelingResult) -> CheckOutcome:
     """Theorem 1: every disabled region is an orthogonal convex polygon."""
     claim = "theorem 1 (regions are orthogonal convex polygons)"
     for k, r in enumerate(result.regions):
-        if not is_orthoconvex(r.cells, require_connected=True):
+        if not is_orthoconvex(_crop(r.cells, _box(r.cells)), require_connected=True):
             return _fail(claim, f"region {k} ({r.cells!r}) is not orthoconvex")
     return _ok(claim)
 
@@ -131,9 +180,12 @@ def check_lemma1(result: LabelingResult) -> CheckOutcome:
     """Lemma 1: every corner node of a disabled region is faulty."""
     claim = "lemma 1 (corner nodes are faulty)"
     for k, r in enumerate(result.regions):
-        corners = corner_cells(r.cells)
-        if not corners.issubset(r.faults):
-            bad = corners.difference(r.faults).coords()[:3]
+        box = _box(r.cells)
+        corners = corner_cells(_crop(r.cells, box))
+        faults = _crop(r.faults, box)
+        if not corners.issubset(faults):
+            x0, y0 = box[0].start, box[1].start
+            bad = [(x + x0, y + y0) for x, y in corners.difference(faults).coords()[:3]]
             return _fail(claim, f"region {k} has nonfaulty corners at {bad}")
     return _ok(claim)
 
@@ -142,13 +194,18 @@ def check_lemma2(region: DisabledRegion) -> CheckOutcome:
     """Lemma 2: all four closed quadrants around every region node contain a
     corner node of the region (and the constructive extreme is a corner)."""
     claim = "lemma 2 (every quadrant holds a corner node)"
-    corners = corner_cells(region.cells)
-    for u in region.cells:
+    box = _box(region.cells)
+    x0, y0 = box[0].start, box[1].start
+    cells = _crop(region.cells, box)
+    corners = corner_cells(cells)
+    for x, y in cells:
+        u = (x + x0, y + y0)
         for q in Quadrant:
-            w = quadrant_extreme_corner(region.cells, u, q)
+            w = quadrant_extreme_corner(cells, (x, y), q)
             if w is None:
                 return _fail(claim, f"quadrant {q} around {u} holds no region node")
             if w not in corners:
+                w = (w[0] + x0, w[1] + y0)
                 return _fail(
                     claim, f"extreme {w} of quadrant {q} around {u} is not a corner"
                 )
@@ -160,20 +217,18 @@ def check_lemma3(region: DisabledRegion, samples: int = 64) -> CheckOutcome:
     empty of region nodes.  Checks every outside node of the region's
     bounding box neighbourhood, capped at ``samples`` per region."""
     claim = "lemma 3 (outside nodes have an empty quadrant)"
-    mask = region.cells.mask
-    w, h = mask.shape
     x0, y0, x1, y1 = region.cells.bounding_box()
+    x0, y0 = max(0, x0 - 1), max(0, y0 - 1)
+    cells = _crop(region.cells, (slice(x0, x1 + 2), slice(y0, y1 + 2)))
     checked = 0
-    for x in range(max(0, x0 - 1), min(w, x1 + 2)):
-        for y in range(max(0, y0 - 1), min(h, y1 + 2)):
-            if mask[x, y]:
-                continue
-            occupancy = quadrants_with_members(region.cells, (x, y))
-            if all(occupancy.values()):
-                return _fail(claim, f"outside node ({x},{y}) sees all 4 quadrants")
-            checked += 1
-            if checked >= samples:
-                return _ok(claim)
+    for x, y in np.argwhere(~cells.mask).tolist():
+        if all(quadrants_with_members(cells, (x, y)).values()):
+            return _fail(
+                claim, f"outside node ({x + x0},{y + y0}) sees all 4 quadrants"
+            )
+        checked += 1
+        if checked >= samples:
+            return _ok(claim)
     return _ok(claim)
 
 
@@ -183,10 +238,12 @@ def check_theorem2(result: LabelingResult) -> CheckOutcome:
     of its fault set."""
     claim = "theorem 2 (region == orthoconvex closure of its faults)"
     for k, r in enumerate(result.regions):
-        closure = orthoconvex_closure(r.faults)
-        if closure != r.cells:
-            extra = r.cells.difference(closure)
-            missing = closure.difference(r.cells)
+        box = _box(r.cells, r.faults)
+        cells = _crop(r.cells, box)
+        closure = orthoconvex_closure(_crop(r.faults, box))
+        if closure != cells:
+            extra = cells.difference(closure)
+            missing = closure.difference(cells)
             return _fail(
                 claim,
                 f"region {k}: closure mismatch "
@@ -198,16 +255,19 @@ def check_theorem2(result: LabelingResult) -> CheckOutcome:
 def check_corollary(result: LabelingResult) -> CheckOutcome:
     """Corollary: per faulty block, nonfaulty nodes covered by its regions
     <= nonfaulty nodes in the smallest orthoconvex polygon containing all
-    the block's faults (computed as closure + minimal staircase joins)."""
+    the block's faults (computed as closure + minimal staircase joins, which
+    never leave the faults' bounding box, so each block counts on a window)."""
     claim = "corollary (regions cover <= smallest single-OCP nonfaulty nodes)"
     faulty = result.labels.faulty
     disabled = result.labels.disabled
     for b in result.blocks:
         if not b.faults:
             continue
-        in_regions = int((b.cells.mask & disabled & ~faulty).sum())
-        single_ocp = connect_orthoconvex(b.faults)
-        in_ocp = int((single_ocp.mask & ~faulty).sum())
+        box = _box(b.cells, b.faults)
+        nonfaulty = ~faulty[box]
+        in_regions = int((b.cells.mask[box] & disabled[box] & nonfaulty).sum())
+        single_ocp = connect_orthoconvex(_crop(b.faults, box))
+        in_ocp = int((single_ocp.mask & nonfaulty).sum())
         if in_regions > in_ocp:
             return _fail(
                 claim,

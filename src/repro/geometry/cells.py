@@ -23,7 +23,7 @@ __all__ = ["CellSet"]
 class CellSet:
     """An immutable set of cells on a fixed ``(width, height)`` grid."""
 
-    __slots__ = ("_mask", "_count", "_hash")
+    __slots__ = ("_mask", "_count", "_hash", "_bbox")
 
     def __init__(self, mask: BoolGrid):
         m = np.array(mask, dtype=bool, order="C", copy=True)
@@ -33,6 +33,7 @@ class CellSet:
         self._mask = m
         self._count = int(m.sum())
         self._hash: int | None = None
+        self._bbox: Tuple[int, int, int, int] | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -61,6 +62,7 @@ class CellSet:
         obj._mask = mask
         obj._count = int(mask.sum()) if count is None else count
         obj._hash = None
+        obj._bbox = None
         return obj
 
     @classmethod
@@ -159,15 +161,20 @@ class CellSet:
     def bounding_box(self) -> Tuple[int, int, int, int]:
         """Inclusive bounding box ``(x_min, y_min, x_max, y_max)``.
 
+        Computed once and cached, like the hash: the mask never changes.
+
         Raises
         ------
         GeometryError
             If the set is empty.
         """
-        if not self._count:
-            raise GeometryError("bounding box of an empty cell set")
-        xs, ys = np.nonzero(self._mask)
-        return (int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+        if self._bbox is None:
+            if not self._count:
+                raise GeometryError("bounding box of an empty cell set")
+            xs = np.flatnonzero(self._mask.any(axis=1))
+            ys = np.flatnonzero(self._mask.any(axis=0))
+            self._bbox = (int(xs[0]), int(ys[0]), int(xs[-1]), int(ys[-1]))
+        return self._bbox
 
     def diameter(self) -> int:
         """Manhattan diameter: max ``d(u, v)`` over member pairs.

@@ -294,9 +294,14 @@ def dilate(mask: BoolGrid, connectivity: int = 4) -> BoolGrid:
 def set_distance(a: CellSet, b: CellSet) -> int:
     """Minimum Manhattan distance between members of two non-empty sets.
 
-    This is the paper's ``d(A, B) = min over u in A, v in B of d(u, v)``.
-    Computed with a vectorized all-pairs reduction; fault regions are
-    small so the quadratic pair count is immaterial.
+    This is the paper's ``d(A, B) = min over u in A, v in B of d(u, v)``:
+    plain Manhattan distance, with no torus wrap.  Computed with a
+    vectorized all-pairs reduction over the members of both sets, after
+    one full-grid ``np.nonzero`` per set.  That suits one pair of small
+    sets; checking all pairs of many regions this way costs quadratic
+    grid scans, which is why
+    :func:`repro.core.theorems.check_region_separation` sorts every
+    region's cells once instead.
     """
     if not a or not b:
         raise ValueError("set_distance of an empty cell set")

@@ -1,5 +1,7 @@
 """Unit tests for the theorem checkers (Section 4 claims)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,18 @@ from repro.core import SafetyDefinition, label_mesh
 from repro.core.theorems import (
     RESULT_CHECKS,
     check_all,
+    check_block_separation,
     check_blocks_rectangular,
     check_corollary,
     check_lemma1,
     check_lemma2,
     check_lemma3,
+    check_region_separation,
     check_theorem1,
     check_theorem2,
 )
 from repro.faults import FaultSet, clustered, uniform_random
+from repro.geometry.rectangles import Rect
 from repro.mesh import Mesh2D
 
 
@@ -134,6 +139,130 @@ class TestCheckersDetectViolations:
         )
         tampered = self._tamper(r, regions=[fake])
         assert not check_theorem2(tampered).holds
+
+
+class TestViolationWitnesses:
+    """Each checker names the exact witness of the first violation."""
+
+    SHAPE = (10, 10)
+
+    def _region(self, coords, faults=None):
+        from repro.core.regions import DisabledRegion
+        from repro.geometry import CellSet
+
+        return DisabledRegion(
+            cells=CellSet.from_coords(self.SHAPE, coords),
+            faults=CellSet.from_coords(self.SHAPE, coords if faults is None else faults),
+        )
+
+    def _with_regions(self, *regions):
+        return dataclasses.replace(label([(2, 2)]), regions=list(regions))
+
+    @pytest.mark.parametrize("neighbour", [(3, 2), (2, 3)])
+    def test_four_adjacent_regions(self, neighbour):
+        r = self._with_regions(
+            self._region([(7, 7)]), self._region([(2, 2)]), self._region([neighbour])
+        )
+        out = check_region_separation(r)
+        assert not out.holds
+        assert out.detail == "regions 1 and 2 at distance 1"
+
+    def test_diagonal_and_column_wrap_neighbours_are_separated(self):
+        # (2,2)-(3,3) touch at a corner (distance 2); (2,9)-(3,0) are
+        # consecutive row-major keys but not neighbours.
+        r = self._with_regions(
+            self._region([(2, 2)]), self._region([(3, 3)]),
+            self._region([(2, 9)]), self._region([(3, 0)]),
+        )
+        assert check_region_separation(r).holds
+
+    def test_overlapping_regions(self):
+        # (0, 2) overlap and (1, 2) touch: the smallest pair wins, with
+        # its own smallest distance.
+        r = self._with_regions(
+            self._region([(4, 4), (4, 5)]),
+            self._region([(6, 4)]),
+            self._region([(4, 5), (5, 5)]),
+        )
+        out = check_region_separation(r)
+        assert out.detail == "regions 0 and 2 at distance 0"
+
+    def test_smallest_pair_reports_its_own_distance(self):
+        r = self._with_regions(
+            self._region([(1, 1)]),
+            self._region([(5, 5), (6, 5)]),
+            self._region([(5, 6)]),
+            self._region([(6, 5)]),
+        )
+        assert check_region_separation(r).detail == "regions 1 and 2 at distance 1"
+
+    def test_non_rectangular_block(self):
+        from repro.geometry import shapes
+
+        r = label([(2, 2), (3, 3)], definition=SafetyDefinition.DEF_2A)
+        block = r.blocks[0]
+        assert block.rect == Rect(2, 2, 3, 3)
+        l_cells = shapes.l_shape(self.SHAPE, (2, 2), 2, 2)
+        tampered = dataclasses.replace(
+            r, blocks=[dataclasses.replace(block, cells=l_cells)]
+        )
+        out = check_blocks_rectangular(tampered)
+        assert out.detail == (
+            "block at Rect(x0=2, y0=2, x1=3, y1=3) is not a full rectangle"
+        )
+
+    def test_too_close_blocks(self):
+        r = label([(1, 1), (5, 1), (8, 8)], definition=SafetyDefinition.DEF_2A)
+        assert [b.rect for b in r.blocks] == [
+            Rect(1, 1, 1, 1), Rect(5, 1, 5, 1), Rect(8, 8, 8, 8)
+        ]
+        # Moved between the other two: both pairs are too close, and the
+        # smallest pair is the witness.
+        moved = dataclasses.replace(r.blocks[2], rect=Rect(3, 1, 3, 1))
+        tampered = dataclasses.replace(r, blocks=[*r.blocks[:2], moved])
+        out = check_block_separation(tampered)
+        assert out.claim == "block separation >= 3"
+        assert out.detail == (
+            "blocks Rect(x0=1, y0=1, x1=1, y1=1) and Rect(x0=3, y0=1, x1=3, y1=1) "
+            "at distance 2"
+        )
+
+    def test_corollary_violation(self):
+        # The diagonal faults form one 2x2 block whose two nonfaulty
+        # nodes phase 2 frees; disabling one of them again keeps more
+        # than the single diagonal polygon would.
+        r = label([(2, 2), (3, 3)], definition=SafetyDefinition.DEF_2A)
+        assert check_corollary(r).holds
+        enabled = r.labels.enabled.copy()
+        enabled[2, 3] = False
+        tampered = dataclasses.replace(
+            r, labels=dataclasses.replace(r.labels, enabled=enabled)
+        )
+        out = check_corollary(tampered)
+        assert out.detail == (
+            "block Rect(x0=2, y0=2, x1=3, y1=3): regions keep 1 nonfaulty "
+            "disabled, single OCP would keep 0"
+        )
+
+    def test_lemma1_region_on_the_grid_edge(self):
+        # Beyond-the-grid neighbours count as outside, so every cell of a
+        # rectangle on the east edge is a corner along x; the witnesses
+        # come back in mesh coordinates.
+        rect = [(x, y) for x in (8, 9) for y in (3, 4, 5)]
+        ok = self._with_regions(
+            self._region(rect, faults=[(8, 3), (9, 3), (8, 5), (9, 5)])
+        )
+        assert check_lemma1(ok).holds
+        bad = self._with_regions(
+            self._region([(0, 0)]), self._region(rect, faults=[(8, 3)])
+        )
+        out = check_lemma1(bad)
+        assert out.detail == "region 1 has nonfaulty corners at [(8, 5), (9, 3), (9, 5)]"
+
+    def test_lemma1_full_height_column(self):
+        column = [(0, y) for y in range(10)]
+        out = check_lemma1(self._with_regions(self._region(column, faults=[(0, 0)])))
+        assert out.detail == "region 0 has nonfaulty corners at [(0, 9)]"
 
 
 class TestQuadrantLemmas:

@@ -22,6 +22,36 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
 
+class TestErrorBoundary:
+    """Library errors exit 2 with one line on stderr, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["label", "--size", "0"], "label: dimensions must be positive, got 0x0"),
+            (["fig5", "--trials", "0"], "fig5: need at least one trial, got 0"),
+            (["route", "--size", "0"], "route: dimensions must be positive, got 0x0"),
+            (
+                ["density", "--size", "10", "--trials", "0"],
+                "density: need at least one trial, got 0",
+            ),
+            (
+                ["partition", "--size", "4", "--faults", "100"],
+                "partition: cannot place 100 faults on 16 nodes",
+            ),
+            (
+                ["serve", "--size", "0", "--port", "0"],
+                "serve: dimensions must be positive, got 0x0",
+            ),
+        ],
+    )
+    def test_one_line_exit_2(self, argv, message, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == message + "\n"
+
+
 class TestLabelCommand:
     def test_basic_run(self, capsys):
         rc = main(["label", "--size", "16", "--faults", "8", "--seed", "1"])
