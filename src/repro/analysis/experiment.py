@@ -41,13 +41,15 @@ def trial_rng(trials: int, seed: int, index: int) -> np.random.Generator:
     """The ``index``-th generator of ``trial_rngs(trials, seed)``.
 
     Spawned-child streams depend only on the root seed and the child's
-    position, so a worker process can rebuild exactly the generator a
-    serial run would have used for that trial — the key to
+    position: the ``index``-th child is the sequence with spawn key
+    ``(index,)``, built here directly in O(1) rather than by spawning
+    every sibling.  So a worker process can rebuild exactly the
+    generator a serial run would have used for that trial — the key to
     scheduling-independent parallel sweeps.
     """
     if not 0 <= index < trials:
         raise ValueError(f"trial index {index} outside [0, {trials})")
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(trials)[index])
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 def _run_one(task: Tuple[Callable[[np.random.Generator], T], int, int, int]) -> T:

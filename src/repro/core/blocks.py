@@ -9,7 +9,9 @@ non-rectangular component ever appears.
 
 The default ``"vectorized"`` backend runs one union-find label pass and
 reduces bounding boxes, sizes and per-block fault counts with
-``bincount``-style scatter reductions — no per-component grid scans.
+``bincount``-style scatter reductions; every block's cells and faults
+are lazily built :class:`~repro.geometry.cells.CellSet` values, so no
+component touches a grid until it is read.
 The ``"reference"`` backend keeps the original per-component path as
 the oracle; both return the identical block list (property tested).
 """
@@ -25,7 +27,9 @@ from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
 from repro.geometry.components import (
     _check_backend,
+    _component_boxes,
     _label_coords,
+    _lazy_components,
     connected_components,
 )
 from repro.geometry.rectangles import Rect, bounding_rect, is_rectangle
@@ -133,47 +137,21 @@ def extract_blocks(
     if flin.size and (lin.size == 0 or not np.array_equal(lin[fpos], flin)):
         raise GeometryError("a faulty node is missing from the unsafe mask")
     comp_of, count = _label_coords(xs, ys, shape, connectivity=4)
-    if count == 0:
-        return []
     sizes = np.bincount(comp_of, minlength=count)
-    # Per-component bounding boxes via scatter reductions.
-    x0 = np.full(count, shape[0], dtype=np.int64)
-    y0 = np.full(count, shape[1], dtype=np.int64)
-    x1 = np.full(count, -1, dtype=np.int64)
-    y1 = np.full(count, -1, dtype=np.int64)
-    np.minimum.at(x0, comp_of, xs)
-    np.minimum.at(y0, comp_of, ys)
-    np.maximum.at(x1, comp_of, xs)
-    np.maximum.at(y1, comp_of, ys)
-    areas = (x1 - x0 + 1) * (y1 - y0 + 1)
-    bad = np.nonzero(sizes != areas)[0]
+    boxes = _component_boxes(comp_of, xs, ys, count)
+    x0, y0, x1, y1 = boxes
+    bad = np.flatnonzero(sizes != (x1 - x0 + 1) * (y1 - y0 + 1))
     if bad.size:
-        culprit_mask = np.zeros(shape, dtype=bool)
         members = comp_of == bad[0]
-        culprit_mask[xs[members], ys[members]] = True
+        culprit = CellSet.from_coords(
+            shape, zip(xs[members].tolist(), ys[members].tolist())
+        )
         raise GeometryError(
-            f"faulty block {CellSet(culprit_mask)!r} is not a rectangle — "
-            "phase-1 labels corrupt"
+            f"faulty block {culprit!r} is not a rectangle — phase-1 labels corrupt"
         )
-    # Faults grouped by owning block (stable sort keeps row-major order).
-    fcomp = comp_of[fpos]
-    forder = np.argsort(fcomp, kind="stable")
-    fx, fy = fx[forder], fy[forder]
-    fcounts = np.bincount(fcomp, minlength=count)
-    fbounds = np.concatenate(([0], np.cumsum(fcounts)))
-    blocks = []
-    for k in range(count):
-        rect = Rect(int(x0[k]), int(y0[k]), int(x1[k]), int(y1[k]))
-        cells_mask = np.zeros(shape, dtype=bool)
-        cells_mask[rect.x0 : rect.x1 + 1, rect.y0 : rect.y1 + 1] = True
-        faults_mask = np.zeros(shape, dtype=bool)
-        members = slice(fbounds[k], fbounds[k + 1])
-        faults_mask[fx[members], fy[members]] = True
-        blocks.append(
-            FaultyBlock(
-                cells=CellSet._from_owned(cells_mask, int(sizes[k])),
-                rect=rect,
-                faults=CellSet._from_owned(faults_mask, int(fcounts[k])),
-            )
-        )
-    return blocks
+    faults = _lazy_components(shape, fx, fy, comp_of[fpos], count)
+    lazy = CellSet._lazy
+    return [
+        FaultyBlock(cells=lazy(shape, (a, b, c, d), n), rect=Rect(a, b, c, d), faults=f)
+        for (a, b, c, d), n, f in zip(boxes.T.tolist(), sizes.tolist(), faults)
+    ]

@@ -153,14 +153,16 @@ class LabelingResult:
         fraction of its nonfaulty members that ended up enabled.  The
         paper averages these per-block percentages.
         """
+        faulty = self.labels.faulty
         enabled = self.labels.enabled
         ratios: List[float] = []
         for b in self.blocks:
             if not b.reducible:
                 continue
-            nonfaulty = b.cells.mask & ~self.labels.faulty
-            freed = int((nonfaulty & enabled).sum())
-            ratios.append(freed / int(nonfaulty.sum()))
+            r = b.rect  # a block's cells are exactly its rectangle
+            box = (slice(r.x0, r.x1 + 1), slice(r.y0, r.y1 + 1))
+            freed = int((enabled[box] & ~faulty[box]).sum())
+            ratios.append(freed / b.num_nonfaulty)
         return ratios
 
     def summary(self) -> dict:

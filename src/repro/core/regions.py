@@ -25,6 +25,7 @@ from repro.geometry.cells import CellSet
 from repro.geometry.components import (
     _check_backend,
     _label_coords,
+    _lazy_components,
     connected_components,
 )
 from repro.types import BoolGrid
@@ -116,38 +117,11 @@ def extract_regions(
     if flin.size and (lin.size == 0 or not np.array_equal(lin[fpos], flin)):
         raise GeometryError("a faulty node is missing from the disabled mask")
     comp_of, count = _label_coords(xs, ys, shape, connectivity=8)
-    if count == 0:
-        return []
-    sizes = np.bincount(comp_of, minlength=count)
-    fcomp = comp_of[fpos]
-    fcounts = np.bincount(fcomp, minlength=count)
-    empty = np.nonzero(fcounts == 0)[0]
-    if empty.size:
-        culprit_mask = np.zeros(shape, dtype=bool)
-        members = comp_of == empty[0]
-        culprit_mask[xs[members], ys[members]] = True
-        raise GeometryError(
-            f"disabled region {CellSet(culprit_mask)!r} contains no fault — "
-            "phase-2 labels corrupt"
-        )
-    order = np.argsort(comp_of, kind="stable")
-    xs, ys = xs[order], ys[order]
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    forder = np.argsort(fcomp, kind="stable")
-    fx, fy = fx[forder], fy[forder]
-    fbounds = np.concatenate(([0], np.cumsum(fcounts)))
-    regions = []
-    for k in range(count):
-        cells_mask = np.zeros(shape, dtype=bool)
-        members = slice(bounds[k], bounds[k + 1])
-        cells_mask[xs[members], ys[members]] = True
-        faults_mask = np.zeros(shape, dtype=bool)
-        fmembers = slice(fbounds[k], fbounds[k + 1])
-        faults_mask[fx[fmembers], fy[fmembers]] = True
-        regions.append(
-            DisabledRegion(
-                cells=CellSet._from_owned(cells_mask, int(sizes[k])),
-                faults=CellSet._from_owned(faults_mask, int(fcounts[k])),
+    cells = _lazy_components(shape, xs, ys, comp_of, count)
+    faults = _lazy_components(shape, fx, fy, comp_of[fpos], count)
+    for c, f in zip(cells, faults):
+        if not f:
+            raise GeometryError(
+                f"disabled region {c!r} contains no fault — phase-2 labels corrupt"
             )
-        )
-    return regions
+    return [DisabledRegion(cells=c, faults=f) for c, f in zip(cells, faults)]

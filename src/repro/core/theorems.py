@@ -90,10 +90,12 @@ def _box(*sets: CellSet) -> Tuple[slice, slice]:
 
 
 def _crop(cells: CellSet, box: Tuple[slice, slice]) -> CellSet:
-    """``cells`` on the window ``box``.  The geometric tests only look at
-    members and treat beyond-the-grid as outside, so on a window holding
-    every member they agree with the full grid, shifted to its origin."""
-    return CellSet(cells.mask[box])
+    """``cells`` on the window ``box`` (clipped to the grid).  The geometric
+    tests only look at members and treat beyond-the-grid as outside, so on
+    a window holding every member they agree with the full grid, shifted
+    to its origin."""
+    (x0, x1, _), (y0, y1, _) = (s.indices(n) for s, n in zip(box, cells.shape))
+    return cells._crop(x0, y0, (x1 - x0, y1 - y0))
 
 
 def check_blocks_rectangular(result: LabelingResult) -> CheckOutcome:
@@ -142,7 +144,7 @@ def check_region_separation(result: LabelingResult) -> CheckOutcome:
     h = regions[0].cells.shape[1]
     # Every member cell as a row-major key tagged with its region id; the
     # stable sort keeps ids ascending among equal keys.
-    coords = [np.nonzero(r.cells.mask) for r in regions]
+    coords = [r.cells._coords() for r in regions]
     key = np.concatenate([xs.astype(np.int64) * h + ys for xs, ys in coords])
     rid = np.repeat(np.arange(n), [xs.size for xs, _ in coords])
     order = np.argsort(key, kind="stable")
@@ -265,7 +267,7 @@ def check_corollary(result: LabelingResult) -> CheckOutcome:
             continue
         box = _box(b.cells, b.faults)
         nonfaulty = ~faulty[box]
-        in_regions = int((b.cells.mask[box] & disabled[box] & nonfaulty).sum())
+        in_regions = int((_crop(b.cells, box).mask & disabled[box] & nonfaulty).sum())
         single_ocp = connect_orthoconvex(_crop(b.faults, box))
         in_ocp = int((single_ocp.mask & nonfaulty).sum())
         if in_regions > in_ocp:

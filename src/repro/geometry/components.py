@@ -207,23 +207,50 @@ def connected_components(
     if backend == "reference":
         return _connected_components_reference(cells, connectivity)
     _check_connectivity(connectivity)
-    xs, ys = np.nonzero(cells.mask)
-    comp, count = _label_coords(xs, ys, cells.shape, connectivity)
-    if count == 0:
-        return []
-    sizes = np.bincount(comp, minlength=count)
-    # Stable sort groups member cells by component while preserving the
-    # row-major order inside each group.
-    order = np.argsort(comp, kind="stable")
+    xs, ys = cells._coords()
+    comp_of, count = _label_coords(xs, ys, cells.shape, connectivity)
+    return _lazy_components(cells.shape, xs, ys, comp_of, count)
+
+
+def _component_boxes(
+    comp_of: np.ndarray, xs: np.ndarray, ys: np.ndarray, count: int
+) -> np.ndarray:
+    """Inclusive bounding boxes of every component as a ``(4, count)``
+    array of rows ``x0, y0, x1, y1``, from one scatter reduction per
+    coordinate.  Components without members get meaningless boxes."""
+    boxes = np.full((4, count), -1, dtype=np.int64)
+    boxes[:2] = 1 << 62
+    for axis, coord in enumerate((xs, ys)):
+        np.minimum.at(boxes[axis], comp_of, coord)
+        np.maximum.at(boxes[axis + 2], comp_of, coord)
+    return boxes
+
+
+def _lazy_components(
+    shape: Tuple[int, int],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    comp_of: np.ndarray,
+    count: int,
+) -> List[CellSet]:
+    """One lazily built :class:`CellSet` per component ``0..count-1``.
+
+    ``xs``/``ys`` must be in row-major order and ``comp_of[i]`` the
+    component of member ``i`` (components may be empty).  A stable sort
+    groups the members by component, keeping row-major order inside each
+    group; every set then holds its slice of the shared sorted arrays and
+    its bounding box, so no component touches a grid until it is read.
+    """
+    sizes = np.bincount(comp_of, minlength=count)
+    order = np.argsort(comp_of, kind="stable")
     xs_g, ys_g = xs[order], ys[order]
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    components: List[CellSet] = []
-    for k in range(count):
-        comp_mask = np.zeros(cells.shape, dtype=bool)
-        sl = slice(bounds[k], bounds[k + 1])
-        comp_mask[xs_g[sl], ys_g[sl]] = True
-        components.append(CellSet._from_owned(comp_mask, int(sizes[k])))
-    return components
+    ends = np.cumsum(sizes).tolist()
+    x0, y0, x1, y1 = _component_boxes(comp_of, xs, ys, count).tolist()
+    lazy = CellSet._lazy
+    return [
+        lazy(shape, (a, b, c, d), hi - lo, (xs_g, ys_g, lo, hi))
+        for a, b, c, d, lo, hi in zip(x0, y0, x1, y1, [0] + ends[:-1], ends)
+    ]
 
 
 def _connected_components_reference(
@@ -268,7 +295,7 @@ def is_connected(
     if backend == "reference":
         return len(_connected_components_reference(cells, connectivity)) == 1
     _check_connectivity(connectivity)
-    xs, ys = np.nonzero(cells.mask)
+    xs, ys = cells._coords()
     return _label_coords(xs, ys, cells.shape, connectivity)[1] == 1
 
 

@@ -65,6 +65,16 @@ class TestTrialRng:
         each = [trial_rng(5, 11, i).integers(1 << 30) for i in range(5)]
         assert whole == each
 
+    @pytest.mark.parametrize(
+        "trials, seed, index",
+        [(1, 0, 0), (20, 4242, 0), (20, 4242, 19), (20, 4242 + 7919 * 3, 7), (7, 2**40, 6)],
+    )
+    def test_direct_child_equals_spawned_child(self, trials, seed, index):
+        # Built from its spawn key alone, without spawning the siblings.
+        spawned = trial_rngs(trials, seed)[index].random(8)
+        direct = trial_rng(trials, seed, index).random(8)
+        assert spawned.tolist() == direct.tolist()
+
     def test_index_validated(self):
         with pytest.raises(ValueError):
             trial_rng(3, 0, 3)

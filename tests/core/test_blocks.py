@@ -102,3 +102,49 @@ class TestRectangularityAcrossPatterns:
             for i in range(len(blocks)):
                 for j in range(i + 1, len(blocks)):
                     assert blocks[i].rect.distance(blocks[j].rect) >= need
+
+
+class TestLazyCells:
+    def setup_method(self):
+        from repro.core import label_mesh
+        from repro.faults.generators import uniform_random
+
+        faults = uniform_random((30, 30), 60, np.random.default_rng(3))
+        self.result = label_mesh(Mesh2D(30, 30), faults, SafetyDefinition.DEF_2A)
+
+    def test_size_and_geometry_reads_leave_masks_unbuilt(self):
+        r = self.result
+        assert any(b.reducible for b in r.blocks)
+        for b in r.blocks:
+            assert b.cells.bounding_box() == (b.rect.x0, b.rect.y0, b.rect.x1, b.rect.y1)
+            assert b.cells.diameter() == b.diameter
+            assert len(b.cells) == b.rect.area and b.num_faults >= 0
+        for reg in r.regions:
+            reg.cells.bounding_box()
+            assert reg.diameter == reg.cells.diameter()
+            assert len(reg.cells) >= len(reg.faults) > 0
+        r.per_block_enabled_ratios()
+        parts = [(x.cells, x.faults) for x in r.blocks + r.regions]
+        assert all(c._mask is None and f._mask is None for c, f in parts)
+
+    def test_masks_built_on_read_match_labels(self):
+        r = self.result
+        unsafe = np.zeros(r.labels.faulty.shape, dtype=bool)
+        disabled = np.zeros_like(unsafe)
+        for b in r.blocks:
+            unsafe |= b.cells.mask
+            assert np.array_equal(b.faults.mask, b.cells.mask & r.labels.faulty)
+        for reg in r.regions:
+            disabled |= reg.cells.mask
+            assert np.array_equal(reg.faults.mask, reg.cells.mask & r.labels.faulty)
+        assert np.array_equal(unsafe, r.labels.unsafe)
+        assert np.array_equal(disabled, r.labels.disabled)
+
+    def test_per_block_ratios_match_mask_formula(self):
+        r = self.result
+        want = []
+        for b in r.blocks:
+            nonfaulty = b.cells.mask & ~r.labels.faulty
+            if nonfaulty.any():
+                want.append(int((nonfaulty & r.labels.enabled).sum()) / int(nonfaulty.sum()))
+        assert r.per_block_enabled_ratios() == want

@@ -11,6 +11,7 @@ once per effective delta) and the bit-for-bit scratch check.
 
 import socket as socket_module
 import threading
+import time
 
 import pytest
 
@@ -61,6 +62,17 @@ class TestChaosProxy:
         finally:
             a.close()
             b.close()
+
+    def test_close_stops_accept_thread_at_once(self):
+        proxy = ChaosProxy(("127.0.0.1", 1), seed=0)
+        thread = proxy.serve_in_thread()
+        time.sleep(0.1)  # let the accept loop block in accept()
+        start = time.monotonic()
+        proxy.close()
+        # close() joins with a 5 s timeout; only a listener shutdown wakes
+        # the blocked accept(), so the loop is gone when close() returns.
+        assert not thread.is_alive()
+        assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_updates_converge_exactly_once_under_chaos(self, seed):
