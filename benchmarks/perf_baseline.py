@@ -23,11 +23,6 @@ Times the hot paths this repository optimises —
   speedup the ``incremental`` CI job gates on), plus the admin-plane
   cost: the same stream while a live ``/metrics`` + ``/varz`` endpoint
   is scraped concurrently (budget: <= 3% throughput loss),
-* the tile-sharded halo-exchange fixpoints: the dense single-array
-  baseline vs ``jobs=2`` sharding (the ``sharded`` CI gate, also
-  runnable alone via ``--gate-sharded``), strong/weak scaling curves
-  across worker counts, and a 10000x10000 (100M-cell) completion run
-  over shared-memory planes (full mode),
 * the batched traffic engine: the scalar per-packet reference engine
   vs the numpy column engine on identical traffic (the ``routing`` CI
   gate, also runnable alone via ``--gate-routing``; results must be
@@ -70,11 +65,9 @@ from repro.core.frontier import enabled_fixpoint_sparse, unsafe_fixpoint_sparse
 from repro.core.pipeline import label_mesh
 from repro.core.regions import extract_regions
 from repro.core.safety import unsafe_fixpoint
-from repro.core.sharded import enabled_fixpoint_sharded, unsafe_fixpoint_sharded
 from repro.core.status import SafetyDefinition
 from repro.core.theorems import check_all
 from repro.faults.generators import clustered, uniform_random
-from repro.mesh.tiling import parse_shard_spec
 from repro.mesh.topology import Mesh2D
 from repro.network import (
     BatchedNetwork,
@@ -589,170 +582,6 @@ def bench_incremental(size: int, f: int, updates: int, repeats: int) -> dict:
     }
 
 
-def _sharded_workload(size: int):
-    """The sharding workload family: clustered faults, density matched
-    to the acceptance workload (one fault per 40k cells)."""
-    topo = Mesh2D(size, size)
-    n = max(32, size * size // 40_000)
-    faults = clustered(
-        topo.shape, n, np.random.default_rng(20010423),
-        clusters=max(3, n // 50), spread=2.0,
-    )
-    return topo, faults.mask, n
-
-
-def _run_sharded(topo, faulty, jobs: int):
-    """Both sharded fixpoints with one auto tiling; returns the planes
-    and tile-round counts."""
-    tiling = parse_shard_spec("auto", topo.shape, jobs)
-    unsafe, r1 = unsafe_fixpoint_sharded(topo, faulty, tiling=tiling, jobs=jobs)
-    enabled, r2 = enabled_fixpoint_sharded(
-        topo, faulty, unsafe, tiling=tiling, jobs=jobs
-    )
-    return unsafe, enabled, r1, r2, tiling
-
-
-def bench_sharded(
-    gate_size: int,
-    strong_size: int,
-    weak_base: int,
-    jobs_list,
-    big_size,
-    repeats: int,
-) -> dict:
-    """Tile-sharded halo-exchange fixpoints: gate, scaling curves, 100M.
-
-    * **gate** — the CI acceptance pair: both global dense fixpoints on
-      one array vs the sharded driver with ``jobs=2``, same labels
-      required bit-for-bit.  Sharding wins even with the pool overhead
-      because only tiles whose framed region holds faults are ever
-      solved, while the dense kernels sweep the full plane every Jacobi
-      round.  The work-optimal global frontier kernel is also recorded
-      (un-gated): serially it beats sharding on sparse instances;
-      sharding pays through process parallelism and activity locality.
-    * **strong scaling** — fixed ``strong_size`` mesh across
-      ``jobs_list`` worker counts (plus the serial tiled leg).
-    * **weak scaling** — ``weak_base`` squared cells per worker, so the
-      mesh grows as ``sqrt(jobs)`` per side; efficiency is
-      ``t(1) / t(j)`` (1.0 = perfect).
-    * **100M cells** — a ``big_size`` squared completion run (full mode
-      only): the point of the shared-memory design is that this fits
-      without ever pickling a label plane.
-
-    The host CPU count is recorded; on a single-CPU box the multi-worker
-    legs honestly show pool overhead instead of speedup.
-    """
-    import os as _os
-
-    report: dict = {"cpus": _os.cpu_count()}
-
-    # -- gate ---------------------------------------------------------
-    topo, faulty, n = _sharded_workload(gate_size)
-    t_dense, (unsafe_d, r1) = _best_of(
-        lambda: unsafe_fixpoint(topo, faulty), repeats
-    )
-    t_dense2, (enabled_d, r2) = _best_of(
-        lambda: enabled_fixpoint(topo, faulty, unsafe_d), repeats
-    )
-    t_frontier, _ = _best_of(
-        lambda: (
-            enabled_fixpoint_sparse(
-                topo, faulty, unsafe_fixpoint_sparse(topo, faulty)[0]
-            )
-        ),
-        repeats,
-    )
-    t_shard, (unsafe_s, enabled_s, tr1, tr2, tiling) = _best_of(
-        lambda: _run_sharded(topo, faulty, 2), repeats
-    )
-    assert np.array_equal(unsafe_d, unsafe_s) and np.array_equal(
-        enabled_d, enabled_s
-    ), "sharded fixpoints diverged from the global kernels"
-    gate = _pair(
-        f"sharded {gate_size} j2 vs dense",
-        t_dense + t_dense2,
-        t_shard,
-        extra={
-            "mesh": f"{gate_size}x{gate_size}",
-            "faults": n,
-            "tiles": f"{tiling.tiles_x}x{tiling.tiles_y}",
-            "tile_rounds": [tr1, tr2],
-            "jacobi_rounds": [r1, r2],
-            "frontier_global_s": round(t_frontier, 6),
-        },
-    )
-    report["gate"] = gate
-
-    # -- strong scaling ----------------------------------------------
-    topo, faulty, n = _sharded_workload(strong_size)
-    strong = {"mesh": f"{strong_size}x{strong_size}", "faults": n, "legs": {}}
-    t_serial = None
-    reference = None
-    for jobs in jobs_list:
-        t, (unsafe_s, enabled_s, tr1, tr2, tiling) = _best_of(
-            lambda: _run_sharded(topo, faulty, jobs), repeats
-        )
-        if reference is None:
-            reference = (unsafe_s, enabled_s)
-            t_serial = t
-        else:
-            assert np.array_equal(reference[0], unsafe_s) and np.array_equal(
-                reference[1], enabled_s
-            ), f"sharded jobs={jobs} diverged from jobs={jobs_list[0]}"
-        strong["legs"][str(jobs)] = {
-            "seconds": round(t, 6),
-            "speedup_vs_serial": round(t_serial / t, 3),
-            "tiles": f"{tiling.tiles_x}x{tiling.tiles_y}",
-        }
-        print(
-            f"{'sharded strong jobs=' + str(jobs):>28}: {t * 1e3:9.2f} ms "
-            f"({strong['legs'][str(jobs)]['speedup_vs_serial']}x vs serial)"
-        )
-    report["strong"] = strong
-
-    # -- weak scaling -------------------------------------------------
-    weak = {"base": f"{weak_base}x{weak_base} per worker", "legs": {}}
-    t_one = None
-    for jobs in jobs_list:
-        size = int(round(weak_base * jobs ** 0.5))
-        topo, faulty, n = _sharded_workload(size)
-        t, _ = _best_of(lambda: _run_sharded(topo, faulty, jobs), repeats)
-        if t_one is None:
-            t_one = t
-        weak["legs"][str(jobs)] = {
-            "mesh": f"{size}x{size}",
-            "faults": n,
-            "seconds": round(t, 6),
-            "efficiency": round(t_one / t, 3),
-        }
-        print(
-            f"{'sharded weak jobs=' + str(jobs):>28}: {size}x{size} "
-            f"{t * 1e3:9.2f} ms (eff {weak['legs'][str(jobs)]['efficiency']})"
-        )
-    report["weak"] = weak
-
-    # -- 100M-cell completion ----------------------------------------
-    if big_size:
-        topo, faulty, n = _sharded_workload(big_size)
-        t0 = time.perf_counter()
-        _, _, tr1, tr2, tiling = _run_sharded(topo, faulty, 1)
-        t_big = time.perf_counter() - t0
-        report["big"] = {
-            "mesh": f"{big_size}x{big_size}",
-            "cells": big_size * big_size,
-            "faults": n,
-            "tiles": f"{tiling.tiles_x}x{tiling.tiles_y}",
-            "tile_rounds": [tr1, tr2],
-            "seconds": round(t_big, 6),
-            "cells_per_sec": round(big_size * big_size / t_big),
-        }
-        print(
-            f"{'sharded 100M cells':>28}: {big_size}x{big_size} in "
-            f"{t_big:.2f} s ({report['big']['cells_per_sec']:,} cells/s)"
-        )
-    return report
-
-
 def _routing_gate_workload(size: int, faults: int, packets: int, rate: float):
     """The routing-gate pair's fixed workload.
 
@@ -985,52 +814,6 @@ def gate_routing(
     return 0
 
 
-#: The CI gate: sharded ``jobs=2`` must beat the dense single-array
-#: fixpoints by at least this factor on the gate workload.
-_SHARDED_GATE_MIN_SPEEDUP = 1.2
-
-
-def gate_sharded(gate_size: int = 2000, complete_size: int = 4000) -> int:
-    """The ``--gate-sharded`` CI mode: quick pass/fail, no JSON.
-
-    Asserts the sharded ``jobs=2`` leg beats the dense single-array
-    baseline by >= 1.2x on a ``gate_size`` mesh (bit-for-bit equal
-    labels), then requires a ``complete_size`` sharded run to finish.
-    """
-    topo, faulty, n = _sharded_workload(gate_size)
-    t_dense, (unsafe_d, _) = _best_of(lambda: unsafe_fixpoint(topo, faulty), 2)
-    t_dense2, (enabled_d, _) = _best_of(
-        lambda: enabled_fixpoint(topo, faulty, unsafe_d), 2
-    )
-    t_shard, (unsafe_s, enabled_s, _, _, _) = _best_of(
-        lambda: _run_sharded(topo, faulty, 2), 2
-    )
-    if not (
-        np.array_equal(unsafe_d, unsafe_s) and np.array_equal(enabled_d, enabled_s)
-    ):
-        print("gate-sharded: FAIL (labels diverged from the global kernels)")
-        return 1
-    speedup = (t_dense + t_dense2) / t_shard
-    print(
-        f"gate-sharded: {gate_size}x{gate_size} ({n} faults) "
-        f"dense {(t_dense + t_dense2) * 1e3:.1f} ms vs sharded jobs=2 "
-        f"{t_shard * 1e3:.1f} ms -> {speedup:.2f}x "
-        f"(need >= {_SHARDED_GATE_MIN_SPEEDUP}x)"
-    )
-    if speedup < _SHARDED_GATE_MIN_SPEEDUP:
-        print("gate-sharded: FAIL (speedup below gate)")
-        return 1
-    topo, faulty, n = _sharded_workload(complete_size)
-    t0 = time.perf_counter()
-    _run_sharded(topo, faulty, 2)
-    print(
-        f"gate-sharded: {complete_size}x{complete_size} completed in "
-        f"{time.perf_counter() - t0:.2f} s"
-    )
-    print("gate-sharded: OK")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -1045,19 +828,12 @@ def main(argv=None) -> int:
         help="output path (default: BENCH_perf.json at the repo root)",
     )
     parser.add_argument(
-        "--gate-sharded",
-        action="store_true",
-        help="CI mode: run only the sharded speedup/completion gate",
-    )
-    parser.add_argument(
         "--gate-routing",
         action="store_true",
         help="CI mode: run only the batched-vs-scalar routing gate",
     )
     args = parser.parse_args(argv)
 
-    if args.gate_sharded:
-        return gate_sharded()
     if args.gate_routing:
         return gate_routing()
 
@@ -1066,8 +842,6 @@ def main(argv=None) -> int:
         fabric_size, fabric_f = 20, 24
         sweep_size, sweep_fs, sweep_trials, sweep_repeats = 96, [0, 16, 32], 6, 3
         incr_size, incr_f, incr_updates = 256, 40, 2000
-        shard_gate, shard_strong, shard_weak = 600, 800, 320
-        shard_jobs, shard_big = [1, 2], None
         route_size, route_packets = 160, 150_000
         route_payoff, route_worms, route_campaign = 60_000, 20_000, None
     else:
@@ -1080,8 +854,6 @@ def main(argv=None) -> int:
             5,
         )
         incr_size, incr_f, incr_updates = 1000, 100, 20000
-        shard_gate, shard_strong, shard_weak = 2000, 4000, 1000
-        shard_jobs, shard_big = [1, 2, 4, 8], 10000
         route_size, route_packets = 160, 150_000
         route_payoff, route_worms = 100_000, 100_000
         route_campaign = (256, 1_000_000)
@@ -1101,9 +873,6 @@ def main(argv=None) -> int:
         ),
         "telemetry": bench_telemetry(kernel_size, kernel_f, repeats),
         "incremental": bench_incremental(incr_size, incr_f, incr_updates, repeats),
-        "sharded": bench_sharded(
-            shard_gate, shard_strong, shard_weak, shard_jobs, shard_big, repeats
-        ),
         "routing": bench_routing(
             route_size, route_packets, route_payoff, route_worms,
             route_campaign, repeats,

@@ -32,43 +32,23 @@ by ``BrokenProcessPool`` is retried on a fresh pool a bounded number of
 times, then re-run cell by cell to isolate the poison cell, which is
 recorded via ``broken_marker`` while every healthy cell still returns
 its real result.
-
-For workloads whose cells share large numpy planes (the sharded
-fixpoints of :mod:`repro.core.sharded`), :class:`SharedArena` owns
-``multiprocessing.shared_memory`` segments with a guaranteed-unlink
-lifecycle: tasks carry only tiny :class:`SharedBlock` tokens, workers
-map the segments via :func:`attach_block` (cached per process), and the
-parent unlinks every segment on exit from the arena's ``with`` block —
-including the poison-cell and ``BrokenProcessPool`` retry paths, where
-the crashed worker's mapping dies with the worker and the parent's
-``finally`` still reaches the unlink.  A process-exit hook sweeps any
-arena a caller leaked outside ``with``, so no ``/dev/shm`` segment ever
-outlives the parent.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-import secrets
 import time
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs.telemetry import Telemetry
 
 __all__ = [
     "ExecutionReport",
-    "SharedArena",
-    "SharedBlock",
     "WarmPoolRegistry",
-    "attach_block",
     "run_cells",
     "shared_pools",
 ]
@@ -145,115 +125,6 @@ class WarmPoolRegistry:
 #: The default registry shared by all sweeps in the process.
 shared_pools = WarmPoolRegistry()
 atexit.register(shared_pools.shutdown)
-
-
-#: Prefix of every segment this module creates — what the hygiene tests
-#: scan ``/dev/shm`` for.
-_SHM_PREFIX = "repro-arena"
-
-
-@dataclass(frozen=True)
-class SharedBlock:
-    """Picklable token naming one shared-memory numpy plane.
-
-    Tasks sent to workers carry these instead of arrays, so dispatching
-    a tile costs a few bytes of pickle regardless of the plane size.
-    """
-
-    name: str
-    shape: Tuple[int, ...]
-    dtype: str
-
-
-class SharedArena:
-    """Owner of shared-memory numpy planes with guaranteed unlink.
-
-    The creating (parent) process allocates segments through
-    :meth:`ndarray` and is the only unlinker; workers attach read-write
-    views via :func:`attach_block`.  Use as a context manager::
-
-        with SharedArena() as arena:
-            plane, block = arena.ndarray((w, h), np.bool_)
-            ... dispatch tasks carrying ``block`` ...
-        # every segment closed and unlinked, whatever happened above
-
-    ``close`` is idempotent and per-segment fault-tolerant (a segment
-    already gone is not an error), so crash-retry paths that tear down
-    half-initialized arenas stay clean.  Arenas never left via ``with``
-    are swept by an ``atexit`` hook — ``/dev/shm`` hygiene does not
-    depend on the caller's discipline.
-    """
-
-    def __init__(self) -> None:
-        self._segments: List[shared_memory.SharedMemory] = []
-        self._finalizer = weakref.finalize(self, _close_segments, self._segments)
-
-    def ndarray(
-        self, shape: Tuple[int, ...], dtype: "np.dtype | type" = np.bool_
-    ) -> Tuple[np.ndarray, SharedBlock]:
-        """Allocate a zeroed shared plane; returns ``(view, token)``.
-
-        The view stays valid until the arena closes; the token is what
-        tasks carry to workers.
-        """
-        dt = np.dtype(dtype)
-        nbytes = max(1, int(np.prod(shape)) * dt.itemsize)
-        name = f"{_SHM_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
-        seg = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-        self._segments.append(seg)
-        view = np.ndarray(shape, dtype=dt, buffer=seg.buf)
-        view.fill(0)
-        return view, SharedBlock(name=seg.name, shape=tuple(shape), dtype=dt.str)
-
-    def close(self) -> None:
-        """Close and unlink every segment (idempotent)."""
-        self._finalizer()
-
-    def __enter__(self) -> "SharedArena":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def _close_segments(segments: List[shared_memory.SharedMemory]) -> None:
-    """Module-level so ``weakref.finalize`` never keeps the arena alive."""
-    while segments:
-        seg = segments.pop()
-        try:
-            seg.close()
-        except OSError:  # pragma: no cover - buffer already torn down
-            pass
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-
-#: Worker-side cache of attached segments.  Keyed by segment name; one
-#: mmap per segment per worker process for the lifetime of the worker,
-#: so repeated tile dispatches re-use the mapping.
-_ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, memoryview]] = {}
-
-
-def attach_block(block: SharedBlock) -> np.ndarray:
-    """Map a :class:`SharedBlock` into this process as a numpy view.
-
-    Safe to call in the parent too, but meant for pool workers.  On
-    Python < 3.13 an attach re-registers the segment with the shared
-    resource tracker; that is harmless here — the tracker's cache is a
-    per-name set, the fork family shares one tracker, and the owning
-    arena's ``unlink`` retires the single entry — so no unregister
-    work-around is needed, and none is attempted (a worker-side
-    unregister would strip the *parent's* entry and make the parent's
-    unlink racy).
-    """
-    cached = _ATTACHED.get(block.name)
-    if cached is None:
-        seg = shared_memory.SharedMemory(name=block.name)
-        cached = _ATTACHED[block.name] = (seg, seg.buf)
-    seg, buf = cached
-    return np.ndarray(block.shape, dtype=np.dtype(block.dtype), buffer=buf)
 
 
 def _usable_cpus() -> int:

@@ -98,11 +98,9 @@ _TrialRow = Tuple[float, float, List[float], float, float]
 
 
 def _fig5_trial(
-    task: Tuple[
-        Topology, SafetyDefinition, str, str, "str | None", int, int, int, int, int
-    ],
+    task: Tuple[Topology, SafetyDefinition, str, str, int, int, int, int, int],
 ) -> _TrialRow:
-    topo, definition, method, geometry_backend, shard, f, fi, ti, trials, seed = task
+    topo, definition, method, geometry_backend, f, fi, ti, trials, seed = task
     rng = trial_rng(trials, seed + _F_SEED_STRIDE * fi, ti)
     faults = uniform_random(topo.shape, f, rng)
     result = label_mesh(
@@ -112,7 +110,6 @@ def _fig5_trial(
         backend="vectorized",
         method=method,
         geometry_backend=geometry_backend,
-        shard=shard,
     )
     return (
         float(result.rounds_phase1),
@@ -132,7 +129,6 @@ def run_fig5(
     method: str = "auto",
     jobs: int = 1,
     geometry_backend: str = "vectorized",
-    shard: "str | None" = None,
 ) -> Fig5Curve:
     """Run the Figure-5 sweep for one definition/topology combination.
 
@@ -159,19 +155,12 @@ def run_fig5(
     geometry_backend:
         Block/region extraction backend (see
         :func:`repro.core.pipeline.label_mesh`).
-    shard:
-        Optional tile spec (``"KxK"`` / ``"auto"``): every trial labels
-        through the sharded fixpoints.  Labels are identical; the
-        rounds columns then count tile rounds.  Inside parallel sweep
-        workers the tile solves run serially (the sharded driver
-        refuses to nest process pools), so ``jobs`` here stays the one
-        source of process parallelism.
     """
     topo = topology if topology is not None else Mesh2D(100, 100)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     tasks = [
-        (topo, definition, method, geometry_backend, shard, f, fi, ti, trials, seed)
+        (topo, definition, method, geometry_backend, f, fi, ti, trials, seed)
         for fi, f in enumerate(f_values)
         for ti in range(trials)
     ]

@@ -19,14 +19,6 @@ that the fallback evaluates cells in the parent process; pass an
 explicit ``chunk_size`` to force worker isolation for metrics that may
 crash their process.
 
-Metric functions may themselves label through the tile-sharded
-fixpoints (``label_mesh(..., shard=...)``, see :mod:`repro.core.sharded`):
-inside a parallel sweep's worker processes the sharded driver detects
-the nesting and solves its tiles serially instead of spawning a pool
-inside a pool, so a sharded metric is safe at any ``jobs`` and still
-bit-identical to its serial evaluation — the (value, trial) grid stays
-the single source of process parallelism.
-
 Sweeps degrade gracefully: a cell whose metric function raises does not
 abort the sweep.  The cell contributes no samples and is recorded as a
 :class:`CellFailure` on its value's :class:`SweepPoint`, so long

@@ -155,24 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="info",
         help="event severity kept in --trace-out (debug adds per-node flips)",
     )
-    p_label.add_argument(
-        "--shard",
-        metavar="KxK|auto",
-        default=None,
-        help=(
-            "tile-sharded halo-exchange fixpoints with this tile size "
-            "(identical labels; rounds become tile rounds)"
-        ),
-    )
-    p_label.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for --shard tile solves over shared memory "
-            "(same labels for any value)"
-        ),
-    )
 
     p_fig5 = sub.add_parser("fig5", help="reproduce the Figure-5 sweep")
     p_fig5.add_argument("--size", type=int, default=100)
@@ -204,15 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for the sweep (same results for any value)",
-    )
-    p_fig5.add_argument(
-        "--shard",
-        metavar="KxK|auto",
-        default=None,
-        help=(
-            "run every trial's labeling tile-sharded (tiles solve "
-            "serially inside sweep workers; identical labels)"
-        ),
     )
 
     p_route = sub.add_parser("route", help="compare routing under both models")
@@ -540,9 +513,6 @@ def _cmd_label(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shard is not None and args.backend != "vectorized":
-        print("label: --shard needs --backend vectorized", file=sys.stderr)
-        return 2
 
     topo = _topology(args)
     faults = _faults(args, topo.shape)
@@ -551,7 +521,6 @@ def _cmd_label(args) -> int:
         topo, faults, _definition(args), backend=args.backend, method=args.method,
         schedule=schedule, channel=channel, telemetry=telemetry,
         geometry_backend=args.geometry_backend,
-        shard=args.shard, jobs=args.jobs,
     )
     if finish_telemetry is not None:
         finish_telemetry()
@@ -612,7 +581,6 @@ def _cmd_fig5(args) -> int:
         method=args.method,
         jobs=args.jobs,
         geometry_backend=args.geometry_backend,
-        shard=args.shard,
     )
     print(curve.as_table())
     return 0

@@ -32,7 +32,6 @@ from repro.core.pipeline import LabelingResult, assemble_result, label_mesh
 from repro.core.protocols import EnableProgram, SafetyProgram
 from repro.core.regions import DisabledRegion, extract_regions
 from repro.core.safety import unsafe_fixpoint, unsafe_step
-from repro.core.sharded import enabled_fixpoint_sharded, unsafe_fixpoint_sharded
 from repro.core.status import LabelGrid, NodeStatus, SafetyDefinition
 from repro.core import theorems
 
@@ -56,7 +55,6 @@ __all__ = [
     "distributed_enabled",
     "distributed_unsafe",
     "enabled_fixpoint",
-    "enabled_fixpoint_sharded",
     "enabled_fixpoint_sparse",
     "enabled_step",
     "extract_blocks",
@@ -65,7 +63,6 @@ __all__ = [
     "recursive_enable_fixpoints",
     "theorems",
     "unsafe_fixpoint",
-    "unsafe_fixpoint_sharded",
     "unsafe_fixpoint_sparse",
     "unsafe_step",
 ]

@@ -35,13 +35,11 @@ from repro.core.enabling import enabled_fixpoint
 from repro.core.frontier import enabled_fixpoint_sparse, unsafe_fixpoint_sparse
 from repro.core.regions import DisabledRegion, extract_regions
 from repro.core.safety import unsafe_fixpoint
-from repro.core.sharded import enabled_fixpoint_sharded, unsafe_fixpoint_sharded
 from repro.core.status import LabelGrid, SafetyDefinition
 from repro.fabric.channel import ChannelModel
 from repro.fabric.stats import RunStats
 from repro.faults.faultset import FaultSet
 from repro.faults.schedule import FaultSchedule
-from repro.mesh.tiling import parse_shard_spec
 from repro.mesh.topology import Topology
 from repro.obs.telemetry import Telemetry
 
@@ -194,8 +192,6 @@ def label_mesh(
     channel: Optional[ChannelModel] = None,
     telemetry: Optional[Telemetry] = None,
     geometry_backend: GeometryBackend = "vectorized",
-    shard: Optional[str] = None,
-    jobs: int = 1,
 ) -> LabelingResult:
     """Run the full two-phase pipeline.
 
@@ -249,18 +245,6 @@ def label_mesh(
         bincount reductions, ``"reference"`` the per-cell BFS oracle.
         Labels, blocks and regions are bit-for-bit identical (property
         tested); the reference backend exists for cross-checking.
-    shard:
-        Vectorized backend only: a tile spec (``"KxK"`` or ``"auto"``)
-        switches both phases to the tile-sharded halo-exchange fixpoints
-        of :mod:`repro.core.sharded` — identical labels (property
-        tested), with ``rounds_phase1`` / ``rounds_phase2`` counting
-        **tile rounds** (halo-exchange generations) instead of Jacobi
-        rounds.  ``None`` (default) keeps the single-array kernels.
-    jobs:
-        Shard mode only: worker processes for tile solves, dispatched
-        through the warm-pool executor over shared-memory planes (no
-        label plane is pickled).  ``1`` solves tiles serially; any
-        value yields identical labels.
 
     Returns
     -------
@@ -279,52 +263,10 @@ def label_mesh(
         raise ValueError(
             "fault schedules and lossy channels require backend='distributed'"
         )
-    if shard is not None and backend != "vectorized":
-        raise ValueError("shard= requires backend='vectorized'")
     faulty = faults.mask
     tel = telemetry
     events_on = tel is not None and tel.wants("info")
-    if backend == "vectorized" and shard is not None:
-        tiling = parse_shard_spec(shard, topology.shape, jobs)
-        if events_on:
-            tel.emit("phase_transition", phase="unsafe", status="start")
-        tel1 = tel.child(phase="unsafe") if tel is not None else None
-        span1 = (
-            tel.span("phase_unsafe", kernel="sharded")
-            if tel is not None
-            else _NULL_SPAN
-        )
-        with span1:
-            unsafe, rounds1 = unsafe_fixpoint_sharded(
-                topology, faulty, definition,
-                tiling=tiling, jobs=jobs, method=method, telemetry=tel1,
-            )
-        if events_on:
-            tel.emit(
-                "phase_transition", phase="unsafe", status="end", rounds=rounds1
-            )
-        if events_on:
-            tel.emit("phase_transition", phase="enable", status="start")
-        tel2 = tel.child(phase="enable") if tel is not None else None
-        span2 = (
-            tel.span("phase_enable", kernel="sharded")
-            if tel is not None
-            else _NULL_SPAN
-        )
-        with span2:
-            enabled, rounds2 = enabled_fixpoint_sharded(
-                topology, faulty, unsafe,
-                tiling=tiling, jobs=jobs, method=method, telemetry=tel2,
-            )
-        if events_on:
-            tel.emit(
-                "phase_transition", phase="enable", status="end", rounds=rounds2
-            )
-        method_used = (
-            f"sharded[{tiling.tile_width}x{tiling.tile_height},jobs={jobs}]"
-        )
-        stats1 = stats2 = None
-    elif backend == "vectorized":
+    if backend == "vectorized":
         m1 = _resolve_method(method, topology, int(np.count_nonzero(faulty)))
         if events_on:
             tel.emit("phase_transition", phase="unsafe", status="start")

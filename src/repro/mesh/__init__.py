@@ -18,7 +18,6 @@ from repro.mesh.coords import (
     sub,
 )
 from repro.mesh.ghost import GhostFrame
-from repro.mesh.tiling import Tile, Tiling, gather_framed, parse_shard_spec
 from repro.mesh.topology import Mesh2D, Topology, Torus2D
 
 __all__ = [
@@ -28,15 +27,11 @@ __all__ = [
     "GhostFrame",
     "Mesh2D",
     "Quadrant",
-    "Tile",
-    "Tiling",
     "Topology",
     "Torus2D",
     "add",
     "chebyshev",
-    "gather_framed",
     "neighbors4",
     "neighbors8",
-    "parse_shard_spec",
     "sub",
 ]

@@ -68,19 +68,6 @@ EVENT_SCHEMAS: Dict[str, FrozenSet[str]] = {
     "message_duplicated": frozenset({"sender", "dest"}),
     # pipeline
     "phase_transition": frozenset({"phase", "status"}),
-    # sharded fixpoints (tile-sharded halo-exchange execution)
-    "shard_plan": frozenset(
-        {
-            "phase",
-            "tiles_x",
-            "tiles_y",
-            "tile_width",
-            "tile_height",
-            "jobs",
-            "active",
-        }
-    ),
-    "shard_round": frozenset({"phase", "round", "tiles", "exchanges"}),
     # sweeps
     "sweep_plan": frozenset({"jobs", "parallel", "chunk"}),
     "sweep_cell": frozenset({"value", "trial", "ok"}),

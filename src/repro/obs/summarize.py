@@ -112,14 +112,6 @@ class TraceSummary:
     #: :func:`repro.obs.slo.evaluate_outcomes` dict), present when the
     #: trace holds service events.
     slo: Optional[Dict[str, Any]] = None
-    #: Sharded-execution accounting per phase, rebuilt from
-    #: ``shard_plan`` / ``shard_round`` events of a ``shard=`` run:
-    #: ``tiles`` (the tiling's tile count), ``rounds`` (halo-exchange
-    #: generations), ``tile_solves`` (total per-tile fixpoint solves)
-    #: and ``halo_exchanges`` (rim-change signals to neighbouring
-    #: tiles).  Keys are phases (``unsafe``, ``enable``); empty when
-    #: the trace holds no sharding events.
-    sharding: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Batched traffic-campaign accounting, rebuilt from
     #: ``traffic_sweep`` / ``saturation_point`` events.  Keys are
     #: ``view/kernel/pattern`` triples; each entry carries the swept
@@ -145,9 +137,6 @@ class TraceSummary:
             },
             "durability": {
                 name: dict(entry) for name, entry in self.durability.items()
-            },
-            "sharding": {
-                phase: dict(entry) for phase, entry in self.sharding.items()
             },
             "routing": {
                 key: dict(entry) for key, entry in self.routing.items()
@@ -204,7 +193,6 @@ def summarize_trace(
     durable_latencies: Dict[str, List[float]] = {}
     durable_bytes: TallyCounter = TallyCounter()
     recoveries: List[Mapping[str, Any]] = []
-    sharding: Dict[str, Dict[str, float]] = {}
     routing: Dict[str, Dict[str, float]] = {}
     retries = 0
     total = 0
@@ -221,7 +209,6 @@ def summarize_trace(
                 durable_latencies=durable_latencies,
                 durable_bytes=durable_bytes,
                 recoveries=recoveries,
-                sharding=sharding,
                 routing=routing,
                 reports=reports,
             )
@@ -276,7 +263,6 @@ def summarize_trace(
         service_latency=service_latency,
         durability=durability,
         slo=slo,
-        sharding=sharding,
         routing=routing,
     )
 
@@ -292,7 +278,6 @@ def _absorb_record(
     durable_latencies: Dict[str, List[float]],
     durable_bytes: TallyCounter,
     recoveries: List[Mapping[str, Any]],
-    sharding: Dict[str, Dict[str, float]],
     routing: Dict[str, Dict[str, float]],
     reports: Dict[Tuple[Tuple[str, str], ...], RunReport],
 ) -> None:
@@ -328,23 +313,6 @@ def _absorb_record(
         return
     if name == "recovery_replay":
         recoveries.append(fields)
-        return
-    if name in ("shard_plan", "shard_round"):
-        entry = sharding.setdefault(
-            str(fields["phase"]),
-            {
-                "tiles": 0.0,
-                "rounds": 0.0,
-                "tile_solves": 0.0,
-                "halo_exchanges": 0.0,
-            },
-        )
-        if name == "shard_plan":
-            entry["tiles"] = float(int(fields["tiles_x"]) * int(fields["tiles_y"]))
-        else:
-            entry["rounds"] += 1.0
-            entry["tile_solves"] += float(int(fields["tiles"]))
-            entry["halo_exchanges"] += float(int(fields["exchanges"]))
         return
     if name in ("traffic_sweep", "saturation_point"):
         key = (
@@ -493,17 +461,6 @@ def format_summary(summary: TraceSummary) -> str:
             f"(objective {cfg['latency_objective_us']:g} us) "
             f"[{'ok' if s['latency_ok'] else 'VIOLATED'}]"
         )
-    if summary.sharding:
-        lines.append("")
-        lines.append("sharding:")
-        for phase in sorted(summary.sharding):
-            entry = summary.sharding[phase]
-            lines.append(
-                f"  {phase:>18}: {int(entry['tiles'])} tiles, "
-                f"{int(entry['rounds'])} tile rounds, "
-                f"{int(entry['tile_solves'])} tile solves, "
-                f"{int(entry['halo_exchanges'])} halo exchanges"
-            )
     if summary.routing:
         lines.append("")
         lines.append("routing (traffic campaigns):")

@@ -34,8 +34,9 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from collections import Counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -143,6 +144,11 @@ class ChaosProxy:
         self.address: Tuple[str, int] = self._listener.getsockname()
         self._closing = False
         self._thread: Optional[threading.Thread] = None
+        # Relay/pump threads and the sockets they block on, so close()
+        # can sever every live connection and join its threads.
+        self._lock = threading.Lock()
+        self._relays: List[threading.Thread] = []
+        self._conns: Set[socket.socket] = set()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -153,19 +159,23 @@ class ChaosProxy:
         return thread
 
     def close(self) -> None:
-        self._closing = True
+        # _spawn starts no relay once closing is set.  Shutting the live
+        # connections down wakes their relay and pump threads, and the
+        # server sees EOF on its side of each; the relay threads close
+        # them (see _relay_connection).
+        with self._lock:
+            self._closing = True
+            _shutdown(*self._conns)
+            relays = list(self._relays)
         # Closing a listening socket does not wake a thread blocked in
         # accept() on Linux; shutting it down first does.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
+        _shutdown(self._listener)
         if self._thread is not None:
             self._thread.join(timeout=5)
+        self._listener.close()
+        deadline = time.monotonic() + 5
+        for thread in relays:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "ChaosProxy":
         self.serve_in_thread()
@@ -181,10 +191,23 @@ class ChaosProxy:
             try:
                 client_sock, _ = self._listener.accept()
             except OSError:
-                return  # listener closed
-            threading.Thread(
-                target=self._relay_connection, args=(client_sock,), daemon=True
-            ).start()
+                return  # listener shut down
+            if self._spawn(self._relay_connection, client_sock) is None:
+                client_sock.close()
+                return
+
+    def _spawn(self, target, *args: Any) -> Optional[threading.Thread]:
+        """Start a tracked relay thread; ``None`` once :meth:`close` began."""
+        with self._lock:
+            if self._closing:
+                return None
+            self._relays = [t for t in self._relays if t.is_alive()]
+            # Started under the lock, so close() never joins a thread
+            # that has not started.
+            thread = threading.Thread(target=target, args=args, daemon=True)
+            thread.start()
+            self._relays.append(thread)
+        return thread
 
     def _relay_connection(self, client_sock: socket.socket) -> None:
         try:
@@ -192,22 +215,32 @@ class ChaosProxy:
         except OSError:
             client_sock.close()
             return
+        with self._lock:
+            self._conns.update((client_sock, upstream))
         # Responses flow back unmangled: the protocol's failure model is
         # a lossy *request* path plus connection death; response-side
         # duplication is produced by duplicating requests.
-        pump = threading.Thread(
-            target=self._pump_plain, args=(upstream, client_sock), daemon=True
-        )
-        pump.start()
+        pump = self._spawn(self._pump_plain, upstream, client_sock)
         try:
-            rfile = client_sock.makefile("rb")
-            for line in rfile:
-                if not self._forward_frame(upstream, line):
-                    break
+            if pump is not None:
+                with client_sock.makefile("rb") as rfile:
+                    for line in rfile:
+                        if not self._forward_frame(upstream, line):
+                            break
         except OSError:
             pass
         finally:
-            _close_pair(client_sock, upstream)
+            # This thread alone closes the pair, and only once the pump
+            # has stopped using it: a socket closed under a thread still
+            # blocked on it can have its fd reused by a new connection,
+            # leaving that thread waiting on the wrong socket.
+            _shutdown(client_sock, upstream)
+            if pump is not None:
+                pump.join()
+            with self._lock:
+                self._conns.difference_update((client_sock, upstream))
+            client_sock.close()
+            upstream.close()
 
     def _pump_plain(self, src: socket.socket, dst: socket.socket) -> None:
         try:
@@ -219,7 +252,7 @@ class ChaosProxy:
         except OSError:
             pass
         finally:
-            _close_pair(src, dst)
+            _shutdown(src, dst)  # wakes the relay's read of the client
 
     def _forward_frame(self, upstream: socket.socket, frame: bytes) -> bool:
         """Apply seeded chaos to one client frame; False severs the link."""
@@ -261,9 +294,12 @@ def _carries_seq(frame: bytes) -> bool:
         return False
 
 
-def _close_pair(a: socket.socket, b: socket.socket) -> None:
-    for sock in (a, b):
+def _shutdown(*socks: socket.socket) -> None:
+    """``shutdown(SHUT_RDWR)`` each socket: unlike ``close()``, it wakes
+    a thread blocked in ``recv()``/``accept()`` on it and sends the peer
+    EOF."""
+    for sock in socks:
         try:
-            sock.close()
-        except OSError:  # pragma: no cover
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # never connected, or already shut down
             pass

@@ -1,7 +1,5 @@
-"""Unit tests for the amortized cell executor and the shared-memory arena."""
+"""Unit tests for the amortized cell executor."""
 
-import gc
-import glob
 import os
 
 import numpy as np
@@ -10,10 +8,8 @@ import pytest
 from repro.analysis import executor
 from repro.analysis.executor import (
     ExecutionReport,
-    SharedArena,
     WarmPoolRegistry,
     _chunk_size,
-    attach_block,
     run_cells,
 )
 
@@ -167,78 +163,3 @@ class TestWarmPoolRegistry:
         assert not registry.warm(2)
         assert registry.get(2) is not first
 
-
-def _arena_segments():
-    """Names of live repro shared-memory segments on this box."""
-    return sorted(glob.glob("/dev/shm/repro-arena-*"))
-
-
-class TestSharedArena:
-    def test_create_attach_roundtrip(self):
-        before = _arena_segments()
-        with SharedArena() as arena:
-            view, block = arena.ndarray((5, 4), np.bool_)
-            assert not view.any()  # zero-filled on creation
-            view[2, 1] = True
-            attached = attach_block(block)
-            assert attached.shape == (5, 4) and attached.dtype == np.bool_
-            assert attached[2, 1]
-            attached[0, 0] = True  # same physical memory, both ways
-            assert view[0, 0]
-            assert len(_arena_segments()) == len(before) + 1
-        assert _arena_segments() == before  # context exit unlinked it
-
-    def test_close_is_idempotent(self):
-        arena = SharedArena()
-        arena.ndarray((3, 3), np.bool_)
-        arena.close()
-        arena.close()
-        assert _arena_segments() == []
-
-    def test_finalizer_unlinks_leaked_arenas(self):
-        arena = SharedArena()
-        arena.ndarray((4, 4), np.bool_)
-        assert len(_arena_segments()) == 1
-        del arena  # never closed: the GC finalizer must clean up
-        gc.collect()
-        assert _arena_segments() == []
-
-
-class TestShardedShmHygiene:
-    """Regression: a tile worker dying mid-round must not leak
-    ``/dev/shm`` segments, and the poisoned tile must still be solved
-    (in the parent, on the same shared planes)."""
-
-    @staticmethod
-    def _one_fault_per_tile(width, height, step):
-        mask = np.zeros((width, height), dtype=bool)
-        mask[step // 2 :: step, step // 2 :: step] = True
-        return mask
-
-    def test_crashing_tile_worker_no_leak_bit_for_bit(self, registry, monkeypatch):
-        from repro.core.safety import unsafe_fixpoint
-        from repro.core.sharded import _CRASH_TILE_ENV, unsafe_fixpoint_sharded
-        from repro.core.status import SafetyDefinition
-        from repro.mesh import Mesh2D
-        from repro.mesh.tiling import Tiling
-
-        topo = Mesh2D(40, 40)
-        faults = self._one_fault_per_tile(40, 40, 10)  # every tile active
-        # Workers fork after setenv, so they inherit the crash hook; the
-        # tile anchored at (0, 0) kills its worker with os._exit.
-        monkeypatch.setenv(_CRASH_TILE_ENV, "0,0")
-        before = _arena_segments()
-        unsafe_s, _ = unsafe_fixpoint_sharded(
-            topo,
-            faults,
-            SafetyDefinition.DEF_2B,
-            tiling=Tiling(topo.shape, 10, 10),
-            jobs=2,
-            registry=registry,
-        )
-        assert _arena_segments() == before  # nothing leaked
-        unsafe_g, _ = unsafe_fixpoint(topo, faults, SafetyDefinition.DEF_2B)
-        assert np.array_equal(unsafe_g, unsafe_s)  # poison tile recovered
-        # The registry replaced the broken pool and stays usable.
-        rows, _ = run_cells(_square, [5, 6], 2, chunk_size=1, registry=registry)
-        assert rows == [_square(5), _square(6)]

@@ -74,6 +74,38 @@ class TestChaosProxy:
         assert not thread.is_alive()
         assert time.monotonic() - start < 1.0
 
+    @pytest.mark.parametrize("client_open", [False, True])
+    def test_close_leaves_no_relay_or_handler_thread(self, client_open):
+        service = LabelingService(Mesh2D(12, 12))
+        server, thread = _serve(service)
+        before = set(threading.enumerate())
+        try:
+            proxy = ChaosProxy(server.address, seed=1)
+            proxy.serve_in_thread()
+            client = ServiceClient.connect_tcp(*proxy.address)
+            for _ in range(3):  # one relay connection each
+                assert client.ping() == 0
+                client.close()
+                client = ServiceClient.connect_tcp(*proxy.address)
+            assert client.ping() == 0
+            if not client_open:
+                client.close()
+            proxy.close()
+            new = set(threading.enumerate()) - before
+            # The relay and pump threads are joined inside close() ...
+            assert not [t.name for t in new if t.is_alive()
+                        and ("_relay_connection" in t.name
+                             or "_pump_plain" in t.name)]
+            # ... and the server saw EOF on every relayed connection, so
+            # its handler threads return (asynchronously, hence the poll).
+            deadline = time.monotonic() + 2.0
+            while any(t.is_alive() for t in new) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not [t.name for t in new if t.is_alive()]
+            client.close()
+        finally:
+            _stop(server, thread)
+
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_updates_converge_exactly_once_under_chaos(self, seed):
         service = LabelingService(Mesh2D(16, 16))

@@ -51,6 +51,24 @@ class TestErrorBoundary:
         assert rc == 2
         assert err == message + "\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["label", "--shard", "auto"],
+            ["label", "--jobs", "2"],
+            ["fig5", "--shard", "auto"],
+        ],
+    )
+    def test_removed_flags_unrecognized(self, argv, capsys):
+        # argparse prints usage and raises instead of returning 2.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith(
+            "error: unrecognized arguments: " + " ".join(argv[1:])
+        )
+
 
 class TestLabelCommand:
     def test_basic_run(self, capsys):
