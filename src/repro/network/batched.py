@@ -326,6 +326,10 @@ class BatchedNetwork:
 
         order = np.argsort(inject, kind="stable")
         inj_sorted = inject[order]
+        # Contention needs lanes ascending by id.  Admitting in inject
+        # order keeps them so unless custom traffic injects out of id
+        # order; only then may an admission need a re-sort.
+        out_of_order = bool(np.any(np.diff(order) < 0))
         ptr = 0
         cycle = 0
         budget_floor = float("inf")
@@ -407,9 +411,7 @@ class BatchedNetwork:
                         )
                         if state is not None:
                             state = state.append_idle(live.size)
-                        if np.any(np.diff(cid) < 0):
-                            # Custom traffic may inject out of id order;
-                            # contention needs lanes ascending by id.
+                        if out_of_order and np.any(np.diff(cid) < 0):
                             o = np.argsort(cid, kind="stable")
                             cid = cid[o]
                             cpx, cpy = cpx[o], cpy[o]

@@ -29,7 +29,11 @@ and tie-breaks (preferred X hop before Y hop; the *low* face wins a
 distance tie; first-match rectangle lookup), and both replace FRing's
 unbounded recursion by the same bounded replan loop, so the batched
 engine and the scalar reference engine in
-:mod:`repro.network.batched` agree bit-for-bit.
+:mod:`repro.network.batched` agree bit-for-bit.  ``decide_one`` also
+runs inside the batched path: :meth:`DetourKernel.decide` settles most
+lanes in one full-width greedy pass and hands a small leftover set to
+``decide_one`` lane by lane, keeping the vector replan loop for large
+leftover sets only.
 
 State is *committed on movement only*: ``decide`` returns a sparse
 change-set of detour columns and the engine writes it back just for
@@ -235,6 +239,12 @@ class DetourKernel(TrafficKernel):
     name = "detour"
     stateful = True
 
+    # Leftover lanes (after the full-width greedy pass) up to this count
+    # go through ``decide_one`` one by one (~3.5 us a lane); more run the
+    # vector replan loop, whose numpy calls per pass cost about the same
+    # at any small width.  Measured crossover: docs/algorithms.md §5.8.
+    _SCALAR_MAX = 96
+
     def new_state(self, n: int) -> DetourState:
         return DetourState.idle(n)
 
@@ -276,14 +286,13 @@ class DetourKernel(TrafficKernel):
         return ok, axis, face, run
 
     def decide(self, px, py, dx, dy, state: DetourState):
-        n = px.shape[0]
         hgt = self.height
 
         # Fast path, full width and gather-free: the preferred greedy
         # hop for every packet at once (garbage on detour rows, masked
         # out below).  This settles the vast majority of the batch; the
-        # index-based replan loop below only sees the leftovers, so its
-        # per-pass fancy indexing runs over small subsets.
+        # leftovers go lane by lane through ``decide_one`` or, when
+        # there are many, through the index-based replan loop.
         step_x = ((dx > px) << 1) - 1  # +-1, int8-promoted
         step_y = ((dy > py) << 1) - 1
         hx0 = px + step_x
@@ -299,9 +308,15 @@ class DetourKernel(TrafficKernel):
         take_y0 = en_y0 & ~en_x0 & off
         nx = np.where(take_x0, hx0, px)
         ny = np.where(take_y0, hy0, py)
+        # Lanes at their destination (the engine's tombstones) settle
+        # here too: they have nothing to route and come out blocked.
+        blocked = ~(need_x0 | need_y0)
 
-        blocked = np.zeros(n, dtype=bool)
-        changed = np.zeros(n, dtype=bool)
+        work = np.flatnonzero(~(take_x0 | take_y0 | blocked))
+        if work.size <= self._SCALAR_MAX:
+            return self._decide_lanes(work, px, py, dx, dy, state, nx, ny, blocked)
+
+        changed = np.zeros(px.shape[0], dtype=bool)
         # Mutable local copies of the detour lanes (commit-on-move: the
         # caller's ``state`` must stay untouched until winners land).
         on_l = state.on.copy()
@@ -310,7 +325,6 @@ class DetourKernel(TrafficKernel):
         run_l = state.run.copy()
         rect_l = state.rect.copy()
 
-        work = np.flatnonzero(~(take_x0 | take_y0))
         for _ in range(self.max_replans):
             if work.size == 0:
                 break
@@ -455,6 +469,60 @@ class DetourKernel(TrafficKernel):
                 face_l[rows],
                 run_l[rows],
                 rect_l[rows],
+            )
+        return nx, ny, blocked, changes
+
+    def _decide_lanes(self, work, px, py, dx, dy, state, nx, ny, blocked):
+        """Resolve the leftover lanes ``work`` one by one via ``decide_one``.
+
+        Fills ``nx/ny/blocked`` in place and returns the :meth:`decide`
+        tuple; the change-set holds only lanes whose state changed.
+        """
+        if work.size == 0:
+            return nx, ny, blocked, None
+        states = zip(
+            state.on[work].tolist(),
+            state.axis[work].tolist(),
+            state.face[work].tolist(),
+            state.run[work].tolist(),
+            state.rect[work].tolist(),
+        )
+        cols = zip(
+            work.tolist(),
+            px[work].tolist(),
+            py[work].tolist(),
+            dx[work].tolist(),
+            dy[work].tolist(),
+            states,
+        )
+        moved, hop_x, hop_y, stuck = [], [], [], []
+        changed, new_states = [], []
+        decide_one = self.decide_one
+        for lane, x, y, bx, by, st in cols:
+            nxt, new = decide_one(x, y, bx, by, st)
+            if nxt is None:
+                stuck.append(lane)
+                continue
+            moved.append(lane)
+            hop_x.append(nxt[0])
+            hop_y.append(nxt[1])
+            if new != st:
+                changed.append(lane)
+                new_states.append(new)
+        if moved:
+            nx[moved] = hop_x
+            ny[moved] = hop_y
+        blocked[stuck] = True
+        changes = None
+        if changed:
+            on, axis, face, run, rect = zip(*new_states)
+            changes = (
+                np.array(changed, dtype=np.int64),
+                np.array(on, dtype=bool),
+                np.array(axis, dtype=np.int8),
+                np.array(face, dtype=np.int32),
+                np.array(run, dtype=np.int32),
+                np.array(rect, dtype=np.int32),
             )
         return nx, ny, blocked, changes
 
