@@ -21,24 +21,8 @@ Quickstart
 True
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.core import (
-    DisabledRegion,
-    FaultyBlock,
-    LabelGrid,
-    LabelingResult,
-    NodeStatus,
-    SafetyDefinition,
-    label_mesh,
-)
-from repro.faults import FaultSet, clustered, shaped, uniform_random
-from repro.geometry import (
-    CellSet,
-    Rect,
-    is_orthoconvex,
-    orthoconvex_closure,
-)
-from repro.mesh import Mesh2D, Torus2D
 
 __all__ = [
     "CellSet",
@@ -60,3 +44,18 @@ __all__ = [
     "shaped",
     "uniform_random",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    # ``import repro`` keeps these subpackages reachable as attributes
+    **{name: (name,) for name in ("core", "faults", "geometry", "mesh")},
+    "core.blocks": ("FaultyBlock",),
+    "core.pipeline": ("LabelingResult", "label_mesh"),
+    "core.regions": ("DisabledRegion",),
+    "core.status": ("LabelGrid", "NodeStatus", "SafetyDefinition"),
+    "faults.faultset": ("FaultSet",),
+    "faults.generators": ("clustered", "shaped", "uniform_random"),
+    "geometry.cells": ("CellSet",),
+    "geometry.orthoconvex": ("is_orthoconvex", "orthoconvex_closure"),
+    "geometry.rectangles": ("Rect",),
+    "mesh.topology": ("Mesh2D", "Torus2D"),
+})

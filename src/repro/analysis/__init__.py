@@ -4,12 +4,10 @@
 Figure 5; the rest is the generic machinery the benchmarks share.
 """
 
-from repro.analysis.density import DensityPoint, density_study
-from repro.analysis.experiment import run_trials, trial_rng, trial_rngs
-from repro.analysis.fig5 import DEFAULT_F_VALUES, Fig5Curve, Fig5Point, run_fig5
-from repro.analysis.stats import Summary, summarize
+from repro._lazy import lazy_exports
+
+# Eager: ``sweep`` shares its submodule's name (see repro._lazy).
 from repro.analysis.sweep import CellFailure, SweepPoint, sweep
-from repro.analysis.tables import format_table
 
 __all__ = [
     "DEFAULT_F_VALUES",
@@ -28,3 +26,11 @@ __all__ = [
     "trial_rng",
     "trial_rngs",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "density": ("DensityPoint", "density_study"),
+    "experiment": ("run_trials", "trial_rng", "trial_rngs"),
+    "fig5": ("DEFAULT_F_VALUES", "Fig5Curve", "Fig5Point", "run_fig5"),
+    "stats": ("Summary", "summarize"),
+    "tables": ("format_table",),
+})

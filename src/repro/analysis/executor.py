@@ -39,12 +39,13 @@ from __future__ import annotations
 import atexit
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.telemetry import Telemetry
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "ExecutionReport",
@@ -105,6 +106,8 @@ class WarmPoolRegistry:
         """The warm pool for ``jobs`` workers, spawning it if needed."""
         pool = self._pools.get(jobs)
         if pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = self._pools[jobs] = ProcessPoolExecutor(max_workers=jobs)
         return pool
 
@@ -319,6 +322,8 @@ def _map_chunked(
     isolate the poison cell, which is recorded via ``broken_marker``
     while the chunk's healthy cells still contribute their results.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     rows: List[object] = []
     crashes_at: Dict[int, int] = {}
     while len(rows) < len(tasks):

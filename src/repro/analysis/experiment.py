@@ -19,7 +19,6 @@ closure) when ``jobs > 1``.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Tuple, TypeVar
 
 import numpy as np
@@ -73,6 +72,8 @@ def run_trials(
         return [fn(rng) for rng in trial_rngs(trials, seed)]
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    from concurrent.futures import ProcessPoolExecutor
+
     tasks = [(fn, trials, seed, i) for i in range(trials)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_one, tasks))

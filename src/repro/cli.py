@@ -35,12 +35,17 @@ import sys
 import threading
 from typing import List, Optional
 
-import numpy as np
-
 from repro._version import __version__
 from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
+
+
+def _port(text: str) -> int:
+    """argparse type for a TCP port: an integer in 0-65535."""
+    if not text.isdigit() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(f"port must be 0-65535, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=0,
         help="TCP bind port (0 picks an ephemeral port, printed on start)",
     )
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--admin-port",
-        type=int,
+        type=_port,
         default=None,
         metavar="PORT",
         help="serve the observability admin endpoint (/metrics /healthz "
@@ -408,6 +413,8 @@ def _topology(args):
 
 
 def _faults(args, shape):
+    import numpy as np
+
     from repro.faults import clustered, uniform_random
 
     rng = np.random.default_rng(args.seed)
@@ -485,6 +492,8 @@ def _write_stats(path: str, result) -> None:
 
 
 def _cmd_label(args) -> int:
+    import numpy as np
+
     from repro.core import label_mesh, theorems
     from repro.fabric import ChannelModel
     from repro.faults import FaultSchedule
@@ -587,6 +596,8 @@ def _cmd_fig5(args) -> int:
 
 
 def _cmd_route(args) -> int:
+    import numpy as np
+
     from repro.analysis import format_table
     from repro.core import label_mesh
     from repro.routing import (

@@ -9,31 +9,7 @@ is the main entry point; :mod:`repro.core.theorems` mechanically checks
 every claim of Section 4.
 """
 
-from repro.core.blocks import FaultyBlock, extract_blocks
-from repro.core.distributed import (
-    async_enabled,
-    async_unsafe,
-    distributed_enabled,
-    distributed_unsafe,
-)
-from repro.core.enabling import (
-    enabled_fixpoint,
-    enabled_step,
-    recursive_enable_fixpoints,
-)
-from repro.core.frontier import enabled_fixpoint_sparse, unsafe_fixpoint_sparse
-from repro.core.incremental import (
-    BlockEnableCache,
-    DeltaReport,
-    IncrementalLabeling,
-)
-from repro.core.maintenance import MaintainedLabeling, UpdateReport
-from repro.core.pipeline import LabelingResult, assemble_result, label_mesh
-from repro.core.protocols import EnableProgram, SafetyProgram
-from repro.core.regions import DisabledRegion, extract_regions
-from repro.core.safety import unsafe_fixpoint, unsafe_step
-from repro.core.status import LabelGrid, NodeStatus, SafetyDefinition
-from repro.core import theorems
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BlockEnableCache",
@@ -66,3 +42,18 @@ __all__ = [
     "unsafe_fixpoint_sparse",
     "unsafe_step",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "blocks": ("FaultyBlock", "extract_blocks"),
+    "distributed": ("async_enabled", "async_unsafe", "distributed_enabled", "distributed_unsafe"),
+    "enabling": ("enabled_fixpoint", "enabled_step", "recursive_enable_fixpoints"),
+    "frontier": ("enabled_fixpoint_sparse", "unsafe_fixpoint_sparse"),
+    "incremental": ("BlockEnableCache", "DeltaReport", "IncrementalLabeling"),
+    "maintenance": ("MaintainedLabeling", "UpdateReport"),
+    "pipeline": ("LabelingResult", "assemble_result", "label_mesh"),
+    "protocols": ("EnableProgram", "SafetyProgram"),
+    "regions": ("DisabledRegion", "extract_regions"),
+    "safety": ("unsafe_fixpoint", "unsafe_step"),
+    "status": ("LabelGrid", "NodeStatus", "SafetyDefinition"),
+    "theorems": ("theorems",),
+})

@@ -30,7 +30,6 @@ from typing import List, Literal, Optional, Tuple
 import numpy as np
 
 from repro.core.blocks import FaultyBlock, extract_blocks
-from repro.core.distributed import distributed_enabled, distributed_unsafe
 from repro.core.enabling import enabled_fixpoint
 from repro.core.frontier import enabled_fixpoint_sparse, unsafe_fixpoint_sparse
 from repro.core.regions import DisabledRegion, extract_regions
@@ -304,6 +303,8 @@ def label_mesh(
         method_used = m1 if m1 == m2 else f"{m1}+{m2}"
         stats1 = stats2 = None
     elif backend == "distributed":
+        from repro.core.distributed import distributed_enabled, distributed_unsafe
+
         if events_on:
             tel.emit("phase_transition", phase="unsafe", status="start")
         span1 = (

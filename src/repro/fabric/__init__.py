@@ -9,13 +9,7 @@ round by round, detects quiescence, and records round/message
 statistics — the quantities Figure 5 (a)/(b) of the paper reports.
 """
 
-from repro.fabric.async_engine import AsynchronousEngine
-from repro.fabric.channel import ChannelModel
-from repro.fabric.engine import EngineResult, SynchronousEngine, build_neighbor_sets
-from repro.fabric.message import Message
-from repro.fabric.program import NodeContext, NodeProgram
-from repro.fabric.stats import EpochStats, RunStats
-from repro.fabric.trace import RoundTrace
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AsynchronousEngine",
@@ -30,3 +24,13 @@ __all__ = [
     "SynchronousEngine",
     "build_neighbor_sets",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "async_engine": ("AsynchronousEngine",),
+    "channel": ("ChannelModel",),
+    "engine": ("EngineResult", "SynchronousEngine", "build_neighbor_sets"),
+    "message": ("Message",),
+    "program": ("NodeContext", "NodeProgram"),
+    "stats": ("EpochStats", "RunStats"),
+    "trace": ("RoundTrace",),
+})

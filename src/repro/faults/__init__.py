@@ -7,16 +7,7 @@ rectangular and shaped fault patterns used across the benchmarks, and
 mid-protocol (the dynamic regime of Section 6's discussion).
 """
 
-from repro.faults.faultset import FaultSet
-from repro.faults.generators import (
-    clustered,
-    combined,
-    rectangle_outage,
-    shaped,
-    staggered_crashes,
-    uniform_random,
-)
-from repro.faults.schedule import FaultSchedule
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FaultSchedule",
@@ -28,3 +19,12 @@ __all__ = [
     "staggered_crashes",
     "uniform_random",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "faultset": ("FaultSet",),
+    "generators": (
+        "clustered", "combined", "rectangle_outage", "shaped", "staggered_crashes",
+        "uniform_random",
+    ),
+    "schedule": ("FaultSchedule",),
+})

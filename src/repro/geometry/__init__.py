@@ -7,31 +7,7 @@ tracing, corner nodes and quadrant analysis (Definition 4, Lemmas 1-3),
 and the canonical L/T/+/U/H fault shapes.
 """
 
-from repro.geometry.boundary import boundary_loops, corner_cells, perimeter
-from repro.geometry.cells import CellSet
-from repro.geometry.components import (
-    GEOMETRY_BACKENDS,
-    connected_components,
-    is_connected,
-    label_components,
-    set_distance,
-)
-from repro.geometry.orthoconvex import (
-    column_runs,
-    fill_spans,
-    is_orthoconvex,
-    orthoconvex_closure,
-    row_runs,
-)
-from repro.geometry.paths import is_monotone_path, monotone_path_within
-from repro.geometry.quadrants import (
-    quadrant_extreme_corner,
-    quadrant_mask,
-    quadrants_with_members,
-)
-from repro.geometry.rectangles import Rect, bounding_rect, is_rectangle
-from repro.geometry.staircase import connect_orthoconvex, staircase_cells
-from repro.geometry import shapes
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CellSet",
@@ -60,3 +36,21 @@ __all__ = [
     "shapes",
     "staircase_cells",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "boundary": ("boundary_loops", "corner_cells", "perimeter"),
+    "cells": ("CellSet",),
+    "components": (
+        "GEOMETRY_BACKENDS", "connected_components", "is_connected", "label_components",
+        "set_distance",
+    ),
+    "orthoconvex": (
+        "column_runs", "fill_spans", "is_orthoconvex", "orthoconvex_closure",
+        "row_runs",
+    ),
+    "paths": ("is_monotone_path", "monotone_path_within"),
+    "quadrants": ("quadrant_extreme_corner", "quadrant_mask", "quadrants_with_members"),
+    "rectangles": ("Rect", "bounding_rect", "is_rectangle"),
+    "staircase": ("connect_orthoconvex", "staircase_cells"),
+    "shapes": ("shapes",),
+})

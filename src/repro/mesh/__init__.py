@@ -6,19 +6,7 @@ neighbourhoods, boundary (ghost-node) handling, and vectorized
 neighbour views of label grids.
 """
 
-from repro.mesh.coords import (
-    DIRECTIONS,
-    Dimension,
-    Direction,
-    Quadrant,
-    add,
-    chebyshev,
-    neighbors4,
-    neighbors8,
-    sub,
-)
-from repro.mesh.ghost import GhostFrame
-from repro.mesh.topology import Mesh2D, Topology, Torus2D
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DIRECTIONS",
@@ -35,3 +23,12 @@ __all__ = [
     "neighbors8",
     "sub",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "coords": (
+        "DIRECTIONS", "Dimension", "Direction", "Quadrant", "add", "chebyshev",
+        "neighbors4", "neighbors8", "sub",
+    ),
+    "ghost": ("GhostFrame",),
+    "topology": ("Mesh2D", "Topology", "Torus2D"),
+})

@@ -11,28 +11,7 @@ Two simulators share this package:
   views, with injection-rate sweeps in :mod:`repro.network.sweeps`.
 """
 
-from repro.network.batched import BatchedNetwork, BatchedResult, nearest_rank
-from repro.network.flits import Flit, FlitKind, WormPacket
-from repro.network.hops import (
-    HopFunction,
-    block_detour_hops,
-    clockwise_ring_hops,
-    xy_hops,
-)
-from repro.network.simulator import (
-    NetworkResult,
-    VCSelector,
-    WormholeNetwork,
-    dateline_vc_policy,
-)
-from repro.network.sweeps import SweepCurve, SweepPoint, injection_sweep
-from repro.network.traffic import (
-    BatchedTraffic,
-    TRAFFIC_PATTERNS,
-    source_routed_traffic,
-    synthetic_traffic,
-    uniform_traffic,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchedNetwork",
@@ -58,3 +37,15 @@ __all__ = [
     "uniform_traffic",
     "xy_hops",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "batched": ("BatchedNetwork", "BatchedResult", "nearest_rank"),
+    "flits": ("Flit", "FlitKind", "WormPacket"),
+    "hops": ("HopFunction", "block_detour_hops", "clockwise_ring_hops", "xy_hops"),
+    "simulator": ("NetworkResult", "VCSelector", "WormholeNetwork", "dateline_vc_policy"),
+    "sweeps": ("SweepCurve", "SweepPoint", "injection_sweep"),
+    "traffic": (
+        "BatchedTraffic", "TRAFFIC_PATTERNS", "source_routed_traffic",
+        "synthetic_traffic", "uniform_traffic",
+    ),
+})

@@ -38,33 +38,7 @@ the telemetry-off pipeline to < 2% overhead).  See
 ``docs/observability.md`` for schemas and the export how-to.
 """
 
-from repro.obs.compare import (
-    MetricDelta,
-    compare_runs,
-    flatten_numeric,
-    format_compare,
-    load_run_artifact,
-)
-from repro.obs.events import (
-    EVENT_SCHEMAS,
-    Event,
-    snapshot_event,
-    validate_event,
-    validate_event_dict,
-    validate_jsonl,
-)
-from repro.obs.exposition import AdminServer, parse_prometheus, render_prometheus
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.sinks import EventSink, JSONLSink, MemorySink, NullSink
-from repro.obs.slo import SLOConfig, SLOTracker, evaluate_outcomes
-from repro.obs.spans import SpanRecorder, load_chrome_trace, stitch_chrome_traces
-from repro.obs.summarize import (
-    EpochReport,
-    TraceSummary,
-    latency_percentiles,
-    summarize_trace,
-)
-from repro.obs.telemetry import Telemetry
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AdminServer",
@@ -101,3 +75,21 @@ __all__ = [
     "validate_event_dict",
     "validate_jsonl",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "compare": (
+        "MetricDelta", "compare_runs", "flatten_numeric", "format_compare",
+        "load_run_artifact",
+    ),
+    "events": (
+        "EVENT_SCHEMAS", "Event", "snapshot_event", "validate_event",
+        "validate_event_dict", "validate_jsonl",
+    ),
+    "exposition": ("AdminServer", "parse_prometheus", "render_prometheus"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "sinks": ("EventSink", "JSONLSink", "MemorySink", "NullSink"),
+    "slo": ("SLOConfig", "SLOTracker", "evaluate_outcomes"),
+    "spans": ("SpanRecorder", "load_chrome_trace", "stitch_chrome_traces"),
+    "summarize": ("EpochReport", "TraceSummary", "latency_percentiles", "summarize_trace"),
+    "telemetry": ("Telemetry",),
+})

@@ -9,30 +9,11 @@ view, and the metrics/CDG modules quantify delivery, detours and
 deadlock-freedom.
 """
 
-from repro.routing.base import FaultModelView, Router
-from repro.routing.bfs import BFSRouter
+from repro._lazy import lazy_exports
+
+# Eager: ``broadcast`` and ``safety_levels`` share their submodules' names (see repro._lazy).
 from repro.routing.broadcast import BroadcastResult, broadcast
-from repro.routing.cdg import (
-    all_enabled_pairs,
-    channel_dependency_graph,
-    deadlock_cycles,
-    is_deadlock_free,
-)
-from repro.routing.channels import Channel, all_channels
-from repro.routing.fring import FRingRouter
-from repro.routing.metrics import RoutingMetrics, evaluate_router, sample_pairs
-from repro.routing.minimal import MinimalRouter, minimal_feasible
 from repro.routing.safety_levels import SafetyLevelRouter, safety_levels
-from repro.routing.turns import NegativeFirstRouter, WestFirstRouter
-from repro.routing.packet import DropReason, RouteResult
-from repro.routing.vectorized import (
-    DetourKernel,
-    TrafficKernel,
-    XYKernel,
-    make_kernel,
-)
-from repro.routing.wall import WallRouter
-from repro.routing.xy import XYRouter
 
 __all__ = [
     "BFSRouter",
@@ -65,3 +46,21 @@ __all__ = [
     "minimal_feasible",
     "sample_pairs",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("FaultModelView", "Router"),
+    "bfs": ("BFSRouter",),
+    "cdg": (
+        "all_enabled_pairs", "channel_dependency_graph", "deadlock_cycles",
+        "is_deadlock_free",
+    ),
+    "channels": ("Channel", "all_channels"),
+    "fring": ("FRingRouter",),
+    "metrics": ("RoutingMetrics", "evaluate_router", "sample_pairs"),
+    "minimal": ("MinimalRouter", "minimal_feasible"),
+    "turns": ("NegativeFirstRouter", "WestFirstRouter"),
+    "packet": ("DropReason", "RouteResult"),
+    "vectorized": ("DetourKernel", "TrafficKernel", "XYKernel", "make_kernel"),
+    "wall": ("WallRouter",),
+    "xy": ("XYRouter",),
+})

@@ -8,23 +8,25 @@ requesting ``b`` — is acyclic.
 This module builds the CDG of any :class:`~repro.routing.base.Router`
 by enumerating routed paths (exhaustively over all enabled pairs on
 small machines, or over a caller-supplied sample) and checks acyclicity
-with :mod:`networkx`.  The classic results replay as tests: XY routing
-on a fault-free mesh is acyclic; unconstrained wall-following detours
-on one virtual channel can create cycles, which is exactly why the
-fault-tolerant algorithms the paper supports spend extra virtual
-channels.
+with :mod:`networkx`, imported on first use so that importing the
+routing package does not load it.  The classic results replay as
+tests: XY routing on a fault-free mesh is acyclic; unconstrained
+wall-following detours on one virtual channel can create cycles, which
+is exactly why the fault-tolerant algorithms the paper supports spend
+extra virtual channels.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.routing.base import Router
 from repro.routing.channels import Channel
 from repro.types import Coord
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "channel_dependency_graph",
@@ -53,6 +55,8 @@ def channel_dependency_graph(
     consecutive channels it occupies.  Dropped packets contribute the
     prefix they travelled (they hold those channels too).
     """
+    import networkx as nx
+
     if pairs is None:
         pairs = all_enabled_pairs(router)
     g = nx.DiGraph()
@@ -69,6 +73,8 @@ def channel_dependency_graph(
 
 def deadlock_cycles(g: nx.DiGraph, limit: int = 10) -> List[List[Channel]]:
     """Up to ``limit`` elementary cycles of a CDG (empty list = deadlock-free)."""
+    import networkx as nx
+
     out: List[List[Channel]] = []
     for cycle in nx.simple_cycles(g):
         out.append(cycle)
@@ -82,4 +88,6 @@ def is_deadlock_free(
     pairs: Optional[Iterable[Tuple[Coord, Coord]]] = None,
 ) -> bool:
     """Whether the router's CDG over the given traffic is acyclic."""
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(channel_dependency_graph(router, pairs))

@@ -28,17 +28,7 @@ accumulated fault set; the property tests in
 and retries.
 """
 
-from repro.service.chaos import ChaosProxy, CrashPlan, SimulatedCrash
-from repro.service.client import ServiceClient
-from repro.service.labeling import BatchOutcome, LabelingService
-from repro.service.recovery import ClientState, RecoveredState, recover_state
-from repro.service.server import LabelingServer, handle_request
-from repro.service.wal import (
-    DeltaRecord,
-    SnapshotStore,
-    WriteAheadLog,
-    list_state,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchOutcome",
@@ -57,3 +47,12 @@ __all__ = [
     "list_state",
     "recover_state",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "chaos": ("ChaosProxy", "CrashPlan", "SimulatedCrash"),
+    "client": ("ServiceClient",),
+    "labeling": ("BatchOutcome", "LabelingService"),
+    "recovery": ("ClientState", "RecoveredState", "recover_state"),
+    "server": ("LabelingServer", "handle_request"),
+    "wal": ("DeltaRecord", "SnapshotStore", "WriteAheadLog", "list_state"),
+})

@@ -69,6 +69,27 @@ class TestErrorBoundary:
             "error: unrecognized arguments: " + " ".join(argv[1:])
         )
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--port", "-1"),
+            ("--port", "70000"),
+            ("--port", "http"),
+            ("--admin-port", "65536"),
+        ],
+    )
+    def test_port_out_of_range(self, flag, value, capsys):
+        # Rejected by argparse: usage plus one error line, exit 2, and
+        # never the socket layer's OverflowError traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--size", "4", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            f"error: argument {flag}: port must be 0-65535, got {value}"
+        )
+
 
 class TestLabelCommand:
     def test_basic_run(self, capsys):
