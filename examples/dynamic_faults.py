@@ -3,11 +3,11 @@
 
 The paper notes that faulty blocks "can be easily established and
 maintained through message exchanges among neighboring nodes".  This
-example drives a :class:`repro.core.MaintainedLabeling` through a
+example drives a :class:`repro.core.IncrementalLabeling` through a
 sequence of fault injections: each event warm-starts phase 1 from the
-existing labels (the change ripples outward from the new fault only)
-and re-runs phase 2, and the result is verified against from-scratch
-labeling after every step.
+existing labels (the change ripples outward from the new faults only)
+and re-solves phase 2 on the blocks that changed, and the result is
+verified against from-scratch labeling after every step.
 
 Usage::
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import Mesh2D
 from repro.analysis import format_table
-from repro.core import MaintainedLabeling, label_mesh
+from repro.core import IncrementalLabeling, label_mesh
 from repro.faults import uniform_random
 from repro.viz import render_result
 
@@ -31,19 +31,19 @@ def main() -> None:
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 11
 
     mesh = Mesh2D(24, 24)
-    maintained = MaintainedLabeling(mesh)
+    engine = IncrementalLabeling(mesh)
     rng = np.random.default_rng(seed)
 
     rows = []
     for event in range(events):
         batch = uniform_random(mesh.shape, per_event, rng)
-        report = maintained.inject(batch)
-        scratch = label_mesh(mesh, maintained.faults)
-        ok = maintained.verify_against_scratch()
+        report = engine.inject(batch)
+        scratch = label_mesh(mesh, engine.faults)
+        ok = engine.verify_against_scratch()
         rows.append(
             [
                 event,
-                len(maintained.faults),
+                len(engine.faults),
                 report.rounds_phase1,
                 scratch.rounds_phase1,
                 report.newly_unsafe,
@@ -69,7 +69,7 @@ def main() -> None:
     )
     print()
     print("final state:")
-    print(render_result(maintained.snapshot()))
+    print(render_result(engine.snapshot()))
 
 
 if __name__ == "__main__":

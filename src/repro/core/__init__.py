@@ -20,11 +20,9 @@ __all__ = [
     "IncrementalLabeling",
     "LabelGrid",
     "LabelingResult",
-    "MaintainedLabeling",
     "NodeStatus",
     "SafetyDefinition",
     "SafetyProgram",
-    "UpdateReport",
     "assemble_result",
     "async_enabled",
     "async_unsafe",
@@ -49,7 +47,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "enabling": ("enabled_fixpoint", "enabled_step", "recursive_enable_fixpoints"),
     "frontier": ("enabled_fixpoint_sparse", "unsafe_fixpoint_sparse"),
     "incremental": ("BlockEnableCache", "DeltaReport", "IncrementalLabeling"),
-    "maintenance": ("MaintainedLabeling", "UpdateReport"),
     "pipeline": ("LabelingResult", "assemble_result", "label_mesh"),
     "protocols": ("EnableProgram", "SafetyProgram"),
     "regions": ("DisabledRegion", "extract_regions"),

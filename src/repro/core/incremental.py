@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.core.enabling import enabled_fixpoint
 from repro.core.frontier import enabled_fixpoint_sparse, unsafe_fixpoint_sparse
-from repro.core.pipeline import LabelingResult, assemble_result
+from repro.core.pipeline import LabelingResult, assemble_result, choose_kernel
 from repro.core.safety import unsafe_fixpoint
 from repro.core.status import LabelGrid, NodeStatus, SafetyDefinition
 from repro.errors import FaultModelError, GeometryError
@@ -69,10 +69,6 @@ __all__ = [
 #: Delta size above which the phase-1 wave switches from the per-cell
 #: Python frontier to the vectorized sparse kernel.
 _WAVE_VECTOR_MIN = 64
-
-#: Block area above which the per-block enable solve uses the sparse
-#: kernel instead of the dense Jacobi fixpoint.
-_SPARSE_SOLVE_CELLS = 4096
 
 #: Cache key: (extent_x, extent_y, sorted flat fault offsets).
 CacheKey = Tuple[int, int, Tuple[int, ...]]
@@ -890,7 +886,7 @@ class IncrementalLabeling:
         """Global phase-2 fallback for irregular (full-wrap) components."""
         before = self._enabled
         active = int(np.count_nonzero(self._unsafe & ~self._faulty))
-        if active * 8 <= self._topology.num_nodes:
+        if choose_kernel(active, self._topology.num_nodes) == "frontier":
             enabled, rounds = enabled_fixpoint_sparse(
                 self._topology, self._faulty, self._unsafe,
                 telemetry=self._telemetry,
@@ -978,11 +974,8 @@ def _solve_block(ex: int, ey: int, offsets: Tuple[int, ...]) -> Tuple[BoolGrid, 
     sub_faulty = np.zeros((ex, ey), dtype=bool)
     sub_faulty.ravel()[np.asarray(offsets, dtype=np.intp)] = True
     sub_unsafe = np.ones((ex, ey), dtype=bool)
-    if ex * ey > _SPARSE_SOLVE_CELLS:
-        enabled, rounds = enabled_fixpoint_sparse(
-            Mesh2D(ex, ey), sub_faulty, sub_unsafe
-        )
-    else:
-        enabled, rounds = enabled_fixpoint(Mesh2D(ex, ey), sub_faulty, sub_unsafe)
+    # Every cell of a block can change, so the dense kernel always wins
+    # here (docs/algorithms.md §5.1.1).
+    enabled, rounds = enabled_fixpoint(Mesh2D(ex, ey), sub_faulty, sub_unsafe)
     enabled.setflags(write=False)
     return enabled, rounds

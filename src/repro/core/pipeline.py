@@ -23,9 +23,8 @@ the regions, round counts and the Figure-5 ratio.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import List, Literal, Optional, Tuple
+from typing import Any, Callable, List, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -42,35 +41,78 @@ from repro.faults.schedule import FaultSchedule
 from repro.mesh.topology import Topology
 from repro.obs.telemetry import Telemetry
 
-__all__ = ["LabelingResult", "assemble_result", "label_mesh"]
-
-#: Shared no-op context for the telemetry-off span sites.
-_NULL_SPAN = nullcontext()
+__all__ = ["LabelingResult", "assemble_result", "choose_kernel", "label_mesh"]
 
 Backend = Literal["vectorized", "distributed"]
 Method = Literal["dense", "frontier", "auto"]
 GeometryBackend = Literal["vectorized", "reference"]
 
-#: ``auto`` picks the frontier kernel when the cells that can change are
-#: at most this fraction of the grid; denser instances stay on the dense
-#: Jacobi kernel, whose whole-grid passes amortise better.
-_AUTO_SPARSITY = 8
+#: The frontier kernel runs when the cells that can change are at most
+#: ``1 / _AUTO_SPARSITY`` of the grid; denser instances stay on the dense
+#: Jacobi kernel, whose whole-grid passes amortise better.  Crossover
+#: measurements: docs/algorithms.md §5.1.1.
+_AUTO_SPARSITY = 16
 
 
-def _resolve_method(method: str, topology: Topology, active_cells: int) -> str:
-    """Pick the vectorized kernel for one phase.
+def choose_kernel(active_cells: int, grid_cells: int) -> str:
+    """The vectorized kernel for one fixpoint: ``"frontier"`` or ``"dense"``.
 
     ``active_cells`` is the number of cells that could possibly change
-    in the phase (faulty cells for phase 1, unsafe nonfaulty cells for
-    phase 2) — the quantity the frontier's work actually scales with.
+    (faulty cells for phase 1, unsafe nonfaulty cells for phase 2) —
+    the quantity the frontier's work actually scales with.  This is the
+    one dense/frontier rule: ``label_mesh(method="auto")`` applies it per
+    phase, and the incremental engine's global phase-2 resync applies it
+    too.
     """
-    if method == "auto":
-        if active_cells * _AUTO_SPARSITY <= topology.num_nodes:
-            return "frontier"
-        return "dense"
-    if method not in ("dense", "frontier"):
-        raise ValueError(f"unknown method {method!r}")
-    return method
+    return "frontier" if active_cells * _AUTO_SPARSITY <= grid_cells else "dense"
+
+
+def _pick_kernel(method: str, topology: Topology, active: "np.ndarray") -> str:
+    """``method`` itself, or the :func:`choose_kernel` pick for ``"auto"``."""
+    if method != "auto":
+        return method
+    return choose_kernel(int(np.count_nonzero(active)), topology.num_nodes)
+
+
+def _stage(
+    tel: Optional[Telemetry],
+    phase: str,
+    span: str,
+    end: Callable[[Any], dict],
+    run: Callable[[Optional[Telemetry]], Any],
+    **tags: Any,
+) -> Any:
+    """Run one pipeline stage under its instrumentation.
+
+    Emits the ``phase_transition`` start event, runs ``run`` inside the
+    ``span`` profiling span (tagged with ``tags``), then emits the end
+    event with the fields ``end(out)`` derives from the stage's output.
+    ``run`` receives a phase-labeled child telemetry (``None`` when
+    telemetry is off) to thread into kernels and engines.  Every stage
+    of :func:`label_mesh` and :func:`assemble_result` goes through here.
+    """
+    if tel is None:
+        return run(None)
+    events_on = tel.wants("info")
+    if events_on:
+        tel.emit("phase_transition", phase=phase, status="start")
+    with tel.span(span, **tags):
+        out = run(tel.child(phase=phase))
+    if events_on:
+        tel.emit("phase_transition", phase=phase, status="end", **end(out))
+    return out
+
+
+def _rounds(out: Tuple["np.ndarray", int]) -> dict:
+    return {"rounds": out[1]}
+
+
+def _stats_rounds(out: Tuple["np.ndarray", RunStats, object]) -> dict:
+    return {"rounds": out[1].rounds}
+
+
+def _count(out: list) -> dict:
+    return {"count": len(out)}
 
 
 @dataclass(frozen=True)
@@ -213,8 +255,8 @@ def label_mesh(
         kernels, ``"frontier"`` the sparse frontier kernels
         (:mod:`repro.core.frontier` — identical labels and round
         counts, work proportional to the affected area), and ``"auto"``
-        (default) picks per phase by the sparsity of the instance.
-        Ignored by the distributed backend.
+        (default) picks per phase with :func:`choose_kernel`.  Checked
+        for every backend, but only the vectorized one uses it.
     schedule:
         Distributed backend only: a
         :class:`~repro.faults.schedule.FaultSchedule` of crashes that
@@ -253,6 +295,8 @@ def label_mesh(
         raise ValueError(
             f"fault shape {faults.shape} != topology shape {topology.shape}"
         )
+    if method not in ("dense", "frontier", "auto"):
+        raise ValueError(f"unknown method {method!r}")
     if geometry_backend not in ("vectorized", "reference"):
         raise ValueError(f"unknown geometry backend {geometry_backend!r}")
     dynamic = (schedule is not None and bool(schedule)) or (
@@ -264,91 +308,47 @@ def label_mesh(
         )
     faulty = faults.mask
     tel = telemetry
-    events_on = tel is not None and tel.wants("info")
     if backend == "vectorized":
-        m1 = _resolve_method(method, topology, int(np.count_nonzero(faulty)))
-        if events_on:
-            tel.emit("phase_transition", phase="unsafe", status="start")
-        tel1 = tel.child(phase="unsafe") if tel is not None else None
-        span1 = tel.span("phase_unsafe", kernel=m1) if tel is not None else _NULL_SPAN
-        with span1:
-            if m1 == "frontier":
-                unsafe, rounds1 = unsafe_fixpoint_sparse(
-                    topology, faulty, definition, telemetry=tel1
-                )
-            else:
-                unsafe, rounds1 = unsafe_fixpoint(topology, faulty, definition)
-        if events_on:
-            tel.emit(
-                "phase_transition", phase="unsafe", status="end", rounds=rounds1
-            )
-        m2 = _resolve_method(
-            method, topology, int(np.count_nonzero(unsafe & ~faulty))
+        k1 = _pick_kernel(method, topology, faulty)
+        unsafe, rounds1 = _stage(
+            tel, "unsafe", "phase_unsafe", _rounds,
+            lambda t: unsafe_fixpoint_sparse(topology, faulty, definition, telemetry=t)
+            if k1 == "frontier" else unsafe_fixpoint(topology, faulty, definition),
+            kernel=k1,
         )
-        if events_on:
-            tel.emit("phase_transition", phase="enable", status="start")
-        tel2 = tel.child(phase="enable") if tel is not None else None
-        span2 = tel.span("phase_enable", kernel=m2) if tel is not None else _NULL_SPAN
-        with span2:
-            if m2 == "frontier":
-                enabled, rounds2 = enabled_fixpoint_sparse(
-                    topology, faulty, unsafe, telemetry=tel2
-                )
-            else:
-                enabled, rounds2 = enabled_fixpoint(topology, faulty, unsafe)
-        if events_on:
-            tel.emit(
-                "phase_transition", phase="enable", status="end", rounds=rounds2
-            )
-        method_used = m1 if m1 == m2 else f"{m1}+{m2}"
+        k2 = _pick_kernel(method, topology, unsafe & ~faulty)
+        enabled, rounds2 = _stage(
+            tel, "enable", "phase_enable", _rounds,
+            lambda t: enabled_fixpoint_sparse(topology, faulty, unsafe, telemetry=t)
+            if k2 == "frontier" else enabled_fixpoint(topology, faulty, unsafe),
+            kernel=k2,
+        )
+        method_used = k1 if k1 == k2 else f"{k1}+{k2}"
         stats1 = stats2 = None
     elif backend == "distributed":
         from repro.core.distributed import distributed_enabled, distributed_unsafe
 
-        if events_on:
-            tel.emit("phase_transition", phase="unsafe", status="start")
-        span1 = (
-            tel.span("phase_unsafe", kernel="fabric")
-            if tel is not None
-            else _NULL_SPAN
-        )
-        with span1:
-            unsafe, stats1, _ = distributed_unsafe(
+        unsafe, stats1, _ = _stage(
+            tel, "unsafe", "phase_unsafe", _stats_rounds,
+            lambda t: distributed_unsafe(
                 topology, faults, definition, chatty=chatty,
-                schedule=schedule, channel=channel,
-                telemetry=tel.child(phase="unsafe") if tel is not None else None,
-            )
-        if events_on:
-            tel.emit(
-                "phase_transition",
-                phase="unsafe",
-                status="end",
-                rounds=stats1.rounds,
-            )
+                schedule=schedule, channel=channel, telemetry=t,
+            ),
+            kernel="fabric",
+        )
         if schedule is not None and schedule:
             # Crashes settled during phase 1; phase 2 runs on the final
             # fault set, seeded from the re-converged phase-1 labels.
             faults = schedule.check_shape(faults.shape).final_faults(faults)
             faulty = faults.mask
-        if events_on:
-            tel.emit("phase_transition", phase="enable", status="start")
-        span2 = (
-            tel.span("phase_enable", kernel="fabric")
-            if tel is not None
-            else _NULL_SPAN
-        )
-        with span2:
-            enabled, stats2, _ = distributed_enabled(
+        enabled, stats2, _ = _stage(
+            tel, "enable", "phase_enable", _stats_rounds,
+            lambda t: distributed_enabled(
                 topology, faults, unsafe, chatty=chatty, channel=channel,
-                telemetry=tel.child(phase="enable") if tel is not None else None,
-            )
-        if events_on:
-            tel.emit(
-                "phase_transition",
-                phase="enable",
-                status="end",
-                rounds=stats2.rounds,
-            )
+                telemetry=t,
+            ),
+            kernel="fabric",
+        )
         rounds1, rounds2 = stats1.rounds, stats2.rounds
         method_used = "n/a"
     else:
@@ -397,8 +397,6 @@ def assemble_result(
     planes converged by other means.  On a torus the planes are rolled
     to the unwrap frame, so callers must pass copies they do not need.
     """
-    tel = telemetry
-    events_on = tel is not None and tel.wants("info")
     unwrap_shift = (0, 0)
     if topology.wraps:
         unwrap_shift = _torus_unwrap_shift(unsafe)
@@ -409,40 +407,16 @@ def assemble_result(
         faults = FaultSet.from_mask(faulty)
 
     labels = LabelGrid(faulty=faulty, unsafe=unsafe, enabled=enabled)
-    if events_on:
-        tel.emit("phase_transition", phase="extract_blocks", status="start")
-    span_b = (
-        tel.span("extract_blocks", backend=geometry_backend)
-        if tel is not None
-        else _NULL_SPAN
+    blocks = _stage(
+        telemetry, "extract_blocks", "extract_blocks", _count,
+        lambda t: extract_blocks(unsafe, faulty, backend=geometry_backend),
+        backend=geometry_backend,
     )
-    with span_b:
-        blocks = extract_blocks(unsafe, faulty, backend=geometry_backend)
-    if events_on:
-        tel.emit(
-            "phase_transition",
-            phase="extract_blocks",
-            status="end",
-            count=len(blocks),
-        )
-    if events_on:
-        tel.emit("phase_transition", phase="extract_regions", status="start")
-    span_r = (
-        tel.span("extract_regions", backend=geometry_backend)
-        if tel is not None
-        else _NULL_SPAN
+    regions = _stage(
+        telemetry, "extract_regions", "extract_regions", _count,
+        lambda t: extract_regions(labels.disabled, faulty, backend=geometry_backend),
+        backend=geometry_backend,
     )
-    with span_r:
-        regions = extract_regions(
-            labels.disabled, faulty, backend=geometry_backend
-        )
-    if events_on:
-        tel.emit(
-            "phase_transition",
-            phase="extract_regions",
-            status="end",
-            count=len(regions),
-        )
     return LabelingResult(
         topology=topology,
         faults=faults,

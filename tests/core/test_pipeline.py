@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SafetyDefinition, label_mesh
+from repro.core.pipeline import choose_kernel
 from repro.faults import FaultSet, uniform_random
 from repro.mesh import Mesh2D, Torus2D
 
@@ -45,6 +46,20 @@ class TestLabelMesh:
         faults = FaultSet.from_coords((10, 10), [(0, 0), (9, 9)])
         r = label_mesh(t, faults)
         assert len(r.blocks) == 1  # wrap-diagonal pair joins one block
+
+
+class TestKernelChoice:
+    def test_ten_percent_faults_run_phase1_dense(self):
+        m = Mesh2D(100, 100)
+        faults = uniform_random(m.shape, 1000, np.random.default_rng(0))
+        r = label_mesh(m, faults)
+        assert r.method.split("+")[0] == "dense"
+
+    def test_sparse_instance_picks_frontier(self):
+        assert choose_kernel(250, 1000 * 1000) == "frontier"
+
+    def test_all_active_block_picks_dense(self):
+        assert choose_kernel(96 * 96, 96 * 96) == "dense"
 
 
 class TestResultMetrics:

@@ -1,7 +1,7 @@
 """Full-stack integration: one machine's life story.
 
 A 24x24 machine accumulates faults over three events; after each event
-the maintained labels are verified, and after the last one the refined
+the incremental engine's labels are verified, and after the last one the refined
 fault model carries unicast traffic (graph level), a broadcast, and
 wormhole worms (flit level) — every layer of the library on one
 consistent scenario.
@@ -10,7 +10,7 @@ consistent scenario.
 import numpy as np
 import pytest
 
-from repro.core import MaintainedLabeling, label_mesh
+from repro.core import IncrementalLabeling
 from repro.core.theorems import RESULT_CHECKS
 from repro.faults import uniform_random
 from repro.mesh import Mesh2D
@@ -30,11 +30,11 @@ MESH = Mesh2D(24, 24)
 @pytest.fixture(scope="module")
 def story():
     rng = np.random.default_rng(2026)
-    maintained = MaintainedLabeling(MESH)
+    engine = IncrementalLabeling(MESH)
     for _ in range(3):
-        maintained.inject(uniform_random(MESH.shape, 6, rng))
-        assert maintained.verify_against_scratch()
-    result = maintained.snapshot()
+        engine.inject(uniform_random(MESH.shape, 6, rng))
+        assert engine.verify_against_scratch()
+    result = engine.snapshot()
     return result, rng
 
 

@@ -18,10 +18,14 @@ def _faults(topo):
 
 
 class TestPipelineTelemetry:
-    def test_phase_transitions_emitted(self):
+    @pytest.mark.parametrize("backend", ["vectorized", "distributed"])
+    def test_phase_transitions_emitted(self, backend):
         sink = MemorySink()
         topo = Mesh2D(10, 10)
-        result = label_mesh(topo, _faults(topo), telemetry=Telemetry(sinks=(sink,)))
+        result = label_mesh(
+            topo, _faults(topo), backend=backend,
+            telemetry=Telemetry(sinks=(sink,)),
+        )
         events = sink.events("phase_transition")
         assert [(e.fields["phase"], e.fields["status"]) for e in events] == [
             ("unsafe", "start"),

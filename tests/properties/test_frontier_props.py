@@ -114,5 +114,6 @@ class TestPipelineMethods:
 
     def test_unknown_method_rejected(self):
         faults = FaultSet.from_coords((W, H), [(2, 2)])
-        with pytest.raises(ValueError):
-            label_mesh(Mesh2D(W, H), faults, method="turbo")
+        for backend in ("vectorized", "distributed"):
+            with pytest.raises(ValueError, match="unknown method"):
+                label_mesh(Mesh2D(W, H), faults, backend=backend, method="turbo")
