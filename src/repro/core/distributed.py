@@ -23,7 +23,7 @@ phase-1 labels once faults settle — which is how
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Type
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.core.protocols import EnableProgram, SafetyProgram
 from repro.core.status import SafetyDefinition
 from repro.fabric.async_engine import AsynchronousEngine
 from repro.fabric.channel import ChannelModel
-from repro.fabric.engine import SynchronousEngine
+from repro.fabric.engine import EngineResult, SynchronousEngine
 from repro.fabric.stats import RunStats
 from repro.faults.faultset import FaultSet
 from repro.faults.schedule import FaultSchedule
@@ -52,6 +52,63 @@ def _final_faults(faults: FaultSet, schedule: Optional[FaultSchedule]) -> FaultS
     if schedule is None or not schedule:
         return faults
     return schedule.check_shape(faults.shape).final_faults(faults)
+
+
+def _unsafe_plane(
+    engine_cls: Type,
+    topology: Topology,
+    faults: FaultSet,
+    definition: SafetyDefinition,
+    schedule: Optional[FaultSchedule],
+    chatty: bool = False,
+    **engine_kw,
+) -> Tuple[BoolGrid, EngineResult]:
+    """Run phase 1 on ``engine_cls``; return the unsafe mask and the run.
+
+    Faulty nodes — initial and crashed alike — are unsafe by
+    definition, so the mask ORs the final fault set into the labels.
+    """
+    result = engine_cls(
+        topology,
+        frozenset(faults),
+        factory=lambda ctx: SafetyProgram(ctx, definition, chatty=chatty),
+        schedule=schedule,
+        **engine_kw,
+    ).run()
+    unsafe = _final_faults(faults, schedule).mask.copy()
+    for coord, is_unsafe in result.snapshots.items():
+        if is_unsafe:
+            unsafe[coord] = True
+    return unsafe, result
+
+
+def _enabled_plane(
+    engine_cls: Type,
+    topology: Topology,
+    faults: FaultSet,
+    unsafe: BoolGrid,
+    chatty: bool = False,
+    **engine_kw,
+) -> Tuple[BoolGrid, EngineResult]:
+    """Run phase 2 on ``engine_cls`` from the phase-1 labels; return the
+    enabled mask (faulty nodes are never enabled) and the run."""
+    if unsafe.shape != topology.shape:
+        raise ValueError(
+            f"unsafe mask shape {unsafe.shape} != topology shape {topology.shape}"
+        )
+    result = engine_cls(
+        topology,
+        frozenset(faults),
+        factory=lambda ctx: EnableProgram(
+            ctx, unsafe=bool(unsafe[ctx.coord]), chatty=chatty
+        ),
+        **engine_kw,
+    ).run()
+    enabled = np.zeros(topology.shape, dtype=bool)
+    for coord, is_enabled in result.snapshots.items():
+        if is_enabled:
+            enabled[coord] = True
+    return enabled, result
 
 
 def distributed_unsafe(
@@ -81,22 +138,18 @@ def distributed_unsafe(
         :class:`~repro.fabric.stats.RunStats`, and the round trace
         (``None`` unless ``record_trace``).
     """
-    engine = SynchronousEngine(
+    unsafe, result = _unsafe_plane(
+        SynchronousEngine,
         topology,
-        frozenset(faults),
-        factory=lambda ctx: SafetyProgram(ctx, definition, chatty=chatty),
+        faults,
+        definition,
+        schedule,
+        chatty=chatty,
         record_trace=record_trace,
         active_set=active_set,
-        schedule=schedule,
         channel=channel,
         telemetry=telemetry,
     )
-    result = engine.run()
-    # faulty nodes — initial and crashed alike — are unsafe by definition
-    unsafe = _final_faults(faults, schedule).mask.copy()
-    for coord, is_unsafe in result.snapshots.items():
-        if is_unsafe:
-            unsafe[coord] = True
     return unsafe, result.stats, result.trace
 
 
@@ -127,26 +180,17 @@ def distributed_enabled(
         The enabled mask (faulty nodes are never enabled), engine stats,
         and the optional round trace.
     """
-    if unsafe.shape != topology.shape:
-        raise ValueError(
-            f"unsafe mask shape {unsafe.shape} != topology shape {topology.shape}"
-        )
-    engine = SynchronousEngine(
+    enabled, result = _enabled_plane(
+        SynchronousEngine,
         topology,
-        frozenset(faults),
-        factory=lambda ctx: EnableProgram(
-            ctx, unsafe=bool(unsafe[ctx.coord]), chatty=chatty
-        ),
+        faults,
+        unsafe,
+        chatty=chatty,
         record_trace=record_trace,
         active_set=active_set,
         channel=channel,
         telemetry=telemetry,
     )
-    result = engine.run()
-    enabled = np.zeros(topology.shape, dtype=bool)
-    for coord, is_enabled in result.snapshots.items():
-        if is_enabled:
-            enabled[coord] = True
     return enabled, result.stats, result.trace
 
 
@@ -170,21 +214,17 @@ def async_unsafe(
     ones; ``stats.rounds`` is the number of state-changing delivery
     events.
     """
-    engine = AsynchronousEngine(
+    unsafe, result = _unsafe_plane(
+        AsynchronousEngine,
         topology,
-        frozenset(faults),
-        factory=lambda ctx: SafetyProgram(ctx, definition),
+        faults,
+        definition,
+        schedule,
         rng=rng,
         max_delay=max_delay,
-        schedule=schedule,
         channel=channel,
         telemetry=telemetry,
     )
-    result = engine.run()
-    unsafe = _final_faults(faults, schedule).mask.copy()
-    for coord, is_unsafe in result.snapshots.items():
-        if is_unsafe:
-            unsafe[coord] = True
     return unsafe, result.stats
 
 
@@ -200,22 +240,14 @@ def async_enabled(
     """Run phase 2 on the asynchronous engine (see :func:`async_unsafe`
     and :func:`distributed_enabled` for why this phase takes a settled
     fault set rather than a crash schedule)."""
-    if unsafe.shape != topology.shape:
-        raise ValueError(
-            f"unsafe mask shape {unsafe.shape} != topology shape {topology.shape}"
-        )
-    engine = AsynchronousEngine(
+    enabled, result = _enabled_plane(
+        AsynchronousEngine,
         topology,
-        frozenset(faults),
-        factory=lambda ctx: EnableProgram(ctx, unsafe=bool(unsafe[ctx.coord])),
+        faults,
+        unsafe,
         rng=rng,
         max_delay=max_delay,
         channel=channel,
         telemetry=telemetry,
     )
-    result = engine.run()
-    enabled = np.zeros(topology.shape, dtype=bool)
-    for coord, is_enabled in result.snapshots.items():
-        if is_enabled:
-            enabled[coord] = True
     return enabled, result.stats

@@ -1,12 +1,18 @@
-"""Distributed execution substrate: a synchronous message-passing fabric.
+"""Distributed execution substrate: a message-passing fabric.
 
 The paper's algorithms are distributed protocols driven by iterative
 message exchanges among mesh neighbours, executed in lock-step rounds.
-This package simulates exactly that execution model: per-node programs
+This package simulates that execution model: per-node programs
 (:class:`~repro.fabric.program.NodeProgram`) run on a
 :class:`~repro.fabric.engine.SynchronousEngine` that delivers messages
 round by round, detects quiescence, and records round/message
 statistics — the quantities Figure 5 (a)/(b) of the paper reports.
+The same programs also run on an
+:class:`~repro.fabric.async_engine.AsynchronousEngine` that delivers
+each message after a random bounded delay, which shows the protocols
+do not depend on the lock-step schedule.  Both engines accept crash
+schedules and lossy :class:`~repro.fabric.channel.ChannelModel` links,
+and share one run core for everything but their schedulers.
 """
 
 from repro._lazy import lazy_exports
@@ -16,7 +22,6 @@ __all__ = [
     "ChannelModel",
     "EngineResult",
     "EpochStats",
-    "Message",
     "NodeContext",
     "NodeProgram",
     "RoundTrace",
@@ -29,7 +34,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "async_engine": ("AsynchronousEngine",),
     "channel": ("ChannelModel",),
     "engine": ("EngineResult", "SynchronousEngine", "build_neighbor_sets"),
-    "message": ("Message",),
     "program": ("NodeContext", "NodeProgram"),
     "stats": ("EpochStats", "RunStats"),
     "trace": ("RoundTrace",),

@@ -47,23 +47,15 @@ bit-for-bit its historical self.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from functools import partial
 from itertools import count
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ProtocolError
 from repro.fabric.channel import ChannelModel
-from repro.fabric.engine import (
-    EngineResult,
-    ProgramFactory,
-    _EngineMeters,
-    build_neighbor_sets,
-)
-from repro.fabric.program import NodeContext
-from repro.fabric.stats import EpochStats, RunStats
-from repro.fabric.trace import RoundTrace
+from repro.fabric.engine import EngineResult, ProgramFactory, _FabricEngine
 from repro.faults.schedule import FaultSchedule
 from repro.mesh.topology import Topology
 from repro.obs.events import snapshot_event
@@ -73,7 +65,7 @@ from repro.types import Coord
 __all__ = ["AsynchronousEngine"]
 
 
-class AsynchronousEngine:
+class AsynchronousEngine(_FabricEngine):
     """Event-driven executor with randomly delayed message delivery.
 
     Parameters
@@ -108,6 +100,8 @@ class AsynchronousEngine:
         deliveries).  ``None`` disables all instrumentation.
     """
 
+    _LABEL = "async"
+
     def __init__(
         self,
         topology: Topology,
@@ -123,25 +117,16 @@ class AsynchronousEngine:
     ):
         if max_delay < 1:
             raise ProtocolError(f"max_delay must be >= 1, got {max_delay}")
-        self._topology = topology
-        self._faulty: Set[Coord] = set(faulty)
-        for f in self._faulty:
-            topology.check(f)
-        self._events_in: deque = deque()
-        if schedule is not None:
-            for t, batch in schedule.batches():
-                for c in batch:
-                    topology.check(c)
-                self._events_in.append((t, batch))
-        self._channel = channel if channel is not None and not channel.is_reliable else None
-        self._dynamic = bool(self._events_in) or self._channel is not None
+        super().__init__(
+            topology, faulty, factory, record_trace, schedule, channel, telemetry
+        )
         self._rng = rng
         self._max_delay = int(max_delay)
         # Generous: every node can flip once, each flip fans out <= 4
         # messages, each message may trigger a (non-flipping) step.
         if max_events is None:
             max_events = (40 * topology.num_nodes * self._max_delay + 1000) * (
-                len(self._events_in) + 1
+                len(self._crashes) + 1
             )
             if self._channel is not None and self._channel.drop_budget is not None:
                 # Every drop can cost one heartbeat repair cycle, whose
@@ -149,18 +134,7 @@ class AsynchronousEngine:
                 max_events += (self._channel.drop_budget + 1) * (
                     8 * topology.num_nodes
                 )
-        self._max_events = max_events
-        self._record_trace = bool(record_trace)
-        self._telemetry = (
-            telemetry.child(engine="async") if telemetry is not None else None
-        )
-        self._programs = {}
-        for c in topology.nodes():
-            if c not in self._faulty:
-                ctx = NodeContext(topology, c, frozenset(self._faulty))
-                self._programs[c] = factory(ctx)
-        # Cached once; post() used to rebuild a set per message batch.
-        self._neighbor_sets = build_neighbor_sets(topology, self._programs)
+        self._budget = max_events
 
     def run(self) -> EngineResult:
         """Drive the system until no messages remain in flight.
@@ -170,30 +144,14 @@ class AsynchronousEngine:
         changed some node's state* (the async analogue of changing
         rounds; not comparable to synchronous round counts).
         """
-        stats = RunStats()
+        led = self._begin()
+        stats, trace, tel, meters = led.stats, led.trace, led.tel, led.meters
+        events_on, debug_on, spans_on = led.events_on, led.debug_on, led.spans_on
         channel = self._channel
-        crash_events = self._events_in
-        trace = RoundTrace() if self._record_trace else None
-        tel = self._telemetry
-        events_on = tel is not None and tel.wants("info")
-        debug_on = tel is not None and tel.wants("debug")
-        spans_on = tel is not None and tel.spans is not None
-        meters = (
-            _EngineMeters(tel) if tel is not None and tel.metrics is not None else None
-        )
+        crash_events = self._crashes
         deliveries = (
             tel.counter("engine_delivery_events_total") if meters is not None else None
         )
-        epoch_idx = 0
-        if tel is not None and channel is not None:
-            channel.bind_telemetry(tel)
-        if events_on:
-            tel.emit(
-                "run_start",
-                nodes=len(self._programs),
-                faulty=len(self._faulty),
-                dynamic=self._dynamic,
-            )
         # Priority queue of (deliver_at, tiebreak, recipient); the
         # payload map per (time, recipient) keeps only the latest
         # message per sender, like a real link that overwrites status.
@@ -224,15 +182,6 @@ class AsynchronousEngine:
                         heapq.heappush(queue, (at, next(tiebreak), dest))
                     pending[key][sender] = payload
 
-        # Baselines first: drops during the initial announcements below
-        # must count (and be heartbeat-repaired) like any later loss.
-        drops_base = channel.drops if channel is not None else 0
-        dups_base = channel.duplicates if channel is not None else 0
-        drops_acked = drops_base
-        epoch_drop_base, epoch_dup_base = drops_base, dups_base
-        if self._dynamic:
-            stats.epochs.append(EpochStats())
-
         for coord, prog in self._programs.items():
             post(coord, prog.start(), now=0)
 
@@ -244,9 +193,9 @@ class AsynchronousEngine:
         def bump_budget() -> None:
             nonlocal events
             events += 1
-            if events > self._max_events:
+            if events > self._budget:
                 raise ProtocolError(
-                    f"async engine exceeded {self._max_events} delivery events"
+                    f"async engine exceeded {self._budget} delivery events"
                 )
 
         def step(coord: Coord, inbox: Mapping[Coord, Any], at: int) -> None:
@@ -262,44 +211,6 @@ class AsynchronousEngine:
                     tel.emit("node_flip", node=coord, clock=at)
             post(coord, outgoing, now=at)
 
-        def apply_crashes(batch, at: int) -> None:
-            nonlocal epoch_drop_base, epoch_dup_base, epoch_idx
-            applied: List[Coord] = []
-            for c in sorted(batch):
-                if c not in self._programs:
-                    continue  # faulty from the start, or crashed earlier
-                del self._programs[c]
-                self._faulty.add(c)
-                applied.append(c)
-            if self._dynamic:
-                ep = stats.epochs[-1]
-                ep.dropped = (channel.drops if channel else 0) - epoch_drop_base
-                ep.duplicated = (channel.duplicates if channel else 0) - epoch_dup_base
-                epoch_drop_base = channel.drops if channel else 0
-                epoch_dup_base = channel.duplicates if channel else 0
-                if events_on:
-                    tel.emit("epoch_end", epoch=epoch_idx, **ep.to_dict())
-                if meters is not None and epoch_idx >= 1:
-                    meters.recovery_rounds.inc(ep.rounds)
-                epoch_idx += 1
-                stats.epochs.append(EpochStats(crashed=tuple(applied), at_time=at))
-            if events_on:
-                tel.emit("crash_batch", time=at, nodes=applied)
-            # Surviving neighbours notice the dead links and take one
-            # immediate wake-up step: rules counting faulty links may
-            # now fire without any message arriving.
-            woken: Set[Coord] = set()
-            for c in applied:
-                for n in self._neighbor_sets[c]:
-                    prog = self._programs.get(n)
-                    if prog is not None and prog.ctx.mark_faulty(c):
-                        woken.add(n)
-            for n in sorted(woken):
-                bump_budget()
-                if self._dynamic:
-                    stats.epochs[-1].executed_rounds += 1
-                step(n, {}, at)
-
         # Initial local wake-up: unlike the synchronous engine, where
         # every node steps every round, an event-driven node only steps
         # on delivery — but a rule can fire from static knowledge alone
@@ -310,11 +221,7 @@ class AsynchronousEngine:
         for coord in list(self._programs):
             step(coord, {}, 0)
         if trace is not None:
-            trace.emit(
-                snapshot_event(
-                    0, {c: p.snapshot() for c, p in self._programs.items()}
-                )
-            )
+            trace.emit(snapshot_event(0, self._snapshots()))
         while True:
             # Crash batches strike before any delivery at their time;
             # a drained network fast-forwards to the next batch.
@@ -323,25 +230,19 @@ class AsynchronousEngine:
             ):
                 t, batch = crash_events.popleft()
                 now = max(now, t)
-                apply_crashes(batch, t)
+                # In-flight traffic to the dead nodes is skipped on
+                # delivery.  Surviving neighbours notice the dead links
+                # and take one immediate wake-up step: rules counting
+                # faulty links may now fire without any message arriving.
+                _, woken = self._crash(led, batch, t)
+                for n in sorted(woken):
+                    bump_budget()
+                    stats.epochs[-1].executed_rounds += 1
+                    step(n, {}, t)
                 continue
             if not queue:
-                if channel is not None and channel.drops > drops_acked:
-                    # Heartbeat: repair lost status updates.
-                    stats.heartbeats += 1
-                    if stats.heartbeats > self._max_events:
-                        raise ProtocolError(
-                            f"channel kept dropping: {stats.heartbeats} "
-                            "heartbeats without draining the network "
-                            "(is the channel fair?)"
-                        )
-                    drops_acked = channel.drops
-                    if events_on:
-                        tel.emit("heartbeat", seq=stats.heartbeats, clock=now)
-                    if meters is not None:
-                        meters.heartbeats.inc()
-                    for coord, prog in self._programs.items():
-                        post(coord, prog.resend(), now)
+                if self._unrepaired(led):
+                    self._heartbeat(led, now, partial(post, now=now))
                     continue
                 break
             bump_budget()
@@ -367,24 +268,8 @@ class AsynchronousEngine:
             else:
                 step(dest, inbox, at)
             if trace is not None:
-                trace.emit(
-                    snapshot_event(
-                        events,
-                        {c: p.snapshot() for c, p in self._programs.items()},
-                    )
-                )
+                trace.emit(snapshot_event(events, self._snapshots()))
 
-        if self._dynamic:
-            ep = stats.epochs[-1]
-            ep.dropped = (channel.drops if channel else 0) - epoch_drop_base
-            ep.duplicated = (channel.duplicates if channel else 0) - epoch_dup_base
-            if events_on:
-                tel.emit("epoch_end", epoch=epoch_idx, **ep.to_dict())
-            if meters is not None and epoch_idx >= 1:
-                meters.recovery_rounds.inc(ep.rounds)
-        if channel is not None:
-            stats.dropped_messages = channel.drops - drops_base
-            stats.duplicated_messages = channel.duplicates - dups_base
         stats.rounds = changing_events
         stats.messages_per_round = [messages]
         stats.changes_per_round = [changing_events]
@@ -392,18 +277,5 @@ class AsynchronousEngine:
             meters.executed.inc(stats.executed_rounds)
             meters.messages_hist.observe(messages)
             meters.flips.observe(changing_events)
-            meters.dropped.inc(stats.dropped_messages)
-            meters.duplicated.inc(stats.duplicated_messages)
             deliveries.inc(events)
-        if events_on:
-            tel.emit(
-                "run_end",
-                rounds=stats.rounds,
-                executed_rounds=stats.executed_rounds,
-                messages=stats.total_messages,
-                heartbeats=stats.heartbeats,
-                dropped=stats.dropped_messages,
-                duplicated=stats.duplicated_messages,
-            )
-        snapshots = {c: p.snapshot() for c, p in self._programs.items()}
-        return EngineResult(snapshots, stats, trace)
+        return self._finish(led)

@@ -1,4 +1,4 @@
-"""The synchronous lock-step execution engine.
+"""The synchronous lock-step execution engine and the fabric run core.
 
 Runs one :class:`~repro.fabric.program.NodeProgram` per nonfaulty node
 in strict rounds: all messages emitted in round *r* are delivered at the
@@ -53,11 +53,23 @@ state — which repairs lost updates; over any lossy-but-fair channel the
 protocols therefore converge to exactly the from-scratch fixpoint on
 the final fault set (property tested).  ``schedule=None`` with a
 reliable (or absent) channel is bit-for-bit the historical behaviour.
+
+The run core
+------------
+This engine and :class:`~repro.fabric.async_engine.AsynchronousEngine`
+differ only in their schedulers.  Everything else — input validation,
+program construction, crash application, heartbeats, epoch accounting,
+channel totals and telemetry — lives once in the private base class
+``_FabricEngine`` and its per-run ``_RunLedger``, so each lifecycle
+event (``run_start``, ``heartbeat``, ``epoch_end``, ``crash_batch``,
+``run_end``) has a single emit site and the two engines report in the
+same order.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from contextlib import nullcontext
@@ -149,7 +161,236 @@ class EngineResult:
         self.trace = trace
 
 
-class SynchronousEngine:
+class _RunLedger:
+    """The mutable bookkeeping of one engine run.
+
+    Holds the :class:`RunStats` being filled, the optional frame trace,
+    the run's telemetry handles, and the channel counters that epochs
+    and heartbeats are measured against: ``drops_base``/``dups_base``
+    at run start, ``epoch_drops``/``epoch_dups`` at the current epoch's
+    start, and ``drops_acked``, the drop count the last heartbeat (or
+    the run start) has accounted for.
+    """
+
+    __slots__ = (
+        "stats",
+        "trace",
+        "tel",
+        "events_on",
+        "debug_on",
+        "spans_on",
+        "meters",
+        "epoch",
+        "drops_base",
+        "dups_base",
+        "drops_acked",
+        "epoch_drops",
+        "epoch_dups",
+    )
+
+    def __init__(
+        self,
+        tel: Optional[Telemetry],
+        record_trace: bool,
+        drops: int,
+        dups: int,
+    ):
+        self.stats = RunStats()
+        self.trace = RoundTrace() if record_trace else None
+        self.tel = tel
+        self.events_on = tel is not None and tel.wants("info")
+        self.debug_on = tel is not None and tel.wants("debug")
+        self.spans_on = tel is not None and tel.spans is not None
+        self.meters = (
+            _EngineMeters(tel) if tel is not None and tel.metrics is not None else None
+        )
+        self.epoch = 0
+        self.drops_base = self.drops_acked = self.epoch_drops = drops
+        self.dups_base = self.epoch_dups = dups
+
+
+class _FabricEngine:
+    """Construction and run bookkeeping shared by both engines.
+
+    A subclass supplies its scheduler (the ``run`` loop), its event
+    budget ``_budget``, and its telemetry label ``_LABEL``; this class
+    validates the inputs, builds the programs, and owns every piece of
+    accounting that does not depend on the schedule.
+    """
+
+    _LABEL = ""
+    _budget: int
+
+    def __init__(
+        self,
+        topology: Topology,
+        faulty: frozenset | set,
+        factory: ProgramFactory,
+        record_trace: bool,
+        schedule: Optional[FaultSchedule],
+        channel: Optional[ChannelModel],
+        telemetry: Optional[Telemetry],
+    ):
+        self._topology = topology
+        self._faulty: Set[Coord] = set(faulty)
+        for f in self._faulty:
+            topology.check(f)
+        self._crashes: deque = deque()
+        if schedule is not None:
+            for t, batch in schedule.batches():
+                for c in batch:
+                    topology.check(c)
+                self._crashes.append((t, batch))
+        self._channel = channel if channel is not None and not channel.is_reliable else None
+        # Dynamic runs record per-epoch stats; static reliable runs keep
+        # their statistics bit-for-bit as before.
+        self._dynamic = bool(self._crashes) or self._channel is not None
+        self._record_trace = bool(record_trace)
+        self._telemetry = (
+            telemetry.child(engine=self._LABEL) if telemetry is not None else None
+        )
+        # Every context reads the same initial fault set; crashes reach
+        # the contexts through NodeContext.mark_faulty, not this set.
+        initial = frozenset(self._faulty)
+        self._programs: Dict[Coord, NodeProgram] = {
+            c: factory(NodeContext(topology, c, initial))
+            for c in topology.nodes()
+            if c not in self._faulty
+        }
+        # Neighbour sets are immutable for the run; computing them once
+        # here keeps posting from rebuilding a set per message batch.
+        self._neighbor_sets = build_neighbor_sets(topology, self._programs)
+
+    def _channel_counts(self) -> Tuple[int, int]:
+        """The channel's cumulative (drops, duplicates); zeros if reliable."""
+        channel = self._channel
+        if channel is None:
+            return 0, 0
+        return channel.drops, channel.duplicates
+
+    def _snapshots(self) -> Dict[Coord, Any]:
+        return {c: p.snapshot() for c, p in self._programs.items()}
+
+    def _begin(self) -> _RunLedger:
+        """Open a run: meters, channel binding, ``run_start``, baselines.
+
+        Call before the initial announcements, so drops during them
+        count (and are heartbeat-repaired) like any later loss.
+        """
+        tel = self._telemetry
+        led = _RunLedger(tel, self._record_trace, *self._channel_counts())
+        if tel is not None and self._channel is not None:
+            self._channel.bind_telemetry(tel)
+        if led.events_on:
+            tel.emit(
+                "run_start",
+                nodes=len(self._programs),
+                faulty=len(self._faulty),
+                dynamic=self._dynamic,
+            )
+        if self._dynamic:
+            led.stats.epochs.append(EpochStats())
+        return led
+
+    def _unrepaired(self, led: _RunLedger) -> bool:
+        """True when the channel dropped a message no heartbeat repaired."""
+        return self._channel is not None and self._channel.drops > led.drops_acked
+
+    def _heartbeat(
+        self,
+        led: _RunLedger,
+        clock: int,
+        post: Callable[[Coord, Mapping[Coord, Any]], None],
+    ) -> None:
+        """The network drained with a status update lost: every program
+        re-announces its state through ``post``."""
+        stats = led.stats
+        stats.heartbeats += 1
+        if stats.heartbeats > self._budget:
+            raise ProtocolError(
+                f"channel kept dropping: {stats.heartbeats} "
+                "heartbeats without reaching quiescence "
+                "(is the channel fair?)"
+            )
+        led.drops_acked = self._channel.drops
+        if led.meters is not None:
+            led.meters.heartbeats.inc()
+        if led.events_on:
+            led.tel.emit("heartbeat", seq=stats.heartbeats, clock=clock)
+        for coord, prog in self._programs.items():
+            post(coord, prog.resend())
+
+    def _close_epoch(self, led: _RunLedger) -> None:
+        """Charge the channel's interference to the open epoch; emit it."""
+        ep = led.stats.epochs[-1]
+        drops, dups = self._channel_counts()
+        ep.dropped = drops - led.epoch_drops
+        ep.duplicated = dups - led.epoch_dups
+        led.epoch_drops, led.epoch_dups = drops, dups
+        if led.events_on:
+            led.tel.emit("epoch_end", epoch=led.epoch, **ep.to_dict())
+        if led.meters is not None and led.epoch >= 1:
+            led.meters.recovery_rounds.inc(ep.rounds)
+        led.epoch += 1
+
+    def _crash(
+        self, led: _RunLedger, batch: Iterable[Coord], at: int
+    ) -> Tuple[List[Coord], Set[Coord]]:
+        """Kill the nodes in ``batch`` at clock ``at``; return (applied,
+        surviving neighbours whose view changed).
+
+        Crashing an already-dead node is a no-op.  The closing epoch's
+        ``epoch_end`` precedes the ``crash_batch`` that opens the next.
+        Discarding in-flight traffic *to* the dead nodes is the
+        scheduler's job; traffic they sent earlier is already in the
+        network and still delivered (stale-but-valid statuses, which
+        monotone receivers absorb safely).
+        """
+        applied: List[Coord] = []
+        for c in sorted(batch):
+            if c not in self._programs:
+                continue  # faulty from the start, or crashed earlier
+            del self._programs[c]
+            self._faulty.add(c)
+            applied.append(c)
+        # A crash schedule makes the run dynamic, so an epoch is open.
+        self._close_epoch(led)
+        led.stats.epochs.append(EpochStats(crashed=tuple(applied), at_time=at))
+        if led.events_on:
+            led.tel.emit("crash_batch", time=at, nodes=applied)
+        woken: Set[Coord] = set()
+        for c in applied:
+            for n in self._neighbor_sets[c]:
+                prog = self._programs.get(n)
+                if prog is not None and prog.ctx.mark_faulty(c):
+                    woken.add(n)
+        return applied, woken
+
+    def _finish(self, led: _RunLedger) -> EngineResult:
+        """Close the last epoch, total the channel, emit ``run_end``."""
+        stats = led.stats
+        if self._dynamic:
+            self._close_epoch(led)
+        drops, dups = self._channel_counts()
+        stats.dropped_messages = drops - led.drops_base
+        stats.duplicated_messages = dups - led.dups_base
+        if led.meters is not None:
+            led.meters.dropped.inc(stats.dropped_messages)
+            led.meters.duplicated.inc(stats.duplicated_messages)
+        if led.events_on:
+            led.tel.emit(
+                "run_end",
+                rounds=stats.rounds,
+                executed_rounds=stats.executed_rounds,
+                messages=stats.total_messages,
+                heartbeats=stats.heartbeats,
+                dropped=stats.dropped_messages,
+                duplicated=stats.duplicated_messages,
+            )
+        return EngineResult(self._snapshots(), stats, led.trace)
+
+
+class SynchronousEngine(_FabricEngine):
     """Lock-step round executor over a topology with a fault set.
 
     Parameters
@@ -189,12 +430,14 @@ class SynchronousEngine:
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry`.  When given,
         the engine emits structured events (``run_start``,
-        ``round_start``, ``node_flip``, ``crash_batch``, ``heartbeat``,
-        ``epoch_end``, ``run_end``), updates metric series that agree
+        ``round_start``, ``node_flip``, ``heartbeat``, ``epoch_end``,
+        ``crash_batch``, ``run_end``), updates metric series that agree
         bit-for-bit with the returned ``RunStats``, and profiles rounds
         as spans.  ``None`` (the default) is a strict no-op: every
         telemetry site is behind a ``None`` check.
     """
+
+    _LABEL = "sync"
 
     def __init__(
         self,
@@ -209,22 +452,11 @@ class SynchronousEngine:
         channel: Optional[ChannelModel] = None,
         telemetry: Optional[Telemetry] = None,
     ):
-        self._topology = topology
-        self._faulty: Set[Coord] = set(faulty)
-        for f in self._faulty:
-            topology.check(f)
-        self._events: deque = deque()
-        if schedule is not None:
-            for t, batch in schedule.batches():
-                for c in batch:
-                    topology.check(c)
-                self._events.append((t, batch))
-        self._channel = channel if channel is not None and not channel.is_reliable else None
-        # Dynamic runs record per-epoch stats; static reliable runs keep
-        # their statistics bit-for-bit as before.
-        self._dynamic = bool(self._events) or self._channel is not None
+        super().__init__(
+            topology, faulty, factory, record_trace, schedule, channel, telemetry
+        )
         if max_rounds is None:
-            max_rounds = (topology.num_nodes + 4) * (len(self._events) + 1)
+            max_rounds = (topology.num_nodes + 4) * (len(self._crashes) + 1)
             if self._channel is not None and self._channel.drop_budget is not None:
                 # Every drop can cost one heartbeat repair cycle, and a
                 # cycle executes an on-time round plus the deferred tail
@@ -233,21 +465,9 @@ class SynchronousEngine:
                 max_rounds += (self._channel.drop_budget + 1) * (
                     self._channel.max_jitter + 3
                 )
-        self._max_rounds = int(max_rounds)
-        self._telemetry = (
-            telemetry.child(engine="sync") if telemetry is not None else None
-        )
-        self._record_trace = bool(record_trace)
+        self._budget = int(max_rounds)
         self._active_set = bool(active_set)
         self._debug_full_check = bool(debug_full_check)
-        self._programs: Dict[Coord, NodeProgram] = {}
-        for c in topology.nodes():
-            if c not in self._faulty:
-                ctx = NodeContext(topology, c, frozenset(self._faulty))
-                self._programs[c] = factory(ctx)
-        # Neighbour sets are immutable for the run; computing them once
-        # here keeps _post() from rebuilding a set per message batch.
-        self._neighbor_sets = build_neighbor_sets(topology, self._programs)
 
     @property
     def topology(self) -> Topology:
@@ -270,34 +490,10 @@ class SynchronousEngine:
             catches a skipped node that was not a no-op, or an unfair
             channel keeps dropping heartbeats forever.
         """
-        stats = RunStats()
-        trace = RoundTrace() if self._record_trace else None
-        channel = self._channel
-        events = self._events
-        tel = self._telemetry
-        events_on = tel is not None and tel.wants("info")
-        debug_on = tel is not None and tel.wants("debug")
-        spans_on = tel is not None and tel.spans is not None
-        meters = (
-            _EngineMeters(tel) if tel is not None and tel.metrics is not None else None
-        )
-        epoch_idx = 0
-        if tel is not None and channel is not None:
-            channel.bind_telemetry(tel)
-        if events_on:
-            tel.emit(
-                "run_start",
-                nodes=len(self._programs),
-                faulty=len(self._faulty),
-                dynamic=self._dynamic,
-            )
-
-        # Baselines first: drops during the initial announcements below
-        # must count (and be heartbeat-repaired) like any later loss.
-        drops_base = channel.drops if channel is not None else 0
-        dups_base = channel.duplicates if channel is not None else 0
-        drops_acked = drops_base  # drops repaired by (or predating) a heartbeat
-        epoch_drop_base, epoch_dup_base = drops_base, dups_base
+        led = self._begin()
+        stats, trace, tel, meters = led.stats, led.trace, led.tel, led.meters
+        events_on, debug_on, spans_on = led.events_on, led.debug_on, led.spans_on
+        events = self._crashes
 
         # Round 1's inboxes come from start().  Inbox dicts are created
         # on demand, so a quiescent network carries no per-node state.
@@ -307,11 +503,7 @@ class SynchronousEngine:
             self._post(coord, prog.start(), pending, deferred, clock=0)
 
         if trace is not None:
-            trace.emit(
-                snapshot_event(0, {c: p.snapshot() for c, p in self._programs.items()})
-            )
-        if self._dynamic:
-            stats.epochs.append(EpochStats())
+            trace.emit(snapshot_event(0, self._snapshots()))
 
         # Round 1 steps everyone: a rule can fire on the initial state
         # alone (e.g. a node surrounded by faulty links), with no inbox.
@@ -331,30 +523,18 @@ class SynchronousEngine:
                     candidates.append(max(events[0][0], clock + 1))
                 if candidates:
                     tick = min(candidates)
-                elif channel is not None and channel.drops > drops_acked:
-                    # Heartbeat: the network drained but some status
-                    # update was lost — re-announce everyone's state.
-                    stats.heartbeats += 1
-                    if stats.heartbeats > self._max_rounds:
-                        raise ProtocolError(
-                            f"channel kept dropping: {stats.heartbeats} "
-                            "heartbeats without reaching quiescence "
-                            "(is the channel fair?)"
-                        )
-                    drops_acked = channel.drops
-                    if meters is not None:
-                        meters.heartbeats.inc()
-                    if events_on:
-                        tel.emit("heartbeat", seq=stats.heartbeats, clock=clock)
-                    for coord, prog in self._programs.items():
-                        self._post(coord, prog.resend(), pending, deferred, clock)
+                elif self._unrepaired(led):
+                    post = partial(
+                        self._post, boxes=pending, deferred=deferred, clock=clock
+                    )
+                    self._heartbeat(led, clock, post)
                     continue
                 else:
                     break  # truly quiescent
 
-            if executed >= self._max_rounds:
+            if executed >= self._budget:
                 raise ProtocolError(
-                    f"engine did not quiesce within {self._max_rounds} rounds"
+                    f"engine did not quiesce within {self._budget} rounds"
                 )
 
             # -- crashes scheduled at or before this tick strike first -----
@@ -362,27 +542,13 @@ class SynchronousEngine:
                 batch: List[Coord] = []
                 while events and events[0][0] <= tick:
                     batch.extend(events.popleft()[1])
-                applied, woken = self._apply_crashes(sorted(batch), pending, deferred)
+                applied, woken = self._crash(led, batch, tick)
+                for c in applied:
+                    pending.pop(c, None)
+                    for boxes in deferred.values():
+                        boxes.pop(c, None)
                 active -= set(applied)
                 active |= woken
-                if events_on:
-                    tel.emit("crash_batch", time=tick, nodes=applied)
-                if self._dynamic:
-                    ep = stats.epochs[-1]
-                    ep.dropped = (channel.drops if channel else 0) - epoch_drop_base
-                    ep.duplicated = (
-                        channel.duplicates if channel else 0
-                    ) - epoch_dup_base
-                    epoch_drop_base = channel.drops if channel else 0
-                    epoch_dup_base = channel.duplicates if channel else 0
-                    if events_on:
-                        tel.emit("epoch_end", epoch=epoch_idx, **ep.to_dict())
-                    if meters is not None and epoch_idx >= 1:
-                        meters.recovery_rounds.inc(ep.rounds)
-                    epoch_idx += 1
-                    stats.epochs.append(
-                        EpochStats(crashed=tuple(applied), at_time=tick)
-                    )
 
             # -- delayed copies due now join the round's inboxes -----------
             if deferred:
@@ -451,78 +617,16 @@ class SynchronousEngine:
                 if changes:
                     ep.rounds += 1
             if trace is not None:
-                trace.emit(
-                    snapshot_event(
-                        executed,
-                        {c: p.snapshot() for c, p in self._programs.items()},
-                    )
-                )
+                trace.emit(snapshot_event(executed, self._snapshots()))
             if (
                 changes == 0
                 and not deferred
                 and not events
-                and not (channel is not None and channel.drops > drops_acked)
+                and not self._unrepaired(led)
             ):
                 break
 
-        if self._dynamic:
-            ep = stats.epochs[-1]
-            ep.dropped = (channel.drops if channel else 0) - epoch_drop_base
-            ep.duplicated = (channel.duplicates if channel else 0) - epoch_dup_base
-            if events_on:
-                tel.emit("epoch_end", epoch=epoch_idx, **ep.to_dict())
-            if meters is not None and epoch_idx >= 1:
-                meters.recovery_rounds.inc(ep.rounds)
-        if channel is not None:
-            stats.dropped_messages = channel.drops - drops_base
-            stats.duplicated_messages = channel.duplicates - dups_base
-        if meters is not None:
-            meters.dropped.inc(stats.dropped_messages)
-            meters.duplicated.inc(stats.duplicated_messages)
-        if events_on:
-            tel.emit(
-                "run_end",
-                rounds=stats.rounds,
-                executed_rounds=stats.executed_rounds,
-                messages=stats.total_messages,
-                heartbeats=stats.heartbeats,
-                dropped=stats.dropped_messages,
-                duplicated=stats.duplicated_messages,
-            )
-        snapshots = {c: p.snapshot() for c, p in self._programs.items()}
-        return EngineResult(snapshots, stats, trace)
-
-    def _apply_crashes(
-        self,
-        batch: List[Coord],
-        pending: Boxes,
-        deferred: Dict[int, Boxes],
-    ) -> Tuple[List[Coord], Set[Coord]]:
-        """Kill the nodes in ``batch``; return (applied, neighbours to wake).
-
-        Crashing an already-dead node is a no-op.  In-flight traffic
-        *to* a crashed node is discarded; traffic it sent earlier is
-        already in the network and still delivered (its payloads are
-        stale-but-valid statuses, which monotone receivers absorb
-        safely).
-        """
-        applied: List[Coord] = []
-        for c in batch:
-            if c not in self._programs:
-                continue  # faulty from the start, or crashed earlier
-            del self._programs[c]
-            self._faulty.add(c)
-            pending.pop(c, None)
-            for boxes in deferred.values():
-                boxes.pop(c, None)
-            applied.append(c)
-        woken: Set[Coord] = set()
-        for c in applied:
-            for n in self._neighbor_sets[c]:
-                prog = self._programs.get(n)
-                if prog is not None and prog.ctx.mark_faulty(c):
-                    woken.add(n)
-        return applied, woken
+        return self._finish(led)
 
     def _check_skipped(self, stepped) -> None:
         """Assert every node skipped this round was a genuine no-op."""

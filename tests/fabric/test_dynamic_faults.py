@@ -7,6 +7,7 @@ mechanics: crash semantics, epoch accounting, heartbeat repair, and
 bit-for-bit compatibility of the reliable/static configuration.
 """
 
+from functools import partial
 from typing import Any, Mapping, Tuple
 
 import numpy as np
@@ -166,11 +167,16 @@ class TestCrashSemantics:
         assert sum(e.rounds for e in epochs) == res.stats.rounds
         assert res.stats.recovery_rounds == epochs[1].rounds + epochs[2].rounds
 
-    def test_schedule_coordinates_validated(self):
+    @pytest.mark.parametrize(
+        "make_engine",
+        [SynchronousEngine, partial(AsynchronousEngine, rng=np.random.default_rng(0))],
+        ids=["sync", "async"],
+    )
+    def test_schedule_coordinates_validated(self, make_engine):
         from repro.errors import TopologyError
 
         with pytest.raises(TopologyError):
-            SynchronousEngine(
+            make_engine(
                 Mesh2D(3, 3),
                 frozenset(),
                 EchoMax,

@@ -1,12 +1,26 @@
 """Unit tests for the synchronous engine."""
 
+from functools import partial
 from typing import Any, Mapping, Tuple
 
+import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
-from repro.fabric import NodeContext, NodeProgram, SynchronousEngine
+from repro.fabric import (
+    AsynchronousEngine,
+    NodeContext,
+    NodeProgram,
+    SynchronousEngine,
+)
 from repro.mesh import Mesh2D
+
+#: Both engine constructors, for the checks they share.
+ENGINES = pytest.mark.parametrize(
+    "make_engine",
+    [SynchronousEngine, partial(AsynchronousEngine, rng=np.random.default_rng(0))],
+    ids=["sync", "async"],
+)
 
 
 class EchoMax(NodeProgram):
@@ -113,11 +127,12 @@ class TestEngineBasics:
         assert res.snapshots[(0, 2)] == 2          # west column's own max
         assert res.snapshots[(2, 2)] == 2 * 1000 + 2
 
-    def test_invalid_fault_coordinate_rejected(self):
+    @ENGINES
+    def test_invalid_fault_coordinate_rejected(self, make_engine):
         from repro.errors import TopologyError
 
         with pytest.raises(TopologyError):
-            SynchronousEngine(Mesh2D(3, 3), {(5, 5)}, Silent)
+            make_engine(Mesh2D(3, 3), {(5, 5)}, Silent)
 
 
 class TestEngineContracts:

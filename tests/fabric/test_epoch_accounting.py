@@ -12,6 +12,7 @@ import pytest
 from repro.core.distributed import async_unsafe, distributed_unsafe
 from repro.faults import FaultSchedule, FaultSet
 from repro.mesh import Mesh2D
+from repro.obs import MemorySink, Telemetry
 
 #: A fault block big enough that phase 1 actually propagates, so every
 #: epoch has nonzero work to account for.
@@ -21,14 +22,20 @@ FAULTS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]
 TWO_BATCHES = FaultSchedule([(2, (6, 6)), (2, (6, 7)), (5, (0, 5))])
 
 
-def _run(engine):
+def _run(engine, telemetry=None):
     topo = Mesh2D(9, 9)
     faults = FaultSet.from_coords(topo.shape, FAULTS)
     if engine == "sync":
-        _, stats, _ = distributed_unsafe(topo, faults, schedule=TWO_BATCHES)
+        _, stats, _ = distributed_unsafe(
+            topo, faults, schedule=TWO_BATCHES, telemetry=telemetry
+        )
     else:
         _, stats = async_unsafe(
-            topo, faults, np.random.default_rng(11), schedule=TWO_BATCHES
+            topo,
+            faults,
+            np.random.default_rng(11),
+            schedule=TWO_BATCHES,
+            telemetry=telemetry,
         )
     return stats
 
@@ -70,3 +77,18 @@ class TestEpochAccounting:
             assert ed["crashed"] == [[x, y] for x, y in ep.crashed]
             assert ed["rounds"] == ep.rounds
             assert ed["messages"] == ep.messages
+
+    def test_crash_batch_follows_the_epoch_it_closes(self, engine):
+        sink = MemorySink()
+        stats = _run(engine, Telemetry(sinks=(sink,)))
+        log = sink.events()
+        crashes = [i for i, e in enumerate(log) if e.name == "crash_batch"]
+        assert len(crashes) == 2
+        for k, i in enumerate(crashes):
+            # batch k+1 opens epoch k+1 right after epoch k's close
+            closing = log[i - 1]
+            assert closing.name == "epoch_end"
+            assert closing.fields["epoch"] == k
+            assert log[i].fields["time"] == stats.epochs[k + 1].at_time
+            assert log[i].fields["nodes"] == list(stats.epochs[k + 1].crashed)
+        assert [e.fields["epoch"] for e in log if e.name == "epoch_end"] == [0, 1, 2]

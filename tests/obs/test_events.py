@@ -1,6 +1,8 @@
 """Unit tests for the event records, schemas, and validators."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,3 +162,39 @@ class TestSnapshotEvent:
         assert e.fields["key"] == 3
         assert e.fields["snapshot"] == snap
         assert e.fields["snapshot"] is not snap  # defensive copy
+
+
+#: The documentation page whose event table must match the schemas.
+OBSERVABILITY_DOC = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+
+
+def _documented_events():
+    """Rows of the event table: {name: (level, required fields)}."""
+    text = OBSERVABILITY_DOC.read_text(encoding="utf-8")
+    header = "| event | level | required fields | emitted by |"
+    lines = text[text.index(header) :].splitlines()[2:]
+    rows = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        name, level, fields = (cell.strip() for cell in line.split("|")[1:4])
+        rows[name.strip("`")] = (level, frozenset(re.findall(r"`(\w+)`", fields)))
+    return rows
+
+
+class TestDocumentedEvents:
+    def test_table_lists_every_schema(self):
+        assert set(_documented_events()) == set(EVENT_SCHEMAS)
+
+    def test_required_fields_match_the_schema(self):
+        for name, (_, fields) in _documented_events().items():
+            assert fields == EVENT_SCHEMAS[name], name
+
+    def test_levels_match_the_emitters(self):
+        for name, (level, _) in _documented_events().items():
+            want = (
+                snapshot_event(0, {}).level
+                if name == "snapshot"
+                else default_level(name)
+            )
+            assert level == want, name
