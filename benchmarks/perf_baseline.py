@@ -58,12 +58,12 @@ import numpy as np
 from repro._version import __version__
 from repro.analysis.executor import shared_pools
 from repro.analysis.sweep import sweep
-from repro.core.blocks import extract_blocks
+from repro.core.blocks import extract_blocks, extract_blocks_reference
 from repro.core.distributed import distributed_enabled, distributed_unsafe
 from repro.core.enabling import enabled_fixpoint
 from repro.core.frontier import enabled_fixpoint_sparse, unsafe_fixpoint_sparse
 from repro.core.pipeline import label_mesh
-from repro.core.regions import extract_regions
+from repro.core.regions import extract_regions, extract_regions_reference
 from repro.core.safety import unsafe_fixpoint
 from repro.core.status import SafetyDefinition
 from repro.core.theorems import check_all
@@ -151,20 +151,27 @@ def bench_kernels(size: int, f: int, repeats: int) -> dict:
     # End-to-end: everything slow (dense kernels + reference per-cell
     # geometry) vs the default fast path (auto kernels + vectorized
     # union-find geometry) — the Amdahl headline of this repository.
-    t_pipe_slow, slow_result = _best_of(
-        lambda: label_mesh(topo, faults, method="dense", geometry_backend="reference"),
-        repeats,
+    def slow_pipeline():
+        unsafe, _ = unsafe_fixpoint(topo, faulty)
+        enabled, _ = enabled_fixpoint(topo, faulty, unsafe)
+        return (
+            unsafe,
+            enabled,
+            extract_blocks_reference(unsafe, faulty),
+            extract_regions_reference(unsafe & ~enabled, faulty),
+        )
+
+    t_pipe_slow, (slow_unsafe, slow_enabled, slow_blocks, slow_regions) = _best_of(
+        slow_pipeline, repeats
     )
     t_pipe_fast, fast_result = _best_of(lambda: label_mesh(topo, faults), repeats)
-    assert np.array_equal(
-        slow_result.labels.unsafe, fast_result.labels.unsafe
-    ) and np.array_equal(slow_result.labels.enabled, fast_result.labels.enabled), (
-        "fast pipeline diverged from reference"
-    )
-    assert slow_result.blocks == fast_result.blocks, (
+    assert np.array_equal(slow_unsafe, fast_result.labels.unsafe) and np.array_equal(
+        slow_enabled, fast_result.labels.enabled
+    ), "fast pipeline diverged from reference"
+    assert slow_blocks == fast_result.blocks, (
         "vectorized block extraction diverged from reference"
     )
-    assert slow_result.regions == fast_result.regions, (
+    assert slow_regions == fast_result.regions, (
         "vectorized region extraction diverged from reference"
     )
 
@@ -172,15 +179,15 @@ def bench_kernels(size: int, f: int, repeats: int) -> dict:
     disabled = fast_result.labels.disabled
     t_extract_ref, _ = _best_of(
         lambda: (
-            extract_blocks(unsafe_d, faulty, backend="reference"),
-            extract_regions(disabled, faulty, backend="reference"),
+            extract_blocks_reference(unsafe_d, faulty),
+            extract_regions_reference(disabled, faulty),
         ),
         repeats,
     )
     t_extract_vec, _ = _best_of(
         lambda: (
-            extract_blocks(unsafe_d, faulty, backend="vectorized"),
-            extract_regions(disabled, faulty, backend="vectorized"),
+            extract_blocks(unsafe_d, faulty),
+            extract_regions(disabled, faulty),
         ),
         repeats,
     )

@@ -8,13 +8,13 @@ child per trial, so trials are independent, reproducible from the
 root seed alone, and insensitive to the number of trials requested
 before them.
 
-Parallelism: ``jobs > 1`` fans the trials out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker
-reconstructs its trial's generator from ``(seed, trial_index)`` alone,
-so the random streams — and therefore the results — are identical to a
-serial run no matter how the scheduler interleaves the work.  The trial
-function must be picklable (a module-level function, not a lambda or
-closure) when ``jobs > 1``.
+Parallelism: ``jobs > 1`` runs the trials on the warm chunked executor
+of :mod:`repro.analysis.executor` (the one parallel path of this
+package).  Each cell reconstructs its trial's generator from ``(seed,
+trial_index)`` alone, so the random streams — and therefore the results
+— are identical to a serial run no matter how the work is scheduled.
+The trial function must be picklable (a module-level function, not a
+lambda or closure) when ``jobs > 1``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 from typing import Callable, List, Tuple, TypeVar
 
 import numpy as np
+
+from repro.analysis.executor import run_cells
 
 __all__ = ["run_trials", "trial_rngs", "trial_rng"]
 
@@ -65,15 +67,11 @@ def run_trials(
     """Run ``fn`` once per trial with its own child generator.
 
     Results are returned in trial order regardless of ``jobs``; with
-    ``jobs > 1`` the trials run in worker processes and ``fn`` must be
+    ``jobs > 1`` the trials go through
+    :func:`~repro.analysis.executor.run_cells` and ``fn`` must be
     picklable.
     """
-    if jobs <= 1:
-        return [fn(rng) for rng in trial_rngs(trials, seed)]
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    from concurrent.futures import ProcessPoolExecutor
-
     tasks = [(fn, trials, seed, i) for i in range(trials)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_one, tasks))
+    return run_cells(_run_one, tasks, jobs)[0]

@@ -98,19 +98,12 @@ _TrialRow = Tuple[float, float, List[float], float, float]
 
 
 def _fig5_trial(
-    task: Tuple[Topology, SafetyDefinition, str, str, int, int, int, int, int],
+    task: Tuple[Topology, SafetyDefinition, str, int, int, int, int, int],
 ) -> _TrialRow:
-    topo, definition, method, geometry_backend, f, fi, ti, trials, seed = task
+    topo, definition, method, f, fi, ti, trials, seed = task
     rng = trial_rng(trials, seed + _F_SEED_STRIDE * fi, ti)
     faults = uniform_random(topo.shape, f, rng)
-    result = label_mesh(
-        topo,
-        faults,
-        definition,
-        backend="vectorized",
-        method=method,
-        geometry_backend=geometry_backend,
-    )
+    result = label_mesh(topo, faults, definition, backend="vectorized", method=method)
     return (
         float(result.rounds_phase1),
         float(result.rounds_phase2),
@@ -128,7 +121,6 @@ def run_fig5(
     seed: int = 20010423,
     method: str = "auto",
     jobs: int = 1,
-    geometry_backend: str = "vectorized",
 ) -> Fig5Curve:
     """Run the Figure-5 sweep for one definition/topology combination.
 
@@ -152,15 +144,12 @@ def run_fig5(
         the warm chunked executor of :mod:`repro.analysis.executor`;
         any value yields identical results because every cell's
         generator is derived from its grid position, not the schedule.
-    geometry_backend:
-        Block/region extraction backend (see
-        :func:`repro.core.pipeline.label_mesh`).
     """
     topo = topology if topology is not None else Mesh2D(100, 100)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     tasks = [
-        (topo, definition, method, geometry_backend, f, fi, ti, trials, seed)
+        (topo, definition, method, f, fi, ti, trials, seed)
         for fi, f in enumerate(f_values)
         for ti in range(trials)
     ]

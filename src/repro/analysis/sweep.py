@@ -141,28 +141,15 @@ def sweep(
         for ti in range(trials)
     ]
     tel = telemetry
-    spans_on = tel is not None and tel.spans is not None
     events_on = tel is not None and tel.wants("info")
+    span = (tel if tel is not None else Telemetry()).span
     if jobs <= 1:
-        if spans_on:
-            rows = []
-            for task in tasks:
-                with tel.spans.span("sweep_cell", value=task[1], trial=task[3]):
-                    rows.append(_eval_cell(task))
-        else:
-            rows = [_eval_cell(task) for task in tasks]
+        rows = []
+        for task in tasks:
+            with span("sweep_cell", value=task[1], trial=task[3]):
+                rows.append(_eval_cell(task))
     else:
-        if spans_on:
-            with tel.spans.span("sweep_eval", jobs=jobs, cells=len(tasks)):
-                rows, plan = run_cells(
-                    _eval_cell,
-                    tasks,
-                    jobs,
-                    broken_marker=_broken_cell,
-                    chunk_size=chunk_size,
-                    telemetry=tel,
-                )
-        else:
+        with span("sweep_eval", jobs=jobs, cells=len(tasks)):
             rows, plan = run_cells(
                 _eval_cell,
                 tasks,

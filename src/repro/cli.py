@@ -84,15 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
             help="vectorized labeling kernel (frontier = sparse active-set)",
         )
-        p.add_argument(
-            "--geometry-backend",
-            choices=["vectorized", "reference"],
-            default="vectorized",
-            help=(
-                "block/region extraction implementation (reference = "
-                "per-cell BFS oracle, identical results)"
-            ),
-        )
 
     p_label = sub.add_parser("label", help="run the two-phase labeling")
     common(p_label)
@@ -176,15 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["dense", "frontier", "auto"],
         default="auto",
         help="vectorized labeling kernel (frontier = sparse active-set)",
-    )
-    p_fig5.add_argument(
-        "--geometry-backend",
-        choices=["vectorized", "reference"],
-        default="vectorized",
-        help=(
-            "block/region extraction implementation (reference = "
-            "per-cell BFS oracle, identical results)"
-        ),
     )
     p_fig5.add_argument(
         "--jobs",
@@ -529,7 +511,6 @@ def _cmd_label(args) -> int:
     result = label_mesh(
         topo, faults, _definition(args), backend=args.backend, method=args.method,
         schedule=schedule, channel=channel, telemetry=telemetry,
-        geometry_backend=args.geometry_backend,
     )
     if finish_telemetry is not None:
         finish_telemetry()
@@ -589,7 +570,6 @@ def _cmd_fig5(args) -> int:
         seed=args.seed,
         method=args.method,
         jobs=args.jobs,
-        geometry_backend=args.geometry_backend,
     )
     print(curve.as_table())
     return 0
@@ -723,6 +703,14 @@ def _cmd_serve(args) -> int:
     from repro.errors import DurabilityError
     from repro.service import LabelingServer, LabelingService, list_state
 
+    if args.recover and not args.wal_dir:
+        raise ValueError("--recover needs --wal-dir")
+    if not args.recover and args.wal_dir and list_state(args.wal_dir):
+        raise ValueError(
+            f"{args.wal_dir} already holds durability state; "
+            "pass --recover to replay it or point --wal-dir at a "
+            "fresh directory"
+        )
     topo = _topology(args)
     faults = _faults(args, topo.shape) if args.faults else None
     telemetry, finish_telemetry = _telemetry_from_args(
@@ -730,9 +718,6 @@ def _cmd_serve(args) -> int:
     )
     snapshot_every = args.snapshot_every if args.snapshot_every > 0 else None
     fsync_every = args.fsync_every if args.fsync_every > 0 else None
-    if args.recover and not args.wal_dir:
-        print("--recover needs --wal-dir")
-        return 2
     if args.recover:
         try:
             service = LabelingService.recover(
@@ -744,7 +729,7 @@ def _cmd_serve(args) -> int:
                 fsync_every=fsync_every,
             )
         except DurabilityError as exc:
-            print(f"recovery failed: {exc}")
+            print(f"serve: recovery failed: {exc}", file=sys.stderr)
             return 1
         recovery = service.recovery
         print(
@@ -755,13 +740,6 @@ def _cmd_serve(args) -> int:
             f"verified bit-for-bit)"
         )
     else:
-        if args.wal_dir and list_state(args.wal_dir):
-            print(
-                f"{args.wal_dir} already holds durability state; "
-                "pass --recover to replay it or point --wal-dir at a "
-                "fresh directory"
-            )
-            return 2
         service = LabelingService(
             topo,
             _definition(args),

@@ -7,13 +7,13 @@ mask into blocks and — because that rectangularity is a theorem, not an
 assumption — validates it for every component, failing loudly if a
 non-rectangular component ever appears.
 
-The default ``"vectorized"`` backend runs one union-find label pass and
-reduces bounding boxes, sizes and per-block fault counts with
-``bincount``-style scatter reductions; every block's cells and faults
-are lazily built :class:`~repro.geometry.cells.CellSet` values, so no
-component touches a grid until it is read.
-The ``"reference"`` backend keeps the original per-component path as
-the oracle; both return the identical block list (property tested).
+:func:`extract_blocks` runs one union-find label pass and reduces
+bounding boxes, sizes and per-block fault counts with ``bincount``-style
+scatter reductions; every block's cells and faults are lazily built
+:class:`~repro.geometry.cells.CellSet` values, so no component touches
+a grid until it is read.  :func:`extract_blocks_reference` keeps the
+original per-component path as the oracle; both return the identical
+block list (property tested).
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
 from repro.geometry.components import (
-    _check_backend,
     _component_boxes,
     _label_coords,
     _lazy_components,
-    connected_components,
+    connected_components_reference,
 )
 from repro.geometry.rectangles import Rect, bounding_rect, is_rectangle
 from repro.types import BoolGrid
@@ -80,9 +79,14 @@ class FaultyBlock:
         return self.num_nonfaulty > 0
 
 
-def extract_blocks(
-    unsafe: BoolGrid, faulty: BoolGrid, backend: str = "vectorized"
-) -> List[FaultyBlock]:
+def _check_shapes(unsafe: BoolGrid, faulty: BoolGrid) -> None:
+    if unsafe.shape != faulty.shape:
+        raise GeometryError(
+            f"label shapes disagree: unsafe {unsafe.shape} vs faulty {faulty.shape}"
+        )
+
+
+def extract_blocks(unsafe: BoolGrid, faulty: BoolGrid) -> List[FaultyBlock]:
     """Decompose an unsafe mask into faulty blocks.
 
     Parameters
@@ -91,9 +95,6 @@ def extract_blocks(
         Phase-1 labels (must contain every fault).
     faulty:
         Ground-truth fault mask.
-    backend:
-        ``"vectorized"`` (default) or the ``"reference"`` per-component
-        oracle; identical output either way.
 
     Returns
     -------
@@ -105,27 +106,7 @@ def extract_blocks(
         If a fault lies outside the unsafe mask, or a component is not a
         full rectangle (both indicate a phase-1 bug, never user error).
     """
-    _check_backend(backend)
-    if unsafe.shape != faulty.shape:
-        raise GeometryError(
-            f"label shapes disagree: unsafe {unsafe.shape} vs faulty {faulty.shape}"
-        )
-    if backend == "reference":
-        if np.any(faulty & ~unsafe):
-            raise GeometryError("a faulty node is missing from the unsafe mask")
-        blocks: List[FaultyBlock] = []
-        for comp in connected_components(
-            CellSet(unsafe), connectivity=4, backend="reference"
-        ):
-            if not is_rectangle(comp):
-                raise GeometryError(
-                    f"faulty block {comp!r} is not a rectangle — phase-1 labels corrupt"
-                )
-            rect = bounding_rect(comp)
-            faults_in = CellSet(comp.mask & faulty)
-            blocks.append(FaultyBlock(cells=comp, rect=rect, faults=faults_in))
-        return blocks
-
+    _check_shapes(unsafe, faulty)
     shape = unsafe.shape
     xs, ys = np.nonzero(unsafe)
     fx, fy = np.nonzero(faulty)
@@ -155,3 +136,22 @@ def extract_blocks(
         FaultyBlock(cells=lazy(shape, (a, b, c, d), n), rect=Rect(a, b, c, d), faults=f)
         for (a, b, c, d), n, f in zip(boxes.T.tolist(), sizes.tolist(), faults)
     ]
+
+
+def extract_blocks_reference(unsafe: BoolGrid, faulty: BoolGrid) -> List[FaultyBlock]:
+    """The per-component oracle for :func:`extract_blocks`: BFS
+    components, one rectangle test and one fault mask per block.
+    Same result and the same errors, at per-cell Python cost."""
+    _check_shapes(unsafe, faulty)
+    if np.any(faulty & ~unsafe):
+        raise GeometryError("a faulty node is missing from the unsafe mask")
+    blocks: List[FaultyBlock] = []
+    for comp in connected_components_reference(CellSet(unsafe), connectivity=4):
+        if not is_rectangle(comp):
+            raise GeometryError(
+                f"faulty block {comp!r} is not a rectangle — phase-1 labels corrupt"
+            )
+        rect = bounding_rect(comp)
+        faults_in = CellSet(comp.mask & faulty)
+        blocks.append(FaultyBlock(cells=comp, rect=rect, faults=faults_in))
+    return blocks

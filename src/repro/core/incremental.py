@@ -297,7 +297,7 @@ class IncrementalLabeling:
         self._total_rounds1 = 0
         self._total_rounds2 = 0
         self._num_updates = 0
-        self._geom_cache: Dict[str, Tuple[int, object]] = {}
+        self._geom_cache: Optional[Tuple[int, LabelingResult]] = None
 
     @classmethod
     def from_faults(
@@ -902,11 +902,7 @@ class IncrementalLabeling:
 
     # -- geometric views --------------------------------------------------------
 
-    def snapshot(
-        self,
-        geometry_backend: str = "vectorized",
-        telemetry: Optional[Telemetry] = None,
-    ) -> LabelingResult:
+    def snapshot(self, telemetry: Optional[Telemetry] = None) -> LabelingResult:
         """A full :class:`~repro.core.pipeline.LabelingResult` of the
         current state, equivalent to from-scratch labeling of the
         accumulated faults.  Round counts are the totals the incremental
@@ -915,9 +911,9 @@ class IncrementalLabeling:
         and registry queries never do.  Torus states are unwrapped
         exactly like ``label_mesh`` results (see ``unwrap_shift``).
         """
-        cached = self._geom_cache.get(f"snapshot:{geometry_backend}")
+        cached = self._geom_cache
         if cached is not None and cached[0] == self._version:
-            return cached[1]  # type: ignore[return-value]
+            return cached[1]
         result = assemble_result(
             topology=self._topology,
             faults=self.faults,
@@ -929,23 +925,22 @@ class IncrementalLabeling:
             rounds_phase2=self._total_rounds2,
             backend="incremental",
             method="incremental",
-            geometry_backend=geometry_backend,
             telemetry=telemetry,
         )
-        self._geom_cache[f"snapshot:{geometry_backend}"] = (self._version, result)
+        self._geom_cache = (self._version, result)
         return result
 
-    def blocks_view(self, geometry_backend: str = "vectorized"):
+    def blocks_view(self):
         """Extracted faulty blocks (torus: in the unwrap frame).
 
         Lazily computed and cached per version — repeated queries
         between updates are free.
         """
-        return self.snapshot(geometry_backend).blocks
+        return self.snapshot().blocks
 
-    def regions_view(self, geometry_backend: str = "vectorized"):
+    def regions_view(self):
         """Extracted disabled regions (torus: in the unwrap frame)."""
-        return self.snapshot(geometry_backend).regions
+        return self.snapshot().regions
 
     # -- verification -----------------------------------------------------------
 

@@ -45,7 +45,6 @@ __all__ = ["LabelingResult", "assemble_result", "choose_kernel", "label_mesh"]
 
 Backend = Literal["vectorized", "distributed"]
 Method = Literal["dense", "frontier", "auto"]
-GeometryBackend = Literal["vectorized", "reference"]
 
 #: The frontier kernel runs when the cells that can change are at most
 #: ``1 / _AUTO_SPARSITY`` of the grid; denser instances stay on the dense
@@ -165,7 +164,6 @@ class LabelingResult:
     stats_phase2: Optional[RunStats] = field(default=None, compare=False)
     unwrap_shift: Tuple[int, int] = (0, 0)
     method: str = field(default="dense", compare=False)
-    geometry_backend: str = field(default="vectorized", compare=False)
 
     @property
     def num_unsafe_nonfaulty(self) -> int:
@@ -213,7 +211,6 @@ class LabelingResult:
             "method": self.method,
             "rounds_phase1": self.rounds_phase1,
             "rounds_phase2": self.rounds_phase2,
-            "geometry_backend": self.geometry_backend,
             "num_blocks": len(self.blocks),
             "num_regions": len(self.regions),
             "unsafe_nonfaulty": self.num_unsafe_nonfaulty,
@@ -232,7 +229,6 @@ def label_mesh(
     schedule: Optional[FaultSchedule] = None,
     channel: Optional[ChannelModel] = None,
     telemetry: Optional[Telemetry] = None,
-    geometry_backend: GeometryBackend = "vectorized",
 ) -> LabelingResult:
     """Run the full two-phase pipeline.
 
@@ -280,12 +276,6 @@ def label_mesh(
         ``repro obs summarize`` attributes extraction time per run), and
         threads phase-labeled children into the frontier kernels and the
         fabric engines.  ``None`` (default) disables all instrumentation.
-    geometry_backend:
-        Component labeling and extraction implementation:
-        ``"vectorized"`` (default) runs the union-find label pass with
-        bincount reductions, ``"reference"`` the per-cell BFS oracle.
-        Labels, blocks and regions are bit-for-bit identical (property
-        tested); the reference backend exists for cross-checking.
 
     Returns
     -------
@@ -297,8 +287,6 @@ def label_mesh(
         )
     if method not in ("dense", "frontier", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    if geometry_backend not in ("vectorized", "reference"):
-        raise ValueError(f"unknown geometry backend {geometry_backend!r}")
     dynamic = (schedule is not None and bool(schedule)) or (
         channel is not None and not channel.is_reliable
     )
@@ -367,7 +355,6 @@ def label_mesh(
         stats_phase1=stats1,
         stats_phase2=stats2,
         method=method_used,
-        geometry_backend=geometry_backend,
         telemetry=telemetry,
     )
 
@@ -385,7 +372,6 @@ def assemble_result(
     stats_phase1: Optional[RunStats] = None,
     stats_phase2: Optional[RunStats] = None,
     method: str = "n/a",
-    geometry_backend: GeometryBackend = "vectorized",
     telemetry: Optional[Telemetry] = None,
 ) -> LabelingResult:
     """Turn converged label planes into a full :class:`LabelingResult`.
@@ -409,13 +395,11 @@ def assemble_result(
     labels = LabelGrid(faulty=faulty, unsafe=unsafe, enabled=enabled)
     blocks = _stage(
         telemetry, "extract_blocks", "extract_blocks", _count,
-        lambda t: extract_blocks(unsafe, faulty, backend=geometry_backend),
-        backend=geometry_backend,
+        lambda t: extract_blocks(unsafe, faulty),
     )
     regions = _stage(
         telemetry, "extract_regions", "extract_regions", _count,
-        lambda t: extract_regions(labels.disabled, faulty, backend=geometry_backend),
-        backend=geometry_backend,
+        lambda t: extract_regions(labels.disabled, faulty),
     )
     return LabelingResult(
         topology=topology,
@@ -431,7 +415,6 @@ def assemble_result(
         stats_phase2=stats_phase2,
         unwrap_shift=unwrap_shift,
         method=method,
-        geometry_backend=geometry_backend,
     )
 
 

@@ -11,6 +11,8 @@ Theorem 1 guarantees every DR is an orthogonal convex polygon and
 Theorem 2 that it is the smallest one covering its faults.  Those are
 *checked*, not assumed, by :mod:`repro.core.theorems`; this module only
 extracts the regions and computes their bookkeeping.
+:func:`extract_regions_reference` keeps the original per-component path
+as the oracle for :func:`extract_regions` (property tested).
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
 from repro.geometry.components import (
-    _check_backend,
     _label_coords,
     _lazy_components,
-    connected_components,
+    connected_components_reference,
 )
 from repro.types import BoolGrid
 
@@ -57,9 +58,14 @@ class DisabledRegion:
         return self.cells.diameter()
 
 
-def extract_regions(
-    disabled: BoolGrid, faulty: BoolGrid, backend: str = "vectorized"
-) -> List[DisabledRegion]:
+def _check_shapes(disabled: BoolGrid, faulty: BoolGrid) -> None:
+    if disabled.shape != faulty.shape:
+        raise GeometryError(
+            f"label shapes disagree: disabled {disabled.shape} vs faulty {faulty.shape}"
+        )
+
+
+def extract_regions(disabled: BoolGrid, faulty: BoolGrid) -> List[DisabledRegion]:
     """Decompose a disabled mask into disabled regions.
 
     Parameters
@@ -68,10 +74,8 @@ def extract_regions(
         Phase-2 ``unsafe & ~enabled`` mask (must contain every fault).
     faulty:
         Ground-truth fault mask.
-    backend:
-        ``"vectorized"`` (default) — one union-find label pass plus
-        ``bincount`` group splits — or the ``"reference"`` per-component
-        oracle; identical output either way.
+
+    One union-find label pass plus ``bincount`` group splits.
 
     Returns
     -------
@@ -84,29 +88,7 @@ def extract_regions(
         all (phase 2 can never strand a fault-free region: its nodes
         would have been enabled; hitting this means corrupt labels).
     """
-    _check_backend(backend)
-    if disabled.shape != faulty.shape:
-        raise GeometryError(
-            f"label shapes disagree: disabled {disabled.shape} vs faulty {faulty.shape}"
-        )
-    if backend == "reference":
-        if np.any(faulty & ~disabled):
-            raise GeometryError(
-                "a faulty node is missing from the disabled mask"
-            )
-        regions: List[DisabledRegion] = []
-        for comp in connected_components(
-            CellSet(disabled), connectivity=8, backend="reference"
-        ):
-            faults_in = CellSet(comp.mask & faulty)
-            if not faults_in:
-                raise GeometryError(
-                    f"disabled region {comp!r} contains no fault — "
-                    "phase-2 labels corrupt"
-                )
-            regions.append(DisabledRegion(cells=comp, faults=faults_in))
-        return regions
-
+    _check_shapes(disabled, faulty)
     shape = disabled.shape
     xs, ys = np.nonzero(disabled)
     fx, fy = np.nonzero(faulty)
@@ -125,3 +107,24 @@ def extract_regions(
                 f"disabled region {c!r} contains no fault — phase-2 labels corrupt"
             )
     return [DisabledRegion(cells=c, faults=f) for c, f in zip(cells, faults)]
+
+
+def extract_regions_reference(
+    disabled: BoolGrid, faulty: BoolGrid
+) -> List[DisabledRegion]:
+    """The per-component oracle for :func:`extract_regions`: BFS
+    components and one fault mask per region.  Same result and the
+    same errors, at per-cell Python cost."""
+    _check_shapes(disabled, faulty)
+    if np.any(faulty & ~disabled):
+        raise GeometryError("a faulty node is missing from the disabled mask")
+    regions: List[DisabledRegion] = []
+    for comp in connected_components_reference(CellSet(disabled), connectivity=8):
+        faults_in = CellSet(comp.mask & faulty)
+        if not faults_in:
+            raise GeometryError(
+                f"disabled region {comp!r} contains no fault — "
+                "phase-2 labels corrupt"
+            )
+        regions.append(DisabledRegion(cells=comp, faults=faults_in))
+    return regions

@@ -11,7 +11,6 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "CellSet",
-    "GEOMETRY_BACKENDS",
     "Rect",
     "boundary_loops",
     "bounding_rect",
@@ -41,8 +40,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "boundary": ("boundary_loops", "corner_cells", "perimeter"),
     "cells": ("CellSet",),
     "components": (
-        "GEOMETRY_BACKENDS", "connected_components", "is_connected", "label_components",
-        "set_distance",
+        "connected_components", "is_connected", "label_components", "set_distance",
     ),
     "orthoconvex": (
         "column_runs", "fill_spans", "is_orthoconvex", "orthoconvex_closure",

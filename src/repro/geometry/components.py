@@ -10,21 +10,17 @@ Two connectivities matter in the paper:
   single corner point as part of one region (its Section 3 example puts
   faults ``(2,1)`` and ``(3,2)`` into one disabled region).
 
-Two interchangeable labeling backends are provided:
+Components are labeled by a NumPy two-pass union-find: cells are first
+grouped into vertical runs with one cumulative-sum pass, run
+adjacencies are extracted with whole-array shifts, and the run graph is
+collapsed by vectorized pointer jumping.  No per-cell Python work; this
+is what makes block/region extraction cheap enough for the per-trial
+hot path of large sweeps.
 
-* ``"vectorized"`` (default) — a NumPy two-pass union-find: cells are
-  first grouped into vertical runs with one cumulative-sum pass, run
-  adjacencies are extracted with whole-array shifts, and the run graph
-  is collapsed by vectorized pointer jumping.  No per-cell Python work;
-  this is what makes block/region extraction cheap enough for the
-  per-trial hot path of large sweeps.
-
-* ``"reference"`` — the original per-cell breadth-first flood fill,
-  kept as the oracle the property tests pin the vectorized backend
-  against bit-for-bit.
-
-Both return components ordered by their smallest row-major member, so
-results are deterministic and backend-independent.
+:func:`connected_components_reference` keeps the original per-cell
+breadth-first flood fill as the oracle the property tests pin the
+union-find pass against bit-for-bit.  Both return components ordered by
+their smallest row-major member, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ __all__ = [
     "label_components",
     "Connectivity4",
     "Connectivity8",
-    "GEOMETRY_BACKENDS",
 ]
 
 #: Neighbour offsets for mesh-link (edge) adjacency.
@@ -54,17 +49,6 @@ Connectivity8 = (
     (1, 0), (-1, 0), (0, 1), (0, -1),
     (1, 1), (1, -1), (-1, 1), (-1, -1),
 )
-
-#: The interchangeable geometry backends (see module docstring).
-GEOMETRY_BACKENDS = ("vectorized", "reference")
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in GEOMETRY_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {GEOMETRY_BACKENDS}, got {backend!r}"
-        )
-
 
 def _check_connectivity(connectivity: int) -> None:
     if connectivity not in (4, 8):
@@ -170,7 +154,7 @@ def label_components(mask: BoolGrid, connectivity: int = 4) -> Tuple[np.ndarray,
         ``labels`` is an ``int32`` grid of the mask's shape holding
         ``-1`` for non-members and the component index for members;
         components are numbered ``0..count-1`` by their smallest
-        row-major member, matching the ``"reference"`` backend's order.
+        row-major member, matching :func:`connected_components_reference`.
     """
     _check_connectivity(connectivity)
     labels = np.full(mask.shape, -1, dtype=np.int32)
@@ -180,9 +164,7 @@ def label_components(mask: BoolGrid, connectivity: int = 4) -> Tuple[np.ndarray,
     return labels, count
 
 
-def connected_components(
-    cells: CellSet, connectivity: int = 4, backend: str = "vectorized"
-) -> List[CellSet]:
+def connected_components(cells: CellSet, connectivity: int = 4) -> List[CellSet]:
     """Split ``cells`` into maximal connected components.
 
     Parameters
@@ -192,10 +174,6 @@ def connected_components(
     connectivity:
         4 for mesh-link adjacency (faulty blocks) or 8 for king-move
         adjacency (disabled regions).
-    backend:
-        ``"vectorized"`` (default) for the union-find label pass or
-        ``"reference"`` for the per-cell BFS oracle; both produce the
-        identical component list.
 
     Returns
     -------
@@ -203,9 +181,6 @@ def connected_components(
         Components ordered by their smallest row-major member, so the
         result is deterministic.
     """
-    _check_backend(backend)
-    if backend == "reference":
-        return _connected_components_reference(cells, connectivity)
     _check_connectivity(connectivity)
     xs, ys = cells._coords()
     comp_of, count = _label_coords(xs, ys, cells.shape, connectivity)
@@ -253,10 +228,11 @@ def _lazy_components(
     ]
 
 
-def _connected_components_reference(
+def connected_components_reference(
     cells: CellSet, connectivity: int = 4
 ) -> List[CellSet]:
-    """The per-cell BFS flood fill — the oracle backend."""
+    """The per-cell BFS flood fill — the oracle for
+    :func:`connected_components`, which returns the identical list."""
     _check_connectivity(connectivity)
     offsets = Connectivity4 if connectivity == 4 else Connectivity8
 
@@ -285,15 +261,10 @@ def _connected_components_reference(
     return components
 
 
-def is_connected(
-    cells: CellSet, connectivity: int = 4, backend: str = "vectorized"
-) -> bool:
+def is_connected(cells: CellSet, connectivity: int = 4) -> bool:
     """Whether ``cells`` is non-empty and forms a single component."""
-    _check_backend(backend)
     if not cells:
         return False
-    if backend == "reference":
-        return len(_connected_components_reference(cells, connectivity)) == 1
     _check_connectivity(connectivity)
     xs, ys = cells._coords()
     return _label_coords(xs, ys, cells.shape, connectivity)[1] == 1

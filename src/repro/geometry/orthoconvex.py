@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
-from repro.geometry.components import connected_components, is_connected
+from repro.geometry.components import is_connected
 from repro.types import BoolGrid
 
 __all__ = [
@@ -68,9 +68,7 @@ def fill_spans(mask: BoolGrid, axis: int) -> BoolGrid:
     return _span_mask(mask, axis)
 
 
-def is_orthoconvex(
-    cells: CellSet, require_connected: bool = True, backend: str = "vectorized"
-) -> bool:
+def is_orthoconvex(cells: CellSet, require_connected: bool = True) -> bool:
     """Whether a cell set is an orthogonal convex region.
 
     Parameters
@@ -81,10 +79,6 @@ def is_orthoconvex(
         Also require 8-connectivity (a single polygon, corner contacts
         allowed), which is part of what Theorem 1 asserts for disabled
         regions.  Set to False to test span-contiguity alone.
-    backend:
-        Geometry backend for the connectivity half of the test
-        (``"vectorized"`` union-find or the ``"reference"`` BFS oracle);
-        the span-contiguity half is whole-grid either way.
     """
     if not cells:
         return False
@@ -93,7 +87,7 @@ def is_orthoconvex(
         return False
     if np.any(_span_mask(mask, 1) & ~mask):
         return False
-    if require_connected and not is_connected(cells, connectivity=8, backend=backend):
+    if require_connected and not is_connected(cells, connectivity=8):
         return False
     return True
 

@@ -73,16 +73,12 @@ def _closest_pair(a: CellSet, b: CellSet) -> Tuple[Coord, Coord, int]:
     return u, v, int(cheb[i, j]) - 1
 
 
-def connect_orthoconvex(
-    cells: CellSet, max_rounds: int = 10_000, backend: str = "vectorized"
-) -> CellSet:
+def connect_orthoconvex(cells: CellSet, max_rounds: int = 10_000) -> CellSet:
     """Smallest-effort orthogonal convex *polygon* containing ``cells``.
 
     Alternates orthoconvex closure with greedy nearest-fragment staircase
     joins until the region is a single 8-connected component.  See the
-    module docstring for the optimality caveat.  ``backend`` selects the
-    component labeling implementation (vectorized union-find by default,
-    the BFS reference as oracle); the result is backend-independent.
+    module docstring for the optimality caveat.
 
     Raises
     ------
@@ -94,7 +90,7 @@ def connect_orthoconvex(
         raise GeometryError("cannot build a polygon from an empty cell set")
     current = orthoconvex_closure(cells)
     for _ in range(max_rounds):
-        comps = connected_components(current, connectivity=8, backend=backend)
+        comps = connected_components(current, connectivity=8)
         if len(comps) == 1:
             return current
         # Greedy: join the globally cheapest fragment pair.

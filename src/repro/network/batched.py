@@ -32,9 +32,8 @@ functions of committed state, and contention is resolved by first
 occurrence in id order — so a run is a deterministic function of
 ``(view, kernel, traffic, max_cycles)``, independent of batch size or
 chunking.  ``engine="reference"`` replays the identical schedule with
-scalar Python loops (the oracle, following the
-``geometry_backend="reference"`` convention); property tests pin the
-two bit-for-bit.
+scalar Python loops (the oracle); property tests pin the two
+bit-for-bit.
 
 Idle gaps with nothing in flight are skipped by fast-forwarding the
 clock to the next injection, so low injection rates cost nothing.

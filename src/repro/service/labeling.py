@@ -266,10 +266,10 @@ class LabelingService:
     def block_summaries(self) -> List[Dict[str, object]]:
         return self._engine.block_summaries()
 
-    def snapshot(self, geometry_backend: str = "vectorized") -> LabelingResult:
+    def snapshot(self) -> LabelingResult:
         """Full :class:`LabelingResult` of the current state (cached per
         version)."""
-        return self._engine.snapshot(geometry_backend, telemetry=self._telemetry)
+        return self._engine.snapshot(telemetry=self._telemetry)
 
     # -- updates ----------------------------------------------------------------
 

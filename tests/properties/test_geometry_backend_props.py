@@ -1,12 +1,14 @@
-"""Vectorized vs reference geometry backends must agree bit-for-bit.
+"""Vectorized geometry must agree bit-for-bit with the reference oracles.
 
-The ``"vectorized"`` backend (union-find labeling, searchsorted fault
-mapping, run-length contiguity) is the default; the ``"reference"``
-backend keeps the original per-cell BFS / per-component code as an
-oracle.  These properties pin the fast path to the oracle: component
-decomposition (both connectivities), connectedness, block and region
-extraction through the full pipeline on mesh and torus under both
-safety definitions and both fault generators, and the orthoconvexity
+Production geometry is vectorized (union-find labeling, searchsorted
+fault mapping, run-length contiguity).  The original per-cell BFS and
+per-component code survives as plain functions —
+``connected_components_reference``, ``extract_blocks_reference`` and
+``extract_regions_reference`` — called here by name.  These properties
+pin the fast path to them: component decomposition (both
+connectivities), connectedness, block and region extraction on the
+planes of full pipeline runs on mesh and torus under both safety
+definitions and both fault generators, and the orthoconvexity
 predicates.
 """
 
@@ -15,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.blocks import extract_blocks_reference
 from repro.core.pipeline import label_mesh
+from repro.core.regions import extract_regions_reference
 from repro.core.status import SafetyDefinition
 from repro.errors import GeometryError
-from repro.faults import FaultSet
 from repro.faults.generators import clustered, uniform_random
 from repro.geometry import (
     CellSet,
@@ -29,6 +32,7 @@ from repro.geometry import (
     row_runs,
     column_runs,
 )
+from repro.geometry.components import connected_components_reference
 from repro.mesh import Mesh2D, Torus2D
 
 GRID = (10, 10)
@@ -51,22 +55,21 @@ def cell_sets(draw, min_cells=0, max_cells=18):
 class TestComponentBackendAgreement:
     @given(cell_sets(), st.sampled_from([4, 8]))
     def test_connected_components_match(self, s, conn):
-        fast = connected_components(s, connectivity=conn, backend="vectorized")
-        slow = connected_components(s, connectivity=conn, backend="reference")
+        fast = connected_components(s, connectivity=conn)
+        slow = connected_components_reference(s, connectivity=conn)
         assert fast == slow  # same components, same order
 
     @given(cell_sets(), st.sampled_from([4, 8]))
     def test_is_connected_matches(self, s, conn):
-        assert is_connected(s, conn, backend="vectorized") == is_connected(
-            s, conn, backend="reference"
-        )
+        oracle = len(connected_components_reference(s, conn)) == 1
+        assert is_connected(s, conn) == oracle
 
     @given(cell_sets(), st.sampled_from([4, 8]))
     def test_label_grid_matches_reference_order(self, s, conn):
         # label_components numbers components by smallest row-major
         # member — exactly the order the BFS oracle discovers them in.
         labels, count = label_components(s.mask, connectivity=conn)
-        oracle = connected_components(s, connectivity=conn, backend="reference")
+        oracle = connected_components_reference(s, connectivity=conn)
         assert count == len(oracle)
         expected = np.full(GRID, -1, dtype=np.int32)
         for k, comp in enumerate(oracle):
@@ -106,33 +109,28 @@ class TestPipelineBackendAgreement:
         topo = topo_cls(12, 12)
         faults = _make_faults(topo, generator, count, seed)
         try:
-            fast = label_mesh(topo, faults, definition=definition)
+            result = label_mesh(topo, faults, definition=definition)
         except ValueError:
             # Dense torus workloads can make the unsafe set wrap every
             # column/row, which the unwrap step rejects before geometry
-            # runs.  The backends must agree on that rejection too.
-            with pytest.raises(ValueError):
-                label_mesh(
-                    topo, faults, definition=definition,
-                    geometry_backend="reference",
-                )
+            # runs (test_frontier_props pins that rejection).
             return
-        slow = label_mesh(
-            topo, faults, definition=definition, geometry_backend="reference"
+        # The oracles run on the pipeline's own (torus: unwrapped) planes.
+        labels = result.labels
+        assert result.blocks == extract_blocks_reference(labels.unsafe, labels.faulty)
+        assert result.regions == extract_regions_reference(
+            labels.disabled, labels.faulty
         )
-        assert np.array_equal(fast.labels.unsafe, slow.labels.unsafe)
-        assert np.array_equal(fast.labels.enabled, slow.labels.enabled)
-        assert np.array_equal(fast.labels.disabled, slow.labels.disabled)
-        assert fast.blocks == slow.blocks
-        assert fast.regions == slow.regions
 
 
 class TestOrthoconvexityBackendAgreement:
     @given(cell_sets())
     def test_is_orthoconvex_matches(self, s):
-        assert is_orthoconvex(s, backend="vectorized") == is_orthoconvex(
-            s, backend="reference"
+        # Span contiguity plus 8-connectivity by the BFS oracle.
+        oracle = is_orthoconvex(s, require_connected=False) and (
+            len(connected_components_reference(s, connectivity=8)) == 1
         )
+        assert is_orthoconvex(s) == oracle
 
     @given(cell_sets())
     def test_row_runs_match_per_line_oracle(self, s):

@@ -397,14 +397,14 @@ class TestServeCommand:
         rc = main(
             ["serve", "--size", "16", "--port", "0", "--wal-dir", wal_dir]
         )
-        out = capsys.readouterr().out
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "already holds durability state" in out
+        assert "serve: " in err and "already holds durability state" in err
 
     def test_recover_requires_wal_dir(self, capsys):
         rc = main(["serve", "--size", "16", "--port", "0", "--recover"])
         assert rc == 2
-        assert "--recover needs --wal-dir" in capsys.readouterr().out
+        assert "serve: --recover needs --wal-dir" in capsys.readouterr().err
 
     def test_recover_wrong_topology_fails_loud(self, tmp_path, capsys):
         from repro.mesh import Mesh2D
@@ -422,9 +422,9 @@ class TestServeCommand:
                 "--wal-dir", wal_dir, "--recover",
             ]
         )
-        out = capsys.readouterr().out
+        err = capsys.readouterr().err
         assert rc == 1
-        assert "recovery failed" in out
+        assert "serve: recovery failed" in err
 
 
 class TestObsCommand:
