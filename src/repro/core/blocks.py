@@ -7,13 +7,13 @@ mask into blocks and — because that rectangularity is a theorem, not an
 assumption — validates it for every component, failing loudly if a
 non-rectangular component ever appears.
 
-:func:`extract_blocks` runs one union-find label pass and reduces
-bounding boxes, sizes and per-block fault counts with ``bincount``-style
-scatter reductions; every block's cells and faults are lazily built
-:class:`~repro.geometry.cells.CellSet` values, so no component touches
-a grid until it is read.  :func:`extract_blocks_reference` keeps the
-original per-component path as the oracle; both return the identical
-block list (property tested).
+:func:`extract_blocks` runs one union-find label pass over the vertical
+runs of the unsafe mask and reduces bounding boxes and sizes over those
+runs, not over member cells; every block's cells and faults are lazily
+built :class:`~repro.geometry.cells.CellSet` values, so no component
+touches a grid until it is read.  :func:`extract_blocks_reference`
+keeps the original per-component path as the oracle; both return the
+identical block list (property tested).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
 from repro.geometry.components import (
-    _component_boxes,
-    _label_coords,
+    _fault_runs,
+    _label_runs,
     _lazy_components,
     connected_components_reference,
 )
@@ -79,11 +79,13 @@ class FaultyBlock:
         return self.num_nonfaulty > 0
 
 
-def _check_shapes(unsafe: BoolGrid, faulty: BoolGrid) -> None:
+def _check_planes(unsafe: BoolGrid, faulty: BoolGrid) -> None:
     if unsafe.shape != faulty.shape:
         raise GeometryError(
             f"label shapes disagree: unsafe {unsafe.shape} vs faulty {faulty.shape}"
         )
+    if np.any(faulty & ~unsafe):
+        raise GeometryError("a faulty node is missing from the unsafe mask")
 
 
 def extract_blocks(unsafe: BoolGrid, faulty: BoolGrid) -> List[FaultyBlock]:
@@ -106,31 +108,24 @@ def extract_blocks(unsafe: BoolGrid, faulty: BoolGrid) -> List[FaultyBlock]:
         If a fault lies outside the unsafe mask, or a component is not a
         full rectangle (both indicate a phase-1 bug, never user error).
     """
-    _check_shapes(unsafe, faulty)
+    _check_planes(unsafe, faulty)
     shape = unsafe.shape
     xs, ys = np.nonzero(unsafe)
     fx, fy = np.nonzero(faulty)
-    # Fault containment and fault->block mapping in one binary search:
-    # a fault's linear index must appear in the sorted unsafe scan.
-    lin = xs * shape[1] + ys
-    flin = fx * shape[1] + fy
-    fpos = np.minimum(np.searchsorted(lin, flin), max(lin.size - 1, 0))
-    if flin.size and (lin.size == 0 or not np.array_equal(lin[fpos], flin)):
-        raise GeometryError("a faulty node is missing from the unsafe mask")
-    comp_of, count = _label_coords(xs, ys, shape, connectivity=4)
-    sizes = np.bincount(comp_of, minlength=count)
-    boxes = _component_boxes(comp_of, xs, ys, count)
+    runs = _label_runs(xs, ys, shape, connectivity=4)
+    sizes = runs.sizes()
+    boxes = runs.boxes()
     x0, y0, x1, y1 = boxes
     bad = np.flatnonzero(sizes != (x1 - x0 + 1) * (y1 - y0 + 1))
     if bad.size:
-        members = comp_of == bad[0]
+        members = runs.member_comps() == bad[0]
         culprit = CellSet.from_coords(
             shape, zip(xs[members].tolist(), ys[members].tolist())
         )
         raise GeometryError(
             f"faulty block {culprit!r} is not a rectangle — phase-1 labels corrupt"
         )
-    faults = _lazy_components(shape, fx, fy, comp_of[fpos], count)
+    faults = _lazy_components(shape, fx, fy, _fault_runs(runs, fx, fy, shape[1]))
     lazy = CellSet._lazy
     return [
         FaultyBlock(cells=lazy(shape, (a, b, c, d), n), rect=Rect(a, b, c, d), faults=f)
@@ -142,9 +137,7 @@ def extract_blocks_reference(unsafe: BoolGrid, faulty: BoolGrid) -> List[FaultyB
     """The per-component oracle for :func:`extract_blocks`: BFS
     components, one rectangle test and one fault mask per block.
     Same result and the same errors, at per-cell Python cost."""
-    _check_shapes(unsafe, faulty)
-    if np.any(faulty & ~unsafe):
-        raise GeometryError("a faulty node is missing from the unsafe mask")
+    _check_planes(unsafe, faulty)
     blocks: List[FaultyBlock] = []
     for comp in connected_components_reference(CellSet(unsafe), connectivity=4):
         if not is_rectangle(comp):

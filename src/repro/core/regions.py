@@ -25,7 +25,8 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
 from repro.geometry.components import (
-    _label_coords,
+    _fault_runs,
+    _label_runs,
     _lazy_components,
     connected_components_reference,
 )
@@ -58,11 +59,13 @@ class DisabledRegion:
         return self.cells.diameter()
 
 
-def _check_shapes(disabled: BoolGrid, faulty: BoolGrid) -> None:
+def _check_planes(disabled: BoolGrid, faulty: BoolGrid) -> None:
     if disabled.shape != faulty.shape:
         raise GeometryError(
             f"label shapes disagree: disabled {disabled.shape} vs faulty {faulty.shape}"
         )
+    if np.any(faulty & ~disabled):
+        raise GeometryError("a faulty node is missing from the disabled mask")
 
 
 def extract_regions(disabled: BoolGrid, faulty: BoolGrid) -> List[DisabledRegion]:
@@ -75,7 +78,8 @@ def extract_regions(disabled: BoolGrid, faulty: BoolGrid) -> List[DisabledRegion
     faulty:
         Ground-truth fault mask.
 
-    One union-find label pass plus ``bincount`` group splits.
+    One union-find label pass over the disabled mask's vertical runs;
+    sizes, boxes and group splits are reduced over those runs.
 
     Returns
     -------
@@ -88,19 +92,13 @@ def extract_regions(disabled: BoolGrid, faulty: BoolGrid) -> List[DisabledRegion
         all (phase 2 can never strand a fault-free region: its nodes
         would have been enabled; hitting this means corrupt labels).
     """
-    _check_shapes(disabled, faulty)
+    _check_planes(disabled, faulty)
     shape = disabled.shape
     xs, ys = np.nonzero(disabled)
     fx, fy = np.nonzero(faulty)
-    # Fault containment and fault->region mapping in one binary search.
-    lin = xs * shape[1] + ys
-    flin = fx * shape[1] + fy
-    fpos = np.minimum(np.searchsorted(lin, flin), max(lin.size - 1, 0))
-    if flin.size and (lin.size == 0 or not np.array_equal(lin[fpos], flin)):
-        raise GeometryError("a faulty node is missing from the disabled mask")
-    comp_of, count = _label_coords(xs, ys, shape, connectivity=8)
-    cells = _lazy_components(shape, xs, ys, comp_of, count)
-    faults = _lazy_components(shape, fx, fy, comp_of[fpos], count)
+    runs = _label_runs(xs, ys, shape, connectivity=8)
+    cells = _lazy_components(shape, xs, ys, runs)
+    faults = _lazy_components(shape, fx, fy, _fault_runs(runs, fx, fy, shape[1]))
     for c, f in zip(cells, faults):
         if not f:
             raise GeometryError(
@@ -115,9 +113,7 @@ def extract_regions_reference(
     """The per-component oracle for :func:`extract_regions`: BFS
     components and one fault mask per region.  Same result and the
     same errors, at per-cell Python cost."""
-    _check_shapes(disabled, faulty)
-    if np.any(faulty & ~disabled):
-        raise GeometryError("a faulty node is missing from the disabled mask")
+    _check_planes(disabled, faulty)
     regions: List[DisabledRegion] = []
     for comp in connected_components_reference(CellSet(disabled), connectivity=8):
         faults_in = CellSet(comp.mask & faulty)

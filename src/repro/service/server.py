@@ -579,8 +579,13 @@ class LabelingServer:
 
     def serve_forever(self) -> None:
         """Block serving requests until :meth:`shutdown` (or the
-        ``shutdown`` op / ``max_requests``)."""
-        self._server.serve_forever(poll_interval=0.05)
+        ``shutdown`` op / ``max_requests``), then close the listening
+        socket so later connects are refused at once instead of queueing
+        on a listener nobody accepts from."""
+        try:
+            self._server.serve_forever(poll_interval=0.05)
+        finally:
+            self.close()
 
     def serve_in_thread(self) -> threading.Thread:
         """Start serving on a daemon thread; returns the thread."""
@@ -615,7 +620,7 @@ class LabelingServer:
         return drained
 
     def close(self) -> None:
-        """Release the listening socket."""
+        """Release the listening socket (idempotent)."""
         self._server.server_close()
 
     def __enter__(self) -> "LabelingServer":
@@ -628,7 +633,4 @@ class LabelingServer:
 
 def serve_forever(server: LabelingServer) -> None:
     """Module-level convenience used by the CLI."""
-    try:
-        server.serve_forever()
-    finally:
-        server.close()
+    server.serve_forever()

@@ -418,22 +418,26 @@ class TestServerHardening:
         def updater(i):
             try:
                 barrier.wait(timeout=5)
-                sock = socket_module.create_connection((host, port), timeout=5)
-                rfile = sock.makefile("rb")
-                for n in range(20):
-                    sock.sendall(
-                        json.dumps(
-                            {"op": "update", "inject": [[8 + i, 8 + n % 4]],
-                             "repair": []}
-                        ).encode() + b"\n"
-                    )
-                    line = rfile.readline()
-                    if line == b"":
-                        return  # clean close: fine during shutdown
-                    # Any returned line must be one complete JSON object.
-                    response = json.loads(line)
-                    assert "ok" in response
-                sock.close()
+                # A stopped server must refuse or reset at once: a read
+                # that waits out this deadline is a failure, not a close.
+                with socket_module.create_connection(
+                    (host, port), timeout=2
+                ) as sock, sock.makefile("rb") as rfile:
+                    for n in range(20):
+                        sock.sendall(
+                            json.dumps(
+                                {"op": "update", "inject": [[8 + i, 8 + n % 4]],
+                                 "repair": []}
+                            ).encode() + b"\n"
+                        )
+                        line = rfile.readline()
+                        if line == b"":
+                            return  # clean close: fine during shutdown
+                        # Any returned line must be one complete JSON object.
+                        response = json.loads(line)
+                        assert "ok" in response
+            except TimeoutError as exc:
+                failures.append(exc)
             except (ConnectionError, OSError):
                 pass  # clean connection-level close: acceptable
             except Exception as exc:  # pragma: no cover - failure detail
