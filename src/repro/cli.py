@@ -48,6 +48,20 @@ def _port(text: str) -> int:
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for a count that may be 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -159,9 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig5.add_argument("--definition", choices=["2a", "2b"], default="2b")
     p_fig5.add_argument("--torus", action="store_true")
     p_fig5.add_argument(
-        "--f-max", type=int, default=100, help="largest fault count in the sweep"
+        "--f-max",
+        type=_non_negative_int,
+        default=100,
+        help="largest fault count in the sweep",
     )
-    p_fig5.add_argument("--f-step", type=int, default=10)
+    p_fig5.add_argument("--f-step", type=_positive_int, default=10)
     p_fig5.add_argument(
         "--method",
         choices=["dense", "frontier", "auto"],
@@ -177,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_route = sub.add_parser("route", help="compare routing under both models")
     common(p_route)
-    p_route.add_argument("--pairs", type=int, default=200)
+    p_route.add_argument("--pairs", type=_positive_int, default=200)
 
     p_density = sub.add_parser("density", help="fault-density study")
     p_density.add_argument("--size", type=int, default=48)

@@ -20,11 +20,9 @@ __all__ = [
     "corner_cells",
     "fill_spans",
     "is_connected",
-    "is_monotone_path",
     "is_orthoconvex",
     "is_rectangle",
     "label_components",
-    "monotone_path_within",
     "orthoconvex_closure",
     "perimeter",
     "quadrant_extreme_corner",
@@ -46,7 +44,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "column_runs", "fill_spans", "is_orthoconvex", "orthoconvex_closure",
         "row_runs",
     ),
-    "paths": ("is_monotone_path", "monotone_path_within"),
     "quadrants": ("quadrant_extreme_corner", "quadrant_mask", "quadrants_with_members"),
     "rectangles": ("Rect", "bounding_rect", "is_rectangle"),
     "staircase": ("connect_orthoconvex", "staircase_cells"),

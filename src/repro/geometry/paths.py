@@ -13,6 +13,10 @@ monotone 8-moves; the property suite asserts existence for every cell
 pair of every pipeline-produced disabled region, and the perimeter
 identity ``perimeter == 2 * (bbox_width + bbox_height)`` that makes rim
 detour lengths predictable.
+
+This module is a test oracle for Theorem 1: nothing in the library
+calls it, so :mod:`repro.geometry` does not export it and the tests
+import it from here by name.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Grid topology substrate: 2-D meshes and tori, coordinates, ghost frames.
+"""Grid topology substrate: 2-D meshes and tori, coordinates, directions.
 
 This package models the interconnection network of a mesh-connected
 multicomputer at the level the paper needs: node addresses, per-dimension
@@ -12,23 +12,15 @@ __all__ = [
     "DIRECTIONS",
     "Dimension",
     "Direction",
-    "GhostFrame",
     "Mesh2D",
     "Quadrant",
     "Topology",
     "Torus2D",
     "add",
-    "chebyshev",
-    "neighbors4",
-    "neighbors8",
     "sub",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "coords": (
-        "DIRECTIONS", "Dimension", "Direction", "Quadrant", "add", "chebyshev",
-        "neighbors4", "neighbors8", "sub",
-    ),
-    "ghost": ("GhostFrame",),
+    "coords": ("DIRECTIONS", "Dimension", "Direction", "Quadrant", "add", "sub"),
     "topology": ("Mesh2D", "Topology", "Torus2D"),
 })

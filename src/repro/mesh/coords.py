@@ -11,7 +11,7 @@ Lemmas 2 and 3.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from repro.types import Coord
 
@@ -22,9 +22,6 @@ __all__ = [
     "DIRECTIONS",
     "add",
     "sub",
-    "neighbors4",
-    "neighbors8",
-    "chebyshev",
 ]
 
 
@@ -132,31 +129,3 @@ def add(c: Coord, d: Coord) -> Coord:
 def sub(c: Coord, d: Coord) -> Coord:
     """Component-wise coordinate subtraction."""
     return (c[0] - d[0], c[1] - d[1])
-
-
-def neighbors4(c: Coord) -> Iterator[Coord]:
-    """The four edge-adjacent (mesh-link) neighbours of ``c``, unbounded."""
-    x, y = c
-    yield (x + 1, y)
-    yield (x - 1, y)
-    yield (x, y + 1)
-    yield (x, y - 1)
-
-
-def neighbors8(c: Coord) -> Iterator[Coord]:
-    """The eight king-move neighbours of ``c``, unbounded.
-
-    Used for disabled-region components: the paper treats diagonally
-    touching disabled nodes as part of one region (their closed unit
-    squares share a corner point).
-    """
-    x, y = c
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if dx or dy:
-                yield (x + dx, y + dy)
-
-
-def chebyshev(u: Coord, v: Coord) -> int:
-    """Chebyshev (king-move) distance between two addresses."""
-    return max(abs(u[0] - v[0]), abs(u[1] - v[1]))

@@ -28,17 +28,13 @@ __all__ = [
     "FRingRouter",
     "FaultModelView",
     "MinimalRouter",
-    "NegativeFirstRouter",
     "Router",
-    "WestFirstRouter",
     "RouteResult",
     "RoutingMetrics",
     "SafetyLevelRouter",
     "WallRouter",
     "XYRouter",
     "safety_levels",
-    "all_channels",
-    "all_enabled_pairs",
     "channel_dependency_graph",
     "deadlock_cycles",
     "evaluate_router",
@@ -51,14 +47,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "base": ("FaultModelView", "Router"),
     "bfs": ("BFSRouter",),
     "cdg": (
-        "all_enabled_pairs", "channel_dependency_graph", "deadlock_cycles",
-        "is_deadlock_free",
+        "Channel", "channel_dependency_graph", "deadlock_cycles", "is_deadlock_free",
     ),
-    "channels": ("Channel", "all_channels"),
     "fring": ("FRingRouter",),
     "metrics": ("RoutingMetrics", "evaluate_router", "sample_pairs"),
     "minimal": ("MinimalRouter", "minimal_feasible"),
-    "turns": ("NegativeFirstRouter", "WestFirstRouter"),
     "packet": ("DropReason", "RouteResult"),
     "vectorized": ("DetourKernel", "TrafficKernel", "XYKernel", "make_kernel"),
     "wall": ("WallRouter",),

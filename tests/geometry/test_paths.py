@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.geometry import (
-    CellSet,
-    is_monotone_path,
-    monotone_path_within,
-    shapes,
-)
+from repro.geometry import CellSet, shapes
+from repro.geometry.paths import is_monotone_path, monotone_path_within
 
 SHAPE = (12, 12)
 

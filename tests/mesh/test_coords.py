@@ -8,12 +8,8 @@ from repro.mesh.coords import (
     Direction,
     Quadrant,
     add,
-    chebyshev,
-    neighbors4,
-    neighbors8,
     sub,
 )
-from repro.types import manhattan
 
 
 class TestDimension:
@@ -91,18 +87,3 @@ class TestCoordHelpers:
     def test_add_sub_roundtrip(self):
         assert add((2, 3), (1, -1)) == (3, 2)
         assert sub(add((2, 3), (5, 7)), (5, 7)) == (2, 3)
-
-    def test_neighbors4_count_and_distance(self):
-        n = list(neighbors4((5, 5)))
-        assert len(n) == 4
-        assert all(manhattan((5, 5), v) == 1 for v in n)
-
-    def test_neighbors8_count_and_distance(self):
-        n = list(neighbors8((5, 5)))
-        assert len(n) == 8
-        assert all(chebyshev((5, 5), v) == 1 for v in n)
-        assert (5, 5) not in n
-
-    def test_chebyshev_vs_manhattan(self):
-        assert chebyshev((0, 0), (3, 4)) == 4
-        assert manhattan((0, 0), (3, 4)) == 7

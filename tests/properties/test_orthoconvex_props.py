@@ -17,11 +17,8 @@ from hypothesis import strategies as st
 
 from repro.core import label_mesh
 from repro.faults import FaultSet
-from repro.geometry import (
-    is_monotone_path,
-    monotone_path_within,
-    perimeter,
-)
+from repro.geometry import perimeter
+from repro.geometry.paths import is_monotone_path, monotone_path_within
 from repro.mesh import Mesh2D
 
 W = H = 11

@@ -90,6 +90,28 @@ class TestErrorBoundary:
             f"error: argument {flag}: port must be 0-65535, got {value}"
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["route", "--pairs", "0"], "--pairs: must be a positive integer, got 0"),
+            (["route", "--pairs", "-1"], "--pairs: must be a positive integer, got -1"),
+            (["fig5", "--f-step", "0"], "--f-step: must be a positive integer, got 0"),
+            (["fig5", "--f-step", "-5"], "--f-step: must be a positive integer, got -5"),
+            (
+                ["fig5", "--f-max", "-1"],
+                "--f-max: must be a non-negative integer, got -1",
+            ),
+        ],
+    )
+    def test_bad_counts_rejected(self, argv, message, capsys):
+        # Rejected by argparse before any work is done.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.splitlines()[-1] == f"repro {argv[0]}: error: argument {message}"
+
 
 class TestLabelCommand:
     def test_basic_run(self, capsys):

@@ -1,14 +1,18 @@
-"""Import boundaries and the public API of every package.
+"""Import boundaries, the static import graph and the public API.
 
 Package ``__init__`` modules resolve their exports on first access
 (``repro._lazy``), so a command loads only the modules it runs.  The
 boundary tests run in fresh interpreters, because this test process has
 long since imported everything; the API tests check that laziness never
-changes what a public name resolves to.
+changes what a public name resolves to.  The import-graph tests read the
+source: the package depends on the standard library and numpy alone,
+and every module has a caller outside the tests unless it is listed as
+an oracle.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -21,7 +25,9 @@ import pytest
 
 import repro
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+PKG = os.path.dirname(os.path.abspath(repro.__file__))
+SRC = os.path.dirname(PKG)
+ROOT = os.path.dirname(SRC)
 
 PACKAGES = [
     "repro",
@@ -59,7 +65,6 @@ def _loaded_after(code: str, modules) -> list:
 class TestImportBoundaries:
     def test_label_mesh_loads_no_fabric_service_or_http(self):
         forbidden = [
-            "networkx",
             "repro.fabric.engine",
             "repro.fabric.async_engine",
             "repro.service",
@@ -89,14 +94,12 @@ class TestImportBoundaries:
             if line.startswith("import time:")
         }
         assert "repro.core.pipeline" in loaded
-        for name in ["networkx", "repro.fabric.engine", "repro.service", "http.server"]:
+        for name in ["repro.fabric.engine", "repro.service", "http.server"]:
             assert name not in loaded
 
-    def test_routing_loads_networkx_only_for_deadlock_checks(self):
+    def test_deadlock_check_after_view_import(self):
         code = (
             "from repro.routing import FaultModelView\n"
-            "import sys\n"
-            "assert 'networkx' not in sys.modules\n"
             "import repro.routing as routing\n"
             "from repro import FaultSet, Mesh2D, label_mesh\n"
             "mesh = Mesh2D(4, 4)\n"
@@ -104,7 +107,7 @@ class TestImportBoundaries:
             "view = FaultModelView.from_blocks(result)\n"
             "assert routing.is_deadlock_free(routing.XYRouter(view))\n"
         )
-        assert _loaded_after(code, ["networkx"]) == ["networkx"]
+        assert _loaded_after(code, ["repro.routing.cdg"]) == ["repro.routing.cdg"]
 
     def test_help_and_version_load_no_numpy(self):
         for flag in ["--help", "--version"]:
@@ -178,3 +181,98 @@ class TestPublicApi:
         exec(f"from {name} import *", namespace)
         for export in package.__all__:
             assert namespace[export] is getattr(package, export), export
+
+
+def _py_files(top: str) -> list:
+    return sorted(
+        os.path.join(d, f) for d, _, files in os.walk(top) for f in files if f.endswith(".py")
+    )
+
+
+def _module_name(path: str) -> str:
+    parts = os.path.relpath(path, SRC)[: -len(".py")].split(os.sep)
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(path: str) -> list:
+    """``(module, names)`` per import in ``path``; ``names`` is empty
+    for ``import module``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(alias.name, ()) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import in {path}"
+            out.append((node.module, tuple(alias.name for alias in node.names)))
+    return out
+
+
+def test_src_imports_only_stdlib_numpy_and_repro():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "repro"}
+    foreign = sorted(
+        f"{_module_name(path)} imports {module}"
+        for path in _py_files(PKG)
+        for module, _ in _imports(path)
+        if module.split(".")[0] not in allowed
+    )
+    assert foreign == []
+
+
+#: Modules that no other module, benchmark or example imports, kept on
+#: purpose.  Anything else without such a caller is dead code.
+UNIMPORTED_ON_PURPOSE = {
+    "repro.__main__": "the `python -m repro` entry point",
+    "repro.geometry.paths": "the monotone-path oracle for Theorem 1",
+    "repro.routing.cdg": (
+        "the deadlock oracle that will count the virtual channels the "
+        "polygon detour needs (ROADMAP item 1(c))"
+    ),
+    "repro.service.chaos": (
+        "the fault-injection harness (proxy faults, WAL crash seams) of the "
+        "chaos and durability suites"
+    ),
+}
+
+
+def _imported_by(path: str) -> set:
+    """The ``repro`` modules an import in ``path`` reaches.
+
+    ``from repro.pkg import Name`` reaches ``repro.pkg`` and the module
+    that defines ``Name``, which is how lazy package exports count.  A
+    package ``__init__`` importing its own submodules re-exports them,
+    and a module importing itself has no caller; neither counts.
+    """
+    own = _module_name(path) if path.startswith(PKG + os.sep) else None
+    package = own if own is not None and path.endswith("__init__.py") else None
+    reached = set()
+    for module, names in _imports(path):
+        if module.split(".")[0] != "repro":
+            continue
+        if package is not None and module.startswith(package + "."):
+            continue
+        reached.add(module)
+        holder = importlib.import_module(module)
+        for name in names:
+            try:
+                value = getattr(holder, name)
+            except AttributeError:
+                value = importlib.import_module(f"{module}.{name}")
+            reached.add(
+                value.__name__ if isinstance(value, ModuleType)
+                else getattr(value, "__module__", None) or module
+            )
+    reached.discard(own)
+    return reached
+
+
+def test_every_module_has_a_caller():
+    callers = [PKG] + [os.path.join(ROOT, d) for d in ("benchmarks", "perfbench", "examples")]
+    reached = set().union(*(_imported_by(p) for top in callers for p in _py_files(top)))
+    modules = {
+        _module_name(path) for path in _py_files(PKG) if not path.endswith("__init__.py")
+    }
+    assert sorted(modules - reached - set(UNIMPORTED_ON_PURPOSE)) == []
+    # An oracle that gained a caller no longer needs its exemption.
+    assert sorted(reached & set(UNIMPORTED_ON_PURPOSE)) == []
