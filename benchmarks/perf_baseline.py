@@ -3,11 +3,12 @@
 
 Times the hot paths this repository optimises —
 
-* phase-1 / phase-2 fixpoints, dense Jacobi vs sparse frontier kernels
-  (on the acceptance workload: a 500x500 mesh with 100 clustered
-  faults),
-* the end-to-end pipeline, reference geometry + dense kernels vs the
-  default fast path (frontier kernels + vectorized extraction), with a
+* phase-1 / phase-2 fixpoints, bit-packed dense Jacobi vs sparse
+  frontier kernels (on the acceptance workload: a 500x500 mesh with 100
+  clustered faults),
+* the end-to-end pipeline, reference geometry + the bool-grid reference
+  kernels vs the default fast path (frontier kernels + vectorized
+  extraction), with a
   breakdown attributing time to kernels vs extraction vs theorem
   verification,
 * the fabric engine, full stepping vs active-set stepping,
@@ -60,11 +61,11 @@ from repro.analysis.executor import shared_pools
 from repro.analysis.sweep import sweep
 from repro.core.blocks import extract_blocks, extract_blocks_reference
 from repro.core.distributed import distributed_enabled, distributed_unsafe
-from repro.core.enabling import enabled_fixpoint
+from repro.core.enabling import enabled_fixpoint, enabled_fixpoint_reference
 from repro.core.frontier import enabled_fixpoint_sparse, unsafe_fixpoint_sparse
 from repro.core.pipeline import label_mesh
 from repro.core.regions import extract_regions, extract_regions_reference
-from repro.core.safety import unsafe_fixpoint
+from repro.core.safety import unsafe_fixpoint, unsafe_fixpoint_reference
 from repro.core.status import SafetyDefinition
 from repro.core.theorems import check_all
 from repro.faults.generators import clustered, uniform_random
@@ -148,12 +149,13 @@ def bench_kernels(size: int, f: int, repeats: int) -> dict:
         "frontier phase-2 diverged from dense"
     )
 
-    # End-to-end: everything slow (dense kernels + reference per-cell
-    # geometry) vs the default fast path (auto kernels + vectorized
-    # union-find geometry) — the Amdahl headline of this repository.
+    # End-to-end: everything slow (the bool-grid reference kernels +
+    # reference per-cell geometry) vs the default fast path (auto
+    # kernels + vectorized union-find geometry) — the Amdahl headline of
+    # this repository.
     def slow_pipeline():
-        unsafe, _ = unsafe_fixpoint(topo, faulty)
-        enabled, _ = enabled_fixpoint(topo, faulty, unsafe)
+        unsafe, _ = unsafe_fixpoint_reference(topo, faulty)
+        enabled, _ = enabled_fixpoint_reference(topo, faulty, unsafe)
         return (
             unsafe,
             enabled,

@@ -6,6 +6,13 @@ switched to enabled once it has **two or more enabled neighbours**.
 Like phase 1 the rule is monotone (disabled -> enabled only), so the
 fixpoint is unique and the labeling well-defined.
 
+:func:`enabled_fixpoint` iterates the rule on bit-packed rows, 64 nodes
+to a word, with the enabled ghost ring written by
+:meth:`~repro.mesh.topology.Topology.frame_packed`
+(:mod:`repro.core._packed`).  :func:`enabled_step` is the same rule on
+boolean grids, and :func:`enabled_fixpoint_reference` iterates it: the
+oracle the packed loop is tested against.
+
 The module also implements the *naive recursive* variant the paper
 rejects — "an unsafe node is enabled **iff** it has two or more enabled
 neighbours" — whose solutions are not unique: Figure 2(b) shows a block
@@ -22,6 +29,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core import _packed
 from repro.errors import ConvergenceError
 from repro.mesh.topology import Topology
 from repro.types import BoolGrid
@@ -67,13 +75,25 @@ def enabled_step(
     return out
 
 
+def _check_inputs(
+    topology: Topology, faulty: BoolGrid, unsafe: BoolGrid, max_rounds: int | None
+) -> int:
+    """Validate the label planes; return the round budget."""
+    if faulty.shape != topology.shape or unsafe.shape != topology.shape:
+        raise ConvergenceError("label plane shapes disagree with the topology")
+    if np.any(faulty & ~unsafe):
+        raise ConvergenceError("phase-1 labels invalid: a faulty node is safe")
+    return max_rounds if max_rounds is not None else (topology.num_nodes + 2)
+
+
 def enabled_fixpoint(
     topology: Topology,
     faulty: BoolGrid,
     unsafe: BoolGrid,
     max_rounds: int | None = None,
 ) -> Tuple[BoolGrid, int]:
-    """Iterate :func:`enabled_step` from the phase-1 labels to a fixpoint.
+    """Iterate the Definition-3 enable rule from the phase-1 labels to a
+    fixpoint, on bit-packed rows.
 
     Parameters
     ----------
@@ -86,18 +106,33 @@ def enabled_fixpoint(
     Returns
     -------
     (enabled, rounds):
-        Fixpoint mask and the count of changing rounds.
+        Fixpoint mask and the count of changing rounds — bit-for-bit
+        those of :func:`enabled_fixpoint_reference`.
 
     Raises
     ------
     ConvergenceError
         If the round budget is exhausted (indicates corrupted inputs).
     """
-    if faulty.shape != topology.shape or unsafe.shape != topology.shape:
-        raise ConvergenceError("label plane shapes disagree with the topology")
-    if np.any(faulty & ~unsafe):
-        raise ConvergenceError("phase-1 labels invalid: a faulty node is safe")
-    budget = max_rounds if max_rounds is not None else (topology.num_nodes + 2)
+    budget = _check_inputs(topology, faulty, unsafe, max_rounds)
+    return _packed.fixpoint(
+        topology, ~unsafe, faulty, _packed.two_of_four, True, budget, "enable"
+    )
+
+
+def enabled_fixpoint_reference(
+    topology: Topology,
+    faulty: BoolGrid,
+    unsafe: BoolGrid,
+    max_rounds: int | None = None,
+) -> Tuple[BoolGrid, int]:
+    """Iterate :func:`enabled_step` on boolean grids to its fixpoint.
+
+    The oracle for :func:`enabled_fixpoint`: same signature, checks,
+    budget, errors and results, one byte and four shifted grids per node
+    and round.
+    """
+    budget = _check_inputs(topology, faulty, unsafe, max_rounds)
     enabled = ~unsafe  # all safe nodes enabled, all unsafe nodes disabled
     scratch = np.empty_like(enabled)
     count = int(np.count_nonzero(enabled))

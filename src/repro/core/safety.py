@@ -9,15 +9,21 @@ Because all nodes update simultaneously from the previous round's
 statuses, the distributed execution is exactly a **Jacobi iteration** of
 a monotone operator: statuses only ever move safe -> unsafe, so the
 fixpoint exists, is unique, and is reached in at most the maximum faulty
-block diameter rounds.  This module iterates that operator directly on
-boolean grids — one shifted-view pass per round, no per-node Python —
-and returns both the fixpoint and the number of *changing* rounds, which
-is identical to the round count of the fabric backend
-(:mod:`repro.core.distributed`; a property test pins the two together).
+block diameter rounds.  :func:`unsafe_fixpoint` iterates that operator
+on bit-packed rows — 64 nodes to a word, a dozen word operations per
+round (:mod:`repro.core._packed`) — and returns both the fixpoint and
+the number of *changing* rounds, which is identical to the round count
+of the fabric backend (:mod:`repro.core.distributed`; a property test
+pins the two together).
 
-Ghost nodes (mesh boundary) are permanently safe, injected as the
-``fill=False`` of :meth:`~repro.mesh.topology.Topology.shifted`; a torus
-has no boundary and ignores the fill.
+:func:`unsafe_step` is the same rule written on boolean grids, one
+shifted view per neighbour; :func:`unsafe_fixpoint_reference` iterates
+it and is the oracle the packed loop is tested against.
+
+Ghost nodes (mesh boundary) are permanently safe: ``fill=False`` of
+:meth:`~repro.mesh.topology.Topology.shifted` and of its packed sibling
+:meth:`~repro.mesh.topology.Topology.frame_packed`; a torus has no
+boundary and ignores the fill.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core import _packed
 from repro.errors import ConvergenceError
 from repro.core.status import SafetyDefinition
 from repro.mesh.topology import Topology
@@ -70,13 +77,22 @@ def unsafe_step(
     return out
 
 
+def _check_inputs(topology: Topology, faulty: BoolGrid, max_rounds: int | None) -> int:
+    """Validate the fault mask; return the round budget."""
+    if faulty.shape != topology.shape:
+        raise ConvergenceError(
+            f"fault mask shape {faulty.shape} != topology shape {topology.shape}"
+        )
+    return max_rounds if max_rounds is not None else (topology.num_nodes + 2)
+
+
 def unsafe_fixpoint(
     topology: Topology,
     faulty: BoolGrid,
     definition: SafetyDefinition = SafetyDefinition.DEF_2B,
     max_rounds: int | None = None,
 ) -> Tuple[BoolGrid, int]:
-    """Iterate :func:`unsafe_step` to its fixpoint.
+    """Iterate the unsafe rule to its fixpoint on bit-packed rows.
 
     Parameters
     ----------
@@ -99,7 +115,8 @@ def unsafe_fixpoint(
     -------
     (unsafe, rounds):
         The fixpoint mask and the number of rounds in which at least one
-        node changed status (0 for a fault-free machine).
+        node changed status (0 for a fault-free machine) — bit-for-bit
+        those of :func:`unsafe_fixpoint_reference`.
 
     Raises
     ------
@@ -107,11 +124,28 @@ def unsafe_fixpoint(
         If the budget is exhausted — impossible for well-formed inputs,
         so never silently tolerated.
     """
-    if faulty.shape != topology.shape:
-        raise ConvergenceError(
-            f"fault mask shape {faulty.shape} != topology shape {topology.shape}"
-        )
-    budget = max_rounds if max_rounds is not None else (topology.num_nodes + 2)
+    budget = _check_inputs(topology, faulty, max_rounds)
+    rule = (
+        _packed.two_of_four
+        if definition is SafetyDefinition.DEF_2A
+        else _packed.both_dimensions
+    )
+    return _packed.fixpoint(topology, faulty, faulty, rule, False, budget, "unsafe")
+
+
+def unsafe_fixpoint_reference(
+    topology: Topology,
+    faulty: BoolGrid,
+    definition: SafetyDefinition = SafetyDefinition.DEF_2B,
+    max_rounds: int | None = None,
+) -> Tuple[BoolGrid, int]:
+    """Iterate :func:`unsafe_step` on boolean grids to its fixpoint.
+
+    The oracle for :func:`unsafe_fixpoint`: same signature, checks,
+    budget, errors and results, one byte and four shifted grids per node
+    and round.
+    """
+    budget = _check_inputs(topology, faulty, max_rounds)
     unsafe = faulty.copy()
     scratch = np.empty_like(unsafe)
     count = int(np.count_nonzero(unsafe))

@@ -6,7 +6,9 @@ backends need:
 * per-node neighbour enumeration (used by the distributed protocols on
   the fabric engine), and
 * whole-grid *shifted views* of boolean label grids (used by the
-  vectorized fixpoints) with topology-appropriate boundary handling —
+  readable one-round rules and the reference fixpoints), and their
+  bit-packed sibling, the *ring* of a packed label frame (used by the
+  dense fixpoints), both with topology-appropriate boundary handling —
   ghost fill values on the mesh, wrap-around on the torus.
 
 The ghost-node convention follows Section 3 of the paper: the mesh is
@@ -20,6 +22,7 @@ ghost label as a ``fill`` value, which keeps grids at their natural
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -143,7 +146,9 @@ class Topology(abc.ABC):
         ``fill`` — the ghost ring's label (``False`` for *unsafe*, ``True``
         for *enabled*).  On a torus the view wraps and ``fill`` is ignored.
 
-        This is the single primitive the vectorized fixpoints are built on.
+        This is the primitive the one-round rules ``unsafe_step`` /
+        ``enabled_step`` and the reference fixpoints are built on; the
+        dense fixpoints use its packed sibling, :meth:`frame_packed`.
         """
 
     def neighbor_views(
@@ -156,6 +161,41 @@ class Topology(abc.ABC):
             self.shifted(grid, Direction.NORTH, fill),
             self.shifted(grid, Direction.SOUTH, fill),
         )
+
+    @abc.abstractmethod
+    def frame_packed(self, frame: np.ndarray, fill: bool) -> None:
+        """Write the boundary ring of a packed label frame, in place.
+
+        ``frame`` is a ``(width + 2, 1 + ceil(height / 64))`` array of
+        little-endian ``uint64`` words: frame row ``x + 1`` holds x-row
+        ``x`` behind one guard word, bit ``j`` of data word ``k`` being
+        cell ``(x, 64 (k - 1) + j)`` (layout: :mod:`repro.core._packed`).
+        The ring is what the packed views read past the grid's edge:
+
+        * the data words of frame rows 0 and ``width + 1`` (the W
+          neighbours of x-row 0, the E neighbours of x-row
+          ``width - 1``);
+        * bit ``height`` of each row (the N neighbour of its cell
+          ``y = height - 1``) and bit 63 of its guard word (the S
+          neighbour of its cell ``y = 0``).
+
+        On a mesh the ring holds the ghost label ``fill``; it is constant,
+        so it is written once, into a frame whose ring bits are still zero
+        (as :func:`repro.core._packed.pack` leaves them).  On a torus the
+        ring holds the wrap-around copies, is rewritten after every round,
+        and ``fill`` is ignored.  This is the packed sibling of
+        :meth:`neighbor_views`.
+        """
+
+    def _or_slots(self, frame: np.ndarray, south, north) -> None:
+        """OR the per-row ring bits into ``frame``: ``south`` into guard
+        bit 63, ``north`` into bit ``height``."""
+        frame[1:-1, 0] |= south << np.uint64(63)
+        bit = self._height % 64
+        if bit:
+            frame[1:-1, -1] |= north << np.uint64(bit)
+        else:  # bit ``height`` is bit 0 of the next row's guard word
+            frame[2:, 0] |= north
 
     # -- misc ---------------------------------------------------------------
 
@@ -226,6 +266,14 @@ class Mesh2D(Topology):
             out[:, 1:] = grid[:, :-1]
         return out
 
+    def frame_packed(self, frame: np.ndarray, fill: bool) -> None:
+        # A ``False`` ghost ring is the zero ring the frame already has.
+        if fill:
+            row = _valid_row(self._height)
+            frame[0, 1:] = row
+            frame[-1, 1:] = row
+            self._or_slots(frame, np.uint64(1), np.uint64(1))
+
 
 class Torus2D(Topology):
     """A 2-D torus: wrap-around links, every node has degree 4.
@@ -263,3 +311,26 @@ class Torus2D(Topology):
         axis = 0 if d.dimension is Dimension.X else 1
         amount = -d.offset[axis]
         return np.roll(grid, amount, axis=axis)
+
+    def frame_packed(self, frame: np.ndarray, fill: bool) -> None:
+        # Rows wrap; bit 0 of each row moves to its N slot and bit
+        # ``height - 1`` to its S slot, replacing the previous round's.
+        last = self._height - 1
+        rows = frame[1:-1]
+        south = (rows[:, 1 + last // 64] >> np.uint64(last % 64)) & np.uint64(1)
+        north = rows[:, 1] & np.uint64(1)
+        frame[0, 1:] = frame[-2, 1:]
+        frame[-1, 1:] = frame[1, 1:]
+        frame[:, 0] = 0
+        rows[:, -1] &= _valid_row(self._height)[-1]
+        self._or_slots(frame, south, north)
+
+
+@functools.lru_cache(maxsize=256)
+def _valid_row(height: int) -> np.ndarray:
+    """The data words of one packed row with every valid bit set."""
+    row = np.full(-(-height // 64), ~np.uint64(0), dtype="<u8")
+    if height % 64:
+        row[-1] = np.uint64((1 << (height % 64)) - 1)
+    row.setflags(write=False)
+    return row

@@ -1,7 +1,9 @@
 """Property: the sparse frontier kernels ARE the dense Jacobi kernels —
 bit-identical labels and identical round counts, on both topologies,
 both safety definitions, and every fault regime (empty, single, sparse
-random, clustered)."""
+random, clustered).  The dense arm is the production bit-packed kernel,
+itself checked against the bool-grid reference loops, so frontier ≡
+packed ≡ reference."""
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from repro.core import (
     unsafe_fixpoint,
     unsafe_fixpoint_sparse,
 )
+from repro.core.enabling import enabled_fixpoint_reference
+from repro.core.safety import unsafe_fixpoint_reference
 from repro.faults import FaultSet
 from repro.faults.generators import clustered, uniform_random
 from repro.mesh import Mesh2D, Torus2D
@@ -41,14 +45,16 @@ def fault_sets(draw, max_faults=14):
 
 
 def assert_kernels_agree(topology, faulty, definition):
-    unsafe_d, r1_d = unsafe_fixpoint(topology, faulty, definition)
-    unsafe_s, r1_s = unsafe_fixpoint_sparse(topology, faulty, definition)
-    assert np.array_equal(unsafe_d, unsafe_s)
-    assert r1_d == r1_s
-    enabled_d, r2_d = enabled_fixpoint(topology, faulty, unsafe_d)
-    enabled_s, r2_s = enabled_fixpoint_sparse(topology, faulty, unsafe_d)
-    assert np.array_equal(enabled_d, enabled_s)
-    assert r2_d == r2_s
+    unsafe_r, r1_r = unsafe_fixpoint_reference(topology, faulty, definition)
+    for kernel in (unsafe_fixpoint, unsafe_fixpoint_sparse):
+        unsafe, r1 = kernel(topology, faulty, definition)
+        assert np.array_equal(unsafe, unsafe_r)
+        assert r1 == r1_r
+    enabled_r, r2_r = enabled_fixpoint_reference(topology, faulty, unsafe_r)
+    for kernel in (enabled_fixpoint, enabled_fixpoint_sparse):
+        enabled, r2 = kernel(topology, faulty, unsafe_r)
+        assert np.array_equal(enabled, enabled_r)
+        assert r2 == r2_r
 
 
 class TestFrontierEquivalence:
