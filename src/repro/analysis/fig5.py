@@ -18,12 +18,22 @@ independently), so :attr:`~repro.core.pipeline.LabelingResult.rounds_phase1`
 The paper shows two panels per metric without labelling the pair; both
 Definition 2a and 2b appear in its Section 3, so this driver sweeps the
 definition (and optionally the topology) and reports every combination.
+
+The unit of work is a *batch*: the trials of one ``f`` value, split so
+that a batch holds at most ``_BATCH_CELLS`` cells (and at least one
+plane).  Each trial draws its faults from its own generator, exactly as
+a per-trial run would, and :func:`repro.core.batch.label_batch` labels
+the batch as one ``(T, width, height)`` stack of planes and reduces it
+to the per-trial rows with array operations.  Rows are aggregated in
+trial order, so every float is summed in the same order as by one
+``label_mesh`` call per trial, and the tables are identical to that
+path's (the tests keep it as the oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +41,8 @@ from repro.analysis.executor import run_cells
 from repro.analysis.experiment import trial_rng
 from repro.analysis.stats import Summary, summarize
 from repro.analysis.tables import format_table
-from repro.core.pipeline import label_mesh
+from repro.core.batch import label_batch
+from repro.core.pipeline import label_mesh  # noqa: F401 - tracers patch it by name
 from repro.core.status import SafetyDefinition
 from repro.faults.generators import uniform_random
 from repro.mesh.topology import Mesh2D, Topology
@@ -93,23 +104,33 @@ class Fig5Curve:
 #: Decorrelates the per-f root seeds (same constant as always).
 _F_SEED_STRIDE = 7919
 
+#: Cells labeled per batch: a batch holds ``_BATCH_CELLS // nodes``
+#: trials of one ``f`` value (at least one), so peak memory does not grow
+#: with the trial count.
+_BATCH_CELLS = 1 << 18
+
 #: One trial's contribution: (rounds1, rounds2, per-block ratios, #blocks, #regions).
 _TrialRow = Tuple[float, float, List[float], float, float]
 
 
-def _fig5_trial(
-    task: Tuple[Topology, SafetyDefinition, str, int, int, int, int, int],
-) -> _TrialRow:
-    topo, definition, method, f, fi, ti, trials, seed = task
-    rng = trial_rng(trials, seed + _F_SEED_STRIDE * fi, ti)
-    faults = uniform_random(topo.shape, f, rng)
-    result = label_mesh(topo, faults, definition, backend="vectorized", method=method)
-    return (
-        float(result.rounds_phase1),
-        float(result.rounds_phase2),
-        result.per_block_enabled_ratios(),
-        float(len(result.blocks)),
-        float(len(result.regions)),
+def _fig5_batch(
+    task: Tuple[Topology, SafetyDefinition, str, int, int, int, int, int, int],
+) -> List[_TrialRow]:
+    """The rows of trials ``start .. stop - 1`` of one ``f`` value."""
+    topo, definition, method, f, fi, start, stop, trials, seed = task
+    faulty = np.empty((stop - start, *topo.shape), dtype=bool)
+    for plane, ti in zip(faulty, range(start, stop)):
+        rng = trial_rng(trials, seed + _F_SEED_STRIDE * fi, ti)
+        plane[...] = uniform_random(topo.shape, f, rng).mask
+    out = label_batch(topo, faulty, definition, method)
+    return list(
+        zip(
+            out.rounds_phase1.astype(float).tolist(),
+            out.rounds_phase2.astype(float).tolist(),
+            out.enabled_ratios,
+            out.num_blocks.astype(float).tolist(),
+            out.num_regions.astype(float).tolist(),
+        )
     )
 
 
@@ -137,24 +158,38 @@ def run_fig5(
     seed:
         Root seed; each (f, trial) pair gets its own spawned stream.
     method:
-        Vectorized labeling kernel (see
-        :func:`repro.core.pipeline.label_mesh`).
+        Labeling kernel, ``"dense"``, ``"frontier"`` or ``"auto"`` (see
+        :func:`repro.core.pipeline.label_mesh`); ``"auto"`` applies
+        :func:`~repro.core.pipeline.choose_kernel` to each batch.
     jobs:
-        Worker processes for the (f, trial) grid, dispatched through
-        the warm chunked executor of :mod:`repro.analysis.executor`;
-        any value yields identical results because every cell's
-        generator is derived from its grid position, not the schedule.
+        Worker processes for the trial batches, dispatched through the
+        warm chunked executor of :mod:`repro.analysis.executor`; any
+        value yields identical results because every trial's generator
+        is derived from its grid position, not the schedule.
     """
     topo = topology if topology is not None else Mesh2D(100, 100)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    per_batch = max(1, _BATCH_CELLS // topo.num_nodes)
     tasks = [
-        (topo, definition, method, f, fi, ti, trials, seed)
+        (topo, definition, method, f, fi, lo, min(lo + per_batch, trials), trials, seed)
         for fi, f in enumerate(f_values)
-        for ti in range(trials)
+        for lo in range(0, trials, per_batch)
     ]
-    rows, _ = run_cells(_fig5_trial, tasks, jobs)
+    batches, _ = run_cells(_fig5_batch, tasks, jobs)
+    rows = [row for batch in batches for row in batch]
+    return _curve(definition, topo, f_values, trials, seed, rows)
 
+
+def _curve(
+    definition: SafetyDefinition,
+    topology: Topology,
+    f_values: Sequence[int],
+    trials: int,
+    seed: int,
+    rows: Sequence[_TrialRow],
+) -> Fig5Curve:
+    """The curve of a sweep's trial ``rows``, in (f, trial) order."""
     points: List[Fig5Point] = []
     for fi, f in enumerate(f_values):
         rounds_fb: List[float] = []
@@ -180,7 +215,7 @@ def run_fig5(
         )
     return Fig5Curve(
         definition=definition,
-        topology=topo,
+        topology=topology,
         trials=trials,
         seed=seed,
         points=tuple(points),

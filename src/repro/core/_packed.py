@@ -25,8 +25,18 @@ label on a mesh, the wrap-around copies on a torus.  Every other
 padding and guard bit is cleared by the ``keep`` mask each round, so
 the ring is the only boundary state a round ever reads.
 
-Convergence is word equality of consecutive frames, and the plane is
-unpacked once, at the end.  The bool-grid loops in
+**Stacks.**  The loop labels a ``(T, width, height)`` stack of
+independent planes at once, in a ``(T, width + 2, words)`` frame: every
+plane keeps its own ghost rows and ring slots, which ``frame_packed``
+writes for all planes together.  Ghost rows are cleared by ``keep``
+like padding, so the rows between two planes stop every read from
+crossing into the other plane, and the flat views run over the whole
+stack unchanged.  The public 2-D fixpoints are the ``T = 1`` call.
+
+A plane has converged once a round leaves its words unchanged, and it
+stays converged, so each plane's round count is the number of rounds
+that changed it; the loop stops when no plane changes, and unpacks the
+stack once, at the end.  The bool-grid loops in
 :mod:`repro.core.safety` and :mod:`repro.core.enabling`
 (``*_fixpoint_reference``) are the oracles this loop is tested against.
 """
@@ -39,7 +49,6 @@ import numpy as np
 
 from repro.errors import ConvergenceError
 from repro.mesh.topology import Topology
-from repro.types import BoolGrid
 
 _WORD = np.dtype("<u8")
 _ONE = np.uint64(1)
@@ -53,19 +62,20 @@ _TOP = np.uint64(63)
 Rule = Callable[..., None]
 
 
-def pack(plane: BoolGrid) -> np.ndarray:
-    """The frame of ``plane``: ring, padding and guard bits all zero."""
-    width, height = plane.shape
-    frame = np.zeros((width + 2, 1 + -(-height // 64)), dtype=_WORD)
-    rows = np.packbits(plane, axis=1, bitorder="little")
-    frame.view(np.uint8)[1:-1, 8 : 8 + rows.shape[1]] = rows
+def pack(planes: np.ndarray) -> np.ndarray:
+    """The frame of a ``(..., width, height)`` plane or stack of planes:
+    ring, padding and guard bits all zero."""
+    *lead, width, height = planes.shape
+    frame = np.zeros((*lead, width + 2, 1 + -(-height // 64)), dtype=_WORD)
+    rows = np.packbits(planes, axis=-1, bitorder="little")
+    frame.view(np.uint8)[..., 1:-1, 8 : 8 + rows.shape[-1]] = rows
     return frame
 
 
-def unpack(frame: np.ndarray, height: int) -> BoolGrid:
-    """The ``(width, height)`` bool plane held by ``frame``."""
-    rows = frame.view(np.uint8)[1:-1, 8 : 8 + -(-height // 8)]
-    return np.unpackbits(rows, axis=1, count=height, bitorder="little").view(bool)
+def unpack(frame: np.ndarray, height: int) -> np.ndarray:
+    """The ``(..., width, height)`` bool planes held by ``frame``."""
+    rows = frame.view(np.uint8)[..., 1:-1, 8 : 8 + -(-height // 8)]
+    return np.unpackbits(rows, axis=-1, count=height, bitorder="little").view(bool)
 
 
 def _north_south(c, cn, cp, n, s, t) -> None:
@@ -101,31 +111,38 @@ def two_of_four(c, cn, cp, e, w, out, t1, t2) -> None:
 
 def fixpoint(
     topology: Topology,
-    start: BoolGrid,
-    faulty: BoolGrid,
+    start: np.ndarray,
+    faulty: np.ndarray,
     rule: Rule,
     fill: bool,
     budget: int,
     what: str,
-) -> Tuple[BoolGrid, int]:
-    """Iterate ``next = cur | (rule(cur) & ~faulty)`` to its fixpoint.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Iterate ``next = cur | (rule(cur) & ~faulty)`` to its fixpoint on
+    every plane of a ``(T, width, height)`` stack at once.
 
-    ``start`` is the initial plane, ``fill`` the ghost label of a mesh
-    (``False`` for unsafe, ``True`` for enabled).  Returns the fixpoint
-    plane and the number of changing rounds; raises
+    ``start`` is the stack of initial planes, ``fill`` the ghost label of
+    a mesh (``False`` for unsafe, ``True`` for enabled).  Returns the
+    fixpoint stack and every plane's number of changing rounds; raises
     :class:`ConvergenceError` naming ``what`` once ``budget`` rounds pass
-    without convergence.
+    with some plane still changing.
     """
-    width, height = topology.shape
+    height = topology.height
+    planes = start.shape[0]
     cur = pack(start)
     topology.frame_packed(cur, fill)
     nxt = cur.copy()
-    stride = cur.shape[1]
-    lo, hi = stride, (width + 1) * stride
-    # Cells that may change: valid nonfaulty bits.  Its zero padding and
-    # guard bits are the per-round padding mask.
+    stride = cur.shape[-1]
+    lo, hi = stride, cur.size - stride
+    # Cells that may change: valid nonfaulty bits.  Its zero padding,
+    # guard bits and ghost rows are the per-round padding mask; the
+    # ghost rows between planes keep every plane from reading another.
     keep = pack(~faulty).reshape(-1)[lo:hi]
     temps = [np.empty(hi - lo, dtype=_WORD) for _ in range(2)]
+    # Which words changed in a round, over a whole frame whose first and
+    # last rows stay False, so that it splits into one row per plane.
+    diff = np.zeros(cur.size, dtype=bool)
+    changed = diff.reshape(planes, -1)
 
     def views(frame):
         flat = frame.reshape(-1)
@@ -139,17 +156,19 @@ def fixpoint(
 
     cur_v, nxt_v = views(cur), views(nxt)
     wraps = topology.wraps
-    rounds = 0
+    rounds = np.zeros(planes, dtype=np.int64)
     for _ in range(budget + 1):
         out = nxt_v[0]
         rule(*cur_v, out, *temps)
         out &= keep
         out |= cur_v[0]
+        np.not_equal(out, cur_v[0], out=diff[lo:hi])
+        moved = changed.any(axis=1)
+        if not moved.any():
+            return unpack(cur, height), rounds
         if wraps:
             topology.frame_packed(nxt, fill)
-        if np.array_equal(out, cur_v[0]):
-            return unpack(cur, height), rounds
+        rounds += moved
         cur, nxt = nxt, cur
         cur_v, nxt_v = nxt_v, cur_v
-        rounds += 1
     raise ConvergenceError(f"{what} labeling did not converge within {budget} rounds")

@@ -19,7 +19,7 @@ identical block list (property tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.geometry.cells import CellSet
 from repro.geometry.components import (
     _fault_runs,
     _label_runs,
+    _Runs,
     _lazy_components,
     connected_components_reference,
 )
@@ -79,13 +80,48 @@ class FaultyBlock:
         return self.num_nonfaulty > 0
 
 
-def _check_planes(unsafe: BoolGrid, faulty: BoolGrid) -> None:
-    if unsafe.shape != faulty.shape:
+def _check_shapes(mask: np.ndarray, faulty: np.ndarray, name: str) -> None:
+    """The ``name`` label plane and the fault mask agree in shape."""
+    if mask.shape != faulty.shape:
         raise GeometryError(
-            f"label shapes disagree: unsafe {unsafe.shape} vs faulty {faulty.shape}"
+            f"label shapes disagree: {name} {mask.shape} vs faulty {faulty.shape}"
         )
-    if np.any(faulty & ~unsafe):
-        raise GeometryError("a faulty node is missing from the unsafe mask")
+
+
+def _check_covers(at_faults: np.ndarray, name: str) -> None:
+    """Every fault lies in the ``name`` mask, given that mask read at
+    every fault."""
+    if not at_faults.all():
+        raise GeometryError(f"a faulty node is missing from the {name} mask")
+
+
+def _component_cells(
+    runs: _Runs, xs: np.ndarray, ys: np.ndarray, shape: Tuple[int, int], comp: int
+) -> CellSet:
+    """Component ``comp`` of the labeled member scan ``xs``/``ys``."""
+    members = runs.member_comps() == comp
+    return CellSet.from_coords(shape, zip(xs[members].tolist(), ys[members].tolist()))
+
+
+def _check_rectangles(
+    runs: _Runs, xs: np.ndarray, ys: np.ndarray, shape: Tuple[int, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every component of the labeled 4-connected ``runs`` fills its
+    bounding box; returns their sizes and boxes.
+
+    ``xs``/``ys`` are the member scan in coordinates of ``shape``; the
+    run columns may be offset from ``xs`` (a stack of planes), which
+    moves boxes but never changes their widths."""
+    sizes = runs.sizes()
+    boxes = runs.boxes()
+    x0, y0, x1, y1 = boxes
+    bad = np.flatnonzero(sizes != (x1 - x0 + 1) * (y1 - y0 + 1))
+    if bad.size:
+        culprit = _component_cells(runs, xs, ys, shape, int(bad[0]))
+        raise GeometryError(
+            f"faulty block {culprit!r} is not a rectangle — phase-1 labels corrupt"
+        )
+    return sizes, boxes
 
 
 def extract_blocks(unsafe: BoolGrid, faulty: BoolGrid) -> List[FaultyBlock]:
@@ -108,23 +144,13 @@ def extract_blocks(unsafe: BoolGrid, faulty: BoolGrid) -> List[FaultyBlock]:
         If a fault lies outside the unsafe mask, or a component is not a
         full rectangle (both indicate a phase-1 bug, never user error).
     """
-    _check_planes(unsafe, faulty)
+    _check_shapes(unsafe, faulty, "unsafe")
     shape = unsafe.shape
-    xs, ys = np.nonzero(unsafe)
     fx, fy = np.nonzero(faulty)
+    _check_covers(unsafe[fx, fy], "unsafe")
+    xs, ys = np.nonzero(unsafe)
     runs = _label_runs(xs, ys, shape, connectivity=4)
-    sizes = runs.sizes()
-    boxes = runs.boxes()
-    x0, y0, x1, y1 = boxes
-    bad = np.flatnonzero(sizes != (x1 - x0 + 1) * (y1 - y0 + 1))
-    if bad.size:
-        members = runs.member_comps() == bad[0]
-        culprit = CellSet.from_coords(
-            shape, zip(xs[members].tolist(), ys[members].tolist())
-        )
-        raise GeometryError(
-            f"faulty block {culprit!r} is not a rectangle — phase-1 labels corrupt"
-        )
+    sizes, boxes = _check_rectangles(runs, xs, ys, shape)
     faults = _lazy_components(shape, fx, fy, _fault_runs(runs, fx, fy, shape[1]))
     lazy = CellSet._lazy
     return [
@@ -137,7 +163,8 @@ def extract_blocks_reference(unsafe: BoolGrid, faulty: BoolGrid) -> List[FaultyB
     """The per-component oracle for :func:`extract_blocks`: BFS
     components, one rectangle test and one fault mask per block.
     Same result and the same errors, at per-cell Python cost."""
-    _check_planes(unsafe, faulty)
+    _check_shapes(unsafe, faulty, "unsafe")
+    _check_covers(unsafe[faulty], "unsafe")
     blocks: List[FaultyBlock] = []
     for comp in connected_components_reference(CellSet(unsafe), connectivity=4):
         if not is_rectangle(comp):

@@ -115,6 +115,16 @@ def enabled_fixpoint(
         If the round budget is exhausted (indicates corrupted inputs).
     """
     budget = _check_inputs(topology, faulty, unsafe, max_rounds)
+    planes, rounds = enabled_fixpoints(topology, faulty[None], unsafe[None], budget)
+    return planes[0], int(rounds[0])
+
+
+def enabled_fixpoints(
+    topology: Topology, faulty: np.ndarray, unsafe: np.ndarray, budget: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`enabled_fixpoint` of every plane of ``(T, width, height)``
+    stacks in one packed loop: the fixpoint stack and each plane's
+    changing-round count.  ``budget`` bounds every plane's rounds."""
     return _packed.fixpoint(
         topology, ~unsafe, faulty, _packed.two_of_four, True, budget, "enable"
     )

@@ -27,7 +27,12 @@ two kernels to bit-identical labels and equal round counts).
 
 The kernels work on flat row-major indices (``i = x * height + y``)
 with vectorized gathers, so each round is a few NumPy ops on arrays of
-frontier size — no per-cell Python.
+frontier size — no per-cell Python.  A ``(T, width, height)`` stack of
+planes is labeled in the same loop (``i = (t * width + x) * height +
+y``): neighbour validity and torus wrap are local to a plane, so no
+frontier ever crosses into another plane, and each plane's round count
+is the last round that flipped one of its cells.  The public 2-D
+kernels are the ``T = 1`` call of that loop.
 """
 
 from __future__ import annotations
@@ -61,13 +66,15 @@ def _neighbor_indices(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Flat neighbour indices of the cells ``idx``, in (E, W, N, S) order.
 
+    ``idx`` may index a stack of planes; every link stays in its plane.
     Returns ``(nbrs, valid)``, both of shape ``(4, len(idx))``.  On a
     torus every link exists and wraps; on a mesh, links leaving the grid
     have ``valid`` False and their index clamped to 0 — the caller must
     substitute the ghost label for them.
     """
-    x = idx // height
-    y = idx - x * height
+    row = idx // height
+    y = idx - row * height
+    x = row % width
     n = width * height
     east, west, north, south = idx + height, idx - height, idx + 1, idx - 1
     if wraps:
@@ -84,6 +91,17 @@ def _neighbor_indices(
         valid = np.stack([x + 1 < width, x > 0, y + 1 < height, y > 0])
         nbrs = np.where(valid, np.stack([east, west, north, south]), 0)
     return nbrs, valid
+
+
+def _distinct(idx: np.ndarray) -> np.ndarray:
+    """The distinct values of ``idx``, sorted.  A sort and one neighbour
+    compare: ``np.unique`` hashes integer input, which measured over ten
+    times slower on frontier-sized arrays."""
+    idx = np.sort(idx)
+    first = np.empty(idx.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(idx[1:], idx[:-1], out=first[1:])
+    return idx[first]
 
 
 def unsafe_fixpoint_sparse(
@@ -122,8 +140,6 @@ def unsafe_fixpoint_sparse(
             f"fault mask shape {faulty.shape} != topology shape {topology.shape}"
         )
     budget = max_rounds if max_rounds is not None else (topology.num_nodes + 2)
-    width, height = topology.shape
-    wraps = topology.wraps
     if initial is None:
         grid = np.ascontiguousarray(faulty, dtype=bool).copy()
     else:
@@ -132,11 +148,47 @@ def unsafe_fixpoint_sparse(
                 f"warm-start shape {initial.shape} != topology shape {topology.shape}"
             )
         grid = np.ascontiguousarray(initial, dtype=bool) | faulty
-    unsafe = grid.ravel()  # writable view of the 2-D result
+    rounds = _unsafe_rounds(
+        topology, grid.ravel(), 1, definition, budget, seeds,
+        _frontier_meter(telemetry),
+    )
+    return grid, int(rounds[0])
+
+
+def unsafe_fixpoints_sparse(
+    topology: Topology,
+    faulty: np.ndarray,
+    definition: SafetyDefinition,
+    budget: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`unsafe_fixpoint_sparse` of every plane of a
+    ``(T, width, height)`` fault stack in one frontier loop: the fixpoint
+    stack and each plane's changing-round count."""
+    grid = np.array(faulty, dtype=bool, order="C")
+    rounds = _unsafe_rounds(
+        topology, grid.reshape(-1), grid.shape[0], definition, budget, None, None
+    )
+    return grid, rounds
+
+
+def _unsafe_rounds(
+    topology: Topology,
+    unsafe: np.ndarray,
+    planes: int,
+    definition: SafetyDefinition,
+    budget: int,
+    seeds: Optional[np.ndarray],
+    meter,
+) -> np.ndarray:
+    """Run the phase-1 frontier loop in place on the flat stack
+    ``unsafe`` of ``planes`` planes; return every plane's rounds."""
+    width, height = topology.shape
+    wraps = topology.wraps
+    cells = width * height
 
     def still_safe_neighbors(flipped: np.ndarray) -> np.ndarray:
         nbrs, valid = _neighbor_indices(flipped, width, height, wraps)
-        cand = np.unique(nbrs[valid])
+        cand = _distinct(nbrs[valid])
         return cand[~unsafe[cand]]
 
     if seeds is None:
@@ -144,13 +196,9 @@ def unsafe_fixpoint_sparse(
     else:
         seed_idx = np.asarray(seeds, dtype=np.intp)
     frontier = still_safe_neighbors(seed_idx) if seed_idx.size else seed_idx
-    rounds = 0
-    meter = _frontier_meter(telemetry)
+    rounds = np.zeros(planes, dtype=np.int64)
+    done = 0
     while frontier.size:
-        if rounds > budget:
-            raise ConvergenceError(
-                f"unsafe labeling did not converge within {budget} rounds"
-            )
         if meter is not None:
             meter.observe(int(frontier.size))
         nbrs, valid = _neighbor_indices(frontier, width, height, wraps)
@@ -163,9 +211,16 @@ def unsafe_fixpoint_sparse(
         if flipped.size == 0:
             break
         unsafe[flipped] = True
-        rounds += 1
+        done += 1
+        if done > budget:
+            raise ConvergenceError(
+                f"unsafe labeling did not converge within {budget} rounds"
+            )
+        # A plane flips in every round until its own fixpoint, so its
+        # round count is the last round that flipped one of its cells.
+        rounds[flipped // cells] = done
         frontier = still_safe_neighbors(flipped)
-    return grid, rounds
+    return rounds
 
 
 def enabled_fixpoint_sparse(
@@ -188,20 +243,45 @@ def enabled_fixpoint_sparse(
     if np.any(faulty & ~unsafe):
         raise ConvergenceError("phase-1 labels invalid: a faulty node is safe")
     budget = max_rounds if max_rounds is not None else (topology.num_nodes + 2)
+    grid = ~np.ascontiguousarray(unsafe, dtype=bool)
+    rounds = _enabled_rounds(
+        topology, np.ascontiguousarray(faulty, dtype=bool).ravel(), grid.ravel(),
+        1, budget, _frontier_meter(telemetry),
+    )
+    return grid, int(rounds[0])
+
+
+def enabled_fixpoints_sparse(
+    topology: Topology, faulty: np.ndarray, unsafe: np.ndarray, budget: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`enabled_fixpoint_sparse` of every plane of
+    ``(T, width, height)`` stacks in one frontier loop: the fixpoint
+    stack and each plane's changing-round count."""
+    grid = ~np.ascontiguousarray(unsafe, dtype=bool)
+    rounds = _enabled_rounds(
+        topology, np.ascontiguousarray(faulty, dtype=bool).reshape(-1),
+        grid.reshape(-1), grid.shape[0], budget, None,
+    )
+    return grid, rounds
+
+
+def _enabled_rounds(
+    topology: Topology,
+    faulty: np.ndarray,
+    enabled: np.ndarray,
+    planes: int,
+    budget: int,
+    meter,
+) -> np.ndarray:
+    """Run the phase-2 frontier loop in place on the flat stack
+    ``enabled`` of ``planes`` planes; return every plane's rounds."""
     width, height = topology.shape
     wraps = topology.wraps
-    grid = ~np.ascontiguousarray(unsafe, dtype=bool)
-    enabled = grid.ravel()
-    faulty_flat = np.ascontiguousarray(faulty, dtype=bool).ravel()
-
-    frontier = np.flatnonzero(~enabled & ~faulty_flat)
-    rounds = 0
-    meter = _frontier_meter(telemetry)
+    cells = width * height
+    frontier = np.flatnonzero(~enabled & ~faulty)
+    rounds = np.zeros(planes, dtype=np.int64)
+    done = 0
     while frontier.size:
-        if rounds > budget:
-            raise ConvergenceError(
-                f"enable labeling did not converge within {budget} rounds"
-            )
         if meter is not None:
             meter.observe(int(frontier.size))
         nbrs, valid = _neighbor_indices(frontier, width, height, wraps)
@@ -211,8 +291,13 @@ def enabled_fixpoint_sparse(
         if flipped.size == 0:
             break
         enabled[flipped] = True
-        rounds += 1
+        done += 1
+        if done > budget:
+            raise ConvergenceError(
+                f"enable labeling did not converge within {budget} rounds"
+            )
+        rounds[flipped // cells] = done
         nbrs, valid = _neighbor_indices(flipped, width, height, wraps)
-        cand = np.unique(nbrs[valid])
-        frontier = cand[~enabled[cand] & ~faulty_flat[cand]]
-    return grid, rounds
+        cand = _distinct(nbrs[valid])
+        frontier = cand[~enabled[cand] & ~faulty[cand]]
+    return rounds

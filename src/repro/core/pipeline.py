@@ -66,11 +66,9 @@ def choose_kernel(active_cells: int, grid_cells: int) -> str:
     return "frontier" if active_cells * _AUTO_SPARSITY <= grid_cells else "dense"
 
 
-def _pick_kernel(method: str, topology: Topology, active: "np.ndarray") -> str:
+def _pick_kernel(method: str, active_cells: int, grid_cells: int) -> str:
     """``method`` itself, or the :func:`choose_kernel` pick for ``"auto"``."""
-    if method != "auto":
-        return method
-    return choose_kernel(int(np.count_nonzero(active)), topology.num_nodes)
+    return choose_kernel(active_cells, grid_cells) if method == "auto" else method
 
 
 def _stage(
@@ -297,14 +295,16 @@ def label_mesh(
     faulty = faults.mask
     tel = telemetry
     if backend == "vectorized":
-        k1 = _pick_kernel(method, topology, faulty)
+        k1 = _pick_kernel(method, int(np.count_nonzero(faulty)), faulty.size)
         unsafe, rounds1 = _stage(
             tel, "unsafe", "phase_unsafe", _rounds,
             lambda t: unsafe_fixpoint_sparse(topology, faulty, definition, telemetry=t)
             if k1 == "frontier" else unsafe_fixpoint(topology, faulty, definition),
             kernel=k1,
         )
-        k2 = _pick_kernel(method, topology, unsafe & ~faulty)
+        k2 = _pick_kernel(
+            method, int(np.count_nonzero(unsafe & ~faulty)), faulty.size
+        )
         enabled, rounds2 = _stage(
             tel, "enable", "phase_enable", _rounds,
             lambda t: enabled_fixpoint_sparse(topology, faulty, unsafe, telemetry=t)

@@ -18,15 +18,17 @@ as the oracle for :func:`extract_regions` (property tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.blocks import _check_covers, _check_shapes, _component_cells
 from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
 from repro.geometry.components import (
     _fault_runs,
     _label_runs,
+    _Runs,
     _lazy_components,
     connected_components_reference,
 )
@@ -59,13 +61,23 @@ class DisabledRegion:
         return self.cells.diameter()
 
 
-def _check_planes(disabled: BoolGrid, faulty: BoolGrid) -> None:
-    if disabled.shape != faulty.shape:
+def _check_faults_held(
+    runs: _Runs,
+    fault_runs: _Runs,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    shape: Tuple[int, int],
+) -> None:
+    """Every component of the labeled ``runs`` holds a fault of
+    ``fault_runs``; ``xs``/``ys`` are the member scan in coordinates of
+    ``shape``."""
+    held = np.bincount(fault_runs.comp, minlength=runs.count)
+    empty = np.flatnonzero(held == 0)
+    if empty.size:
+        culprit = _component_cells(runs, xs, ys, shape, int(empty[0]))
         raise GeometryError(
-            f"label shapes disagree: disabled {disabled.shape} vs faulty {faulty.shape}"
+            f"disabled region {culprit!r} contains no fault — phase-2 labels corrupt"
         )
-    if np.any(faulty & ~disabled):
-        raise GeometryError("a faulty node is missing from the disabled mask")
 
 
 def extract_regions(disabled: BoolGrid, faulty: BoolGrid) -> List[DisabledRegion]:
@@ -92,18 +104,16 @@ def extract_regions(disabled: BoolGrid, faulty: BoolGrid) -> List[DisabledRegion
         all (phase 2 can never strand a fault-free region: its nodes
         would have been enabled; hitting this means corrupt labels).
     """
-    _check_planes(disabled, faulty)
+    _check_shapes(disabled, faulty, "disabled")
     shape = disabled.shape
-    xs, ys = np.nonzero(disabled)
     fx, fy = np.nonzero(faulty)
+    _check_covers(disabled[fx, fy], "disabled")
+    xs, ys = np.nonzero(disabled)
     runs = _label_runs(xs, ys, shape, connectivity=8)
+    fault_runs = _fault_runs(runs, fx, fy, shape[1])
+    _check_faults_held(runs, fault_runs, xs, ys, shape)
     cells = _lazy_components(shape, xs, ys, runs)
-    faults = _lazy_components(shape, fx, fy, _fault_runs(runs, fx, fy, shape[1]))
-    for c, f in zip(cells, faults):
-        if not f:
-            raise GeometryError(
-                f"disabled region {c!r} contains no fault — phase-2 labels corrupt"
-            )
+    faults = _lazy_components(shape, fx, fy, fault_runs)
     return [DisabledRegion(cells=c, faults=f) for c, f in zip(cells, faults)]
 
 
@@ -113,7 +123,8 @@ def extract_regions_reference(
     """The per-component oracle for :func:`extract_regions`: BFS
     components and one fault mask per region.  Same result and the
     same errors, at per-cell Python cost."""
-    _check_planes(disabled, faulty)
+    _check_shapes(disabled, faulty, "disabled")
+    _check_covers(disabled[faulty], "disabled")
     regions: List[DisabledRegion] = []
     for comp in connected_components_reference(CellSet(disabled), connectivity=8):
         faults_in = CellSet(comp.mask & faulty)

@@ -125,6 +125,19 @@ def unsafe_fixpoint(
         so never silently tolerated.
     """
     budget = _check_inputs(topology, faulty, max_rounds)
+    planes, rounds = unsafe_fixpoints(topology, faulty[None], definition, budget)
+    return planes[0], int(rounds[0])
+
+
+def unsafe_fixpoints(
+    topology: Topology,
+    faulty: np.ndarray,
+    definition: SafetyDefinition,
+    budget: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`unsafe_fixpoint` of every plane of a ``(T, width, height)``
+    fault stack in one packed loop: the fixpoint stack and each plane's
+    changing-round count.  ``budget`` bounds every plane's rounds."""
     rule = (
         _packed.two_of_four
         if definition is SafetyDefinition.DEF_2A

@@ -13,7 +13,6 @@ __all__ = [
     "FaultSchedule",
     "FaultSet",
     "clustered",
-    "combined",
     "rectangle_outage",
     "shaped",
     "staggered_crashes",
@@ -23,7 +22,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "faultset": ("FaultSet",),
     "generators": (
-        "clustered", "combined", "rectangle_outage", "shaped", "staggered_crashes",
+        "clustered", "rectangle_outage", "shaped", "staggered_crashes",
         "uniform_random",
     ),
     "schedule": ("FaultSchedule",),

@@ -13,7 +13,7 @@ so every experiment is reproducible from its recorded seed.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from repro.errors import FaultModelError
 from repro.faults.faultset import FaultSet
 from repro.faults.schedule import FaultSchedule
 from repro.geometry import shapes as _shapes
-from repro.geometry.cells import CellSet
 from repro.types import Coord
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "clustered",
     "rectangle_outage",
     "shaped",
-    "combined",
     "staggered_crashes",
 ]
 
@@ -164,16 +162,6 @@ def shaped(
     else:
         cells = builder(shape, anchor, w, h, thickness)
     return FaultSet(cells)
-
-
-def combined(parts: Sequence[FaultSet]) -> FaultSet:
-    """Union of several fault sets on the same grid."""
-    if not parts:
-        raise FaultModelError("combined() needs at least one fault set")
-    out = parts[0].cells
-    for p in parts[1:]:
-        out = out.union(p.cells)
-    return FaultSet(out)
 
 
 def staggered_crashes(

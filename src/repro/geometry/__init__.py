@@ -31,7 +31,6 @@ __all__ = [
     "row_runs",
     "set_distance",
     "shapes",
-    "staircase_cells",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -46,6 +45,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "quadrants": ("quadrant_extreme_corner", "quadrant_mask", "quadrants_with_members"),
     "rectangles": ("Rect", "bounding_rect", "is_rectangle"),
-    "staircase": ("connect_orthoconvex", "staircase_cells"),
+    "staircase": ("connect_orthoconvex",),
     "shapes": ("shapes",),
 })

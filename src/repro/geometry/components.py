@@ -264,10 +264,10 @@ def connected_components(cells: CellSet, connectivity: int = 4) -> List[CellSet]
 
 
 def _fault_runs(runs: _Runs, fx: np.ndarray, fy: np.ndarray, h: int) -> _Runs:
-    """The row-major fault scan ``fx``/``fy`` as one-cell runs, each
-    labeled with the component of the member run that holds it.  Every
-    fault must lie in some member run; one binary search over the run
-    keys finds it."""
+    """The row-major scan ``fx``/``fy`` of some members (the faults, say)
+    as one-cell runs, each labeled with the component of the member run
+    that holds it.  Every scanned cell must lie in some member run; one
+    binary search over the run keys finds it."""
     at = np.searchsorted(runs.x * h + runs.y0, fx * h + fy, side="right") - 1
     ones = np.ones_like(fx)
     return _Runs(np.arange(fx.size), ones, fx, fy, fy, runs.comp[at], runs.count)

@@ -32,7 +32,7 @@ from repro.geometry.components import connected_components
 from repro.geometry.orthoconvex import orthoconvex_closure
 from repro.types import Coord
 
-__all__ = ["staircase_cells", "connect_orthoconvex"]
+__all__ = ["connect_orthoconvex"]
 
 
 def staircase_cells(u: Coord, v: Coord) -> List[Coord]:

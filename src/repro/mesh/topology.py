@@ -170,6 +170,8 @@ class Topology(abc.ABC):
         little-endian ``uint64`` words: frame row ``x + 1`` holds x-row
         ``x`` behind one guard word, bit ``j`` of data word ``k`` being
         cell ``(x, 64 (k - 1) + j)`` (layout: :mod:`repro.core._packed`).
+        A ``(T, width + 2, ...)`` stack of frames gets every plane's own
+        ring: leading axes are planes, and no plane's ring reads another.
         The ring is what the packed views read past the grid's edge:
 
         * the data words of frame rows 0 and ``width + 1`` (the W
@@ -190,12 +192,12 @@ class Topology(abc.ABC):
     def _or_slots(self, frame: np.ndarray, south, north) -> None:
         """OR the per-row ring bits into ``frame``: ``south`` into guard
         bit 63, ``north`` into bit ``height``."""
-        frame[1:-1, 0] |= south << np.uint64(63)
+        frame[..., 1:-1, 0] |= south << np.uint64(63)
         bit = self._height % 64
         if bit:
-            frame[1:-1, -1] |= north << np.uint64(bit)
+            frame[..., 1:-1, -1] |= north << np.uint64(bit)
         else:  # bit ``height`` is bit 0 of the next row's guard word
-            frame[2:, 0] |= north
+            frame[..., 2:, 0] |= north
 
     # -- misc ---------------------------------------------------------------
 
@@ -270,8 +272,8 @@ class Mesh2D(Topology):
         # A ``False`` ghost ring is the zero ring the frame already has.
         if fill:
             row = _valid_row(self._height)
-            frame[0, 1:] = row
-            frame[-1, 1:] = row
+            frame[..., 0, 1:] = row
+            frame[..., -1, 1:] = row
             self._or_slots(frame, np.uint64(1), np.uint64(1))
 
 
@@ -316,13 +318,13 @@ class Torus2D(Topology):
         # Rows wrap; bit 0 of each row moves to its N slot and bit
         # ``height - 1`` to its S slot, replacing the previous round's.
         last = self._height - 1
-        rows = frame[1:-1]
-        south = (rows[:, 1 + last // 64] >> np.uint64(last % 64)) & np.uint64(1)
-        north = rows[:, 1] & np.uint64(1)
-        frame[0, 1:] = frame[-2, 1:]
-        frame[-1, 1:] = frame[1, 1:]
-        frame[:, 0] = 0
-        rows[:, -1] &= _valid_row(self._height)[-1]
+        rows = frame[..., 1:-1, :]
+        south = (rows[..., 1 + last // 64] >> np.uint64(last % 64)) & np.uint64(1)
+        north = rows[..., 1] & np.uint64(1)
+        frame[..., 0, 1:] = frame[..., -2, 1:]
+        frame[..., -1, 1:] = frame[..., 1, 1:]
+        frame[..., 0] = 0
+        rows[..., -1] &= _valid_row(self._height)[-1]
         self._or_slots(frame, south, north)
 
 

@@ -5,13 +5,11 @@ figure conventions (origin at the south-west corner).
 """
 
 from repro.viz.ascii_art import DEFAULT_GLYPHS, render_cells, render_result
-from repro.viz.svg import svg_of_cells, svg_of_result, svg_of_route
+from repro.viz.svg import svg_of_result
 
 __all__ = [
     "DEFAULT_GLYPHS",
     "render_cells",
     "render_result",
-    "svg_of_cells",
     "svg_of_result",
-    "svg_of_route",
 ]

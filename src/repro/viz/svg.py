@@ -13,13 +13,13 @@ screen-down convention.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 from repro.core.pipeline import LabelingResult
 from repro.geometry.boundary import boundary_loops
 from repro.geometry.cells import CellSet
 
-__all__ = ["svg_of_result", "svg_of_cells", "svg_of_route"]
+__all__ = ["svg_of_result"]
 
 # A small colour-blind-safe palette.
 _FILL_FAULTY = "#1f1f1f"
@@ -90,73 +90,5 @@ def svg_of_result(
     if outline_regions:
         for r in result.regions:
             doc.append(_loops_path(r.cells, h, scale, _STROKE_REGION, 2.0))
-    doc.append("</svg>")
-    return "\n".join(doc)
-
-
-def svg_of_route(
-    result: LabelingResult,
-    path: Sequence[Tuple[int, int]],
-    scale: int = 12,
-    stroke: str = "#7a0ecc",
-) -> str:
-    """Render a labeling result with one routed path drawn on top.
-
-    ``path`` is a node sequence (e.g. ``RouteResult.path``); it is drawn
-    as a polyline through cell centres with the source and destination
-    marked.  Used by the routing examples to show detours hugging the
-    fault polygons.
-    """
-    base = svg_of_result(result, scale=scale)
-    if len(path) == 0:
-        return base
-    w, h = result.labels.shape
-
-    def centre(c: Tuple[int, int]) -> Tuple[float, float]:
-        return ((c[0] + 0.5) * scale, (h - 1 - c[1] + 0.5) * scale)
-
-    overlay: List[str] = []
-    if len(path) > 1:
-        pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in map(centre, path))
-        overlay.append(
-            f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{scale / 4:.1f}" stroke-linejoin="round" '
-            f'stroke-linecap="round" opacity="0.85"/>'
-        )
-    sx, sy = centre(path[0])
-    dx, dy = centre(path[-1])
-    r = scale / 3
-    overlay.append(f'<circle cx="{sx:.1f}" cy="{sy:.1f}" r="{r:.1f}" fill="{stroke}"/>')
-    overlay.append(
-        f'<circle cx="{dx:.1f}" cy="{dy:.1f}" r="{r:.1f}" fill="none" '
-        f'stroke="{stroke}" stroke-width="2"/>'
-    )
-    return base.replace("</svg>", "\n".join(overlay) + "\n</svg>")
-
-
-def svg_of_cells(
-    layers: Sequence[Tuple[CellSet, str]],
-    shape: Tuple[int, int],
-    scale: int = 12,
-    outline: bool = True,
-) -> str:
-    """Render stacked cell-set layers, each with a fill colour.
-
-    ``layers`` are painted in order (later layers over earlier ones);
-    with ``outline`` each layer also gets its boundary traced.
-    """
-    w, h = shape
-    doc = _header(w, h, scale)
-    doc.append(
-        f'<rect x="0" y="0" width="{w * scale}" height="{h * scale}" '
-        f'fill="{_FILL_SAFE}"/>'
-    )
-    for cells, colour in layers:
-        for x, y in cells:
-            doc.append(_rect(x, y, h, scale, colour))
-    if outline:
-        for cells, colour in layers:
-            if cells:
-                doc.append(_loops_path(cells, h, scale, "#333333", 1.0))
     doc.append("</svg>")
     return "\n".join(doc)

@@ -4,9 +4,12 @@ import math
 
 import pytest
 
-from repro.analysis import run_fig5
+from repro.analysis import fig5, run_fig5
+from repro.analysis.fig5 import _curve
 from repro.core import SafetyDefinition
 from repro.mesh import Mesh2D, Torus2D
+
+from tests.analysis.fig5_reference import fig5_rows_reference, run_fig5_reference
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +103,74 @@ class TestFig5Driver:
                     sv, sb = getattr(pv, name), getattr(pb, name)
                     assert sv.n == sb.n
                     assert same(sv.mean, sb.mean) and same(sv.std, sb.std)
+
+
+class TestBatchMatchesPerTrialOracle:
+    """The batched ``run_fig5`` reproduces the per-trial ``label_mesh`` path
+    (``fig5_reference``) row for row and byte for byte."""
+
+    F_VALUES = (0, 3, 8, 16, 24)
+
+    @pytest.mark.parametrize("topo_cls", [Mesh2D, Torus2D])
+    @pytest.mark.parametrize("definition", list(SafetyDefinition))
+    @pytest.mark.parametrize("method", ["dense", "frontier", "auto"])
+    def test_tables_identical(self, topo_cls, definition, method):
+        topo = topo_cls(24, 24)
+        expected = run_fig5_reference(
+            definition, topo, self.F_VALUES, trials=6, seed=31, method=method
+        ).as_table()
+        for jobs in (1, 2):
+            got = run_fig5(
+                definition, topology=topo, f_values=self.F_VALUES, trials=6,
+                seed=31, method=method, jobs=jobs,
+            )
+            assert got.as_table() == expected
+
+    @pytest.mark.parametrize("topo_cls", [Mesh2D, Torus2D])
+    @pytest.mark.parametrize("definition", list(SafetyDefinition))
+    def test_rows_identical_across_batch_splits(self, monkeypatch, topo_cls, definition):
+        # Batches of 1, 3 and all 7 planes: the split never shows in a row.
+        topo = topo_cls(17, 13)
+        trials, seed, f_values = 7, 5, (0, 3, 6, 12)
+        expected = fig5_rows_reference(topo, definition, f_values, trials, seed)
+        for planes in (1, 3, trials):
+            monkeypatch.setattr(fig5, "_BATCH_CELLS", planes * topo.num_nodes)
+            curve = run_fig5(
+                definition, topology=topo, f_values=f_values, trials=trials,
+                seed=seed,
+            )
+            assert curve.as_table() == _curve(
+                definition, topo, f_values, trials, seed, expected
+            ).as_table()
+            for fi, f in enumerate(f_values):
+                rows = []
+                for start in range(0, trials, planes):
+                    stop = min(start + planes, trials)
+                    rows += fig5._fig5_batch(
+                        (topo, definition, "auto", f, fi, start, stop, trials, seed)
+                    )
+                assert rows == expected[fi * trials : (fi + 1) * trials]
+
+    def test_budget_holds_at_least_one_plane(self, monkeypatch):
+        monkeypatch.setattr(fig5, "_BATCH_CELLS", 1)
+        topo = Mesh2D(9, 9)
+        kw = dict(topology=topo, f_values=[10], trials=3, seed=2)
+        assert (
+            run_fig5(SafetyDefinition.DEF_2A, **kw).as_table()
+            == run_fig5_reference(SafetyDefinition.DEF_2A, topo, [10], 3, 2).as_table()
+        )
+
+    def test_unwrappable_torus_raises_like_label_mesh(self):
+        # Dense faults on a small torus fill every column: the batch
+        # raises the ValueError label_mesh raises for that trial.
+        topo = Torus2D(6, 6)
+        with pytest.raises(ValueError, match="cannot unwrap torus labels"):
+            run_fig5_reference(SafetyDefinition.DEF_2A, topo, [30], 2, 0)
+        with pytest.raises(ValueError, match="cannot unwrap torus labels"):
+            run_fig5(
+                SafetyDefinition.DEF_2A, topology=topo, f_values=[30], trials=2, seed=0
+            )
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            run_fig5(topology=Mesh2D(5, 5), f_values=[1], trials=1, method="bogus")

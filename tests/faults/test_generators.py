@@ -6,7 +6,6 @@ import pytest
 from repro.errors import FaultModelError
 from repro.faults import (
     clustered,
-    combined,
     rectangle_outage,
     shaped,
     uniform_random,
@@ -113,14 +112,3 @@ class TestShaped:
     def test_unknown_kind(self):
         with pytest.raises(FaultModelError):
             shaped((16, 16), "Z", (0, 0), (3, 3))
-
-
-class TestCombined:
-    def test_union_of_parts(self):
-        a = shaped((16, 16), "rect", (0, 0), (2, 2))
-        b = shaped((16, 16), "rect", (10, 10), (2, 2))
-        assert len(combined([a, b])) == 8
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(FaultModelError):
-            combined([])

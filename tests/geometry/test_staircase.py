@@ -3,13 +3,8 @@
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry import (
-    CellSet,
-    connect_orthoconvex,
-    is_connected,
-    is_orthoconvex,
-    staircase_cells,
-)
+from repro.geometry import CellSet, connect_orthoconvex, is_connected, is_orthoconvex
+from repro.geometry.staircase import staircase_cells
 
 
 class TestStaircaseCells:

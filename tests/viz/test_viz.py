@@ -4,7 +4,7 @@ from repro.core import label_mesh
 from repro.faults import FaultSet
 from repro.geometry import CellSet, shapes
 from repro.mesh import Mesh2D
-from repro.viz import render_cells, render_result, svg_of_cells, svg_of_result
+from repro.viz import render_cells, render_result, svg_of_result
 
 
 def paper_result():
@@ -64,45 +64,3 @@ class TestSvg:
             paper_result(), outline_blocks=False, outline_regions=False
         )
         assert "<polygon" not in plain
-
-    def test_cells_svg_layers(self):
-        a = shapes.rectangle((8, 8), (1, 1), 2, 2)
-        b = shapes.rectangle((8, 8), (5, 5), 2, 2)
-        svg = svg_of_cells([(a, "#ff0000"), (b, "#00ff00")], (8, 8))
-        assert svg.count("#ff0000") == 4
-        assert svg.count("#00ff00") == 4
-
-    def test_svg_dimensions_scale(self):
-        svg = svg_of_cells([], (4, 3), scale=10)
-        assert 'width="40"' in svg and 'height="30"' in svg
-
-
-class TestSvgRoute:
-    def _route_setup(self):
-        from repro.routing import FaultModelView, WallRouter
-
-        result = paper_result()
-        view = FaultModelView.from_regions(result)
-        route = WallRouter(view).route((0, 0), (5, 5))
-        return result, route
-
-    def test_route_overlay_present(self):
-        from repro.viz import svg_of_route
-
-        result, route = self._route_setup()
-        svg = svg_of_route(result, route.path)
-        assert "<polyline" in svg and svg.count("<circle") == 2
-        assert svg.rstrip().endswith("</svg>")
-
-    def test_single_node_path(self):
-        from repro.viz import svg_of_route
-
-        result, _ = self._route_setup()
-        svg = svg_of_route(result, [(2, 2)])
-        assert "<polyline" not in svg and svg.count("<circle") == 2
-
-    def test_empty_path_is_base_document(self):
-        from repro.viz import svg_of_result, svg_of_route
-
-        result, _ = self._route_setup()
-        assert svg_of_route(result, []) == svg_of_result(result)
