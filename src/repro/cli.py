@@ -74,33 +74,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, labels: bool = True) -> None:
+        """Instance flags; ``labels`` adds the labeling rule and fabric."""
         p.add_argument("--size", type=int, default=32, help="mesh side length")
         p.add_argument("--faults", type=int, default=20, help="number of faults")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument(
-            "--definition",
-            choices=["2a", "2b"],
-            default="2b",
-            help="phase-1 unsafe rule",
-        )
-        p.add_argument(
-            "--torus", action="store_true", help="use a torus instead of a mesh"
-        )
+        if labels:
+            p.add_argument(
+                "--definition",
+                choices=["2a", "2b"],
+                default="2b",
+                help="phase-1 unsafe rule",
+            )
+            p.add_argument(
+                "--torus", action="store_true", help="use a torus instead of a mesh"
+            )
         p.add_argument(
             "--clustered",
             action="store_true",
             help="clustered faults instead of uniform random",
         )
-        p.add_argument(
-            "--method",
-            choices=["dense", "frontier", "auto"],
-            default="auto",
-            help="vectorized labeling kernel (frontier = sparse active-set)",
-        )
 
     p_label = sub.add_parser("label", help="run the two-phase labeling")
     common(p_label)
+    p_label.add_argument(
+        "--method",
+        choices=["dense", "frontier", "auto"],
+        default="auto",
+        help="vectorized labeling kernel (frontier = sparse active-set)",
+    )
     p_label.add_argument(
         "--backend",
         choices=["vectorized", "distributed"],
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_part = sub.add_parser("partition", help="open-problem cover heuristics")
-    common(p_part)
+    common(p_part, labels=False)
 
     p_serve = sub.add_parser(
         "serve", help="run the incremental relabeling service"
@@ -415,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _topology(args):
     from repro.mesh import Mesh2D, Torus2D
 
-    cls = Torus2D if getattr(args, "torus", False) else Mesh2D
+    cls = Torus2D if args.torus else Mesh2D
     return cls(args.size, args.size)
 
 
@@ -425,7 +427,7 @@ def _faults(args, shape):
     from repro.faults import clustered, uniform_random
 
     rng = np.random.default_rng(args.seed)
-    if getattr(args, "clustered", False):
+    if args.clustered:
         return clustered(shape, args.faults, rng, clusters=3, spread=2.0)
     return uniform_random(shape, args.faults, rng)
 
@@ -693,8 +695,7 @@ def _cmd_partition(args) -> int:
     from repro.geometry import connect_orthoconvex
     from repro.partition import cluster_cover, exact_cover, guillotine_cover
 
-    topo = _topology(args)
-    faults = _faults(args, topo.shape)
+    faults = _faults(args, (args.size, args.size))
     if not faults:
         print("no faults to cover")
         return 0
@@ -807,9 +808,7 @@ def _cmd_serve(args) -> int:
                 return service.stats()
 
         def ready() -> bool:
-            recovery = service.recovery
-            verified = recovery is None or recovery.verified
-            return verified and not server.draining
+            return not server.draining
 
         admin = AdminServer(
             metrics=telemetry.metrics if telemetry is not None else None,

@@ -262,7 +262,7 @@ class IncrementalLabeling:
         Phase-1 unsafe rule.
     cache:
         A :class:`BlockEnableCache` to (re)use, or ``None`` for a fresh
-        private one.
+        private one (the cache-sharing property tests pass one in).
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry`; the phase-1
         wave observes its per-round frontier size into the
@@ -298,24 +298,6 @@ class IncrementalLabeling:
         self._total_rounds2 = 0
         self._num_updates = 0
         self._geom_cache: Optional[Tuple[int, LabelingResult]] = None
-
-    @classmethod
-    def from_faults(
-        cls,
-        topology: Topology,
-        faults: FaultSet | Iterable[Coord],
-        definition: SafetyDefinition = SafetyDefinition.DEF_2B,
-        cache: Optional[BlockEnableCache] = None,
-        telemetry: Optional[Telemetry] = None,
-    ) -> "IncrementalLabeling":
-        """Build a converged engine for an initial fault set.
-
-        The initial build is just a (large) injection, so it exercises
-        the same machinery as the online path and pre-warms the cache.
-        """
-        engine = cls(topology, definition, cache=cache, telemetry=telemetry)
-        engine.inject(list(faults))
-        return engine
 
     # -- views ----------------------------------------------------------------
 

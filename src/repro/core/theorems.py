@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.core.pipeline import LabelingResult
 from repro.core.regions import DisabledRegion
-from repro.core.status import SafetyDefinition
 from repro.geometry.boundary import corner_cells
 from repro.geometry.cells import CellSet
 from repro.geometry.orthoconvex import is_orthoconvex, orthoconvex_closure
@@ -58,6 +57,9 @@ __all__ = [
     "check_corollary",
     "check_all",
 ]
+
+#: Outside nodes :func:`check_lemma3` probes per region.
+_LEMMA3_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -214,10 +216,10 @@ def check_lemma2(region: DisabledRegion) -> CheckOutcome:
     return _ok(claim)
 
 
-def check_lemma3(region: DisabledRegion, samples: int = 64) -> CheckOutcome:
+def check_lemma3(region: DisabledRegion) -> CheckOutcome:
     """Lemma 3: for nodes outside the (orthoconvex) region, some quadrant is
     empty of region nodes.  Checks every outside node of the region's
-    bounding box neighbourhood, capped at ``samples`` per region."""
+    bounding box neighbourhood, capped at ``_LEMMA3_SAMPLES`` per region."""
     claim = "lemma 3 (outside nodes have an empty quadrant)"
     x0, y0, x1, y1 = region.cells.bounding_box()
     x0, y0 = max(0, x0 - 1), max(0, y0 - 1)
@@ -229,7 +231,7 @@ def check_lemma3(region: DisabledRegion, samples: int = 64) -> CheckOutcome:
                 claim, f"outside node ({x + x0},{y + y0}) sees all 4 quadrants"
             )
         checked += 1
-        if checked >= samples:
+        if checked >= _LEMMA3_SAMPLES:
             return _ok(claim)
     return _ok(claim)
 

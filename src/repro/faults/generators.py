@@ -141,7 +141,6 @@ def shaped(
     kind: str,
     anchor: Coord,
     extent: Tuple[int, int],
-    thickness: int = 1,
 ) -> FaultSet:
     """A deterministic shaped fault region.
 
@@ -156,12 +155,7 @@ def shaped(
         raise FaultModelError(
             f"unknown shape kind {kind!r}; expected one of {sorted(_SHAPE_BUILDERS)}"
         ) from None
-    w, h = extent
-    if kind == "rect":
-        cells = builder(shape, anchor, w, h)
-    else:
-        cells = builder(shape, anchor, w, h, thickness)
-    return FaultSet(cells)
+    return FaultSet(builder(shape, anchor, *extent))
 
 
 def staggered_crashes(

@@ -341,25 +341,6 @@ def is_connected(cells: CellSet, connectivity: int = 4) -> bool:
     return _label_runs(xs, ys, cells.shape, connectivity).count == 1
 
 
-def dilate(mask: BoolGrid, connectivity: int = 4) -> BoolGrid:
-    """One-step morphological dilation of a mask within its grid.
-
-    Used for separation-distance checks: two sets are at Manhattan
-    distance >= 2 iff the 4-dilation of one misses the other.
-    """
-    out = mask.copy()
-    offsets = Connectivity4 if connectivity == 4 else Connectivity8
-    for dx, dy in offsets:
-        shifted = np.zeros_like(mask)
-        src_x = slice(max(0, -dx), mask.shape[0] - max(0, dx))
-        dst_x = slice(max(0, dx), mask.shape[0] + min(0, dx))
-        src_y = slice(max(0, -dy), mask.shape[1] - max(0, dy))
-        dst_y = slice(max(0, dy), mask.shape[1] + min(0, dy))
-        shifted[dst_x, dst_y] = mask[src_x, src_y]
-        out |= shifted
-    return out
-
-
 def set_distance(a: CellSet, b: CellSet) -> int:
     """Minimum Manhattan distance between members of two non-empty sets.
 

@@ -92,7 +92,7 @@ def is_orthoconvex(cells: CellSet, require_connected: bool = True) -> bool:
     return True
 
 
-def orthoconvex_closure(cells: CellSet, max_iter: int | None = None) -> CellSet:
+def orthoconvex_closure(cells: CellSet) -> CellSet:
     """The smallest orthogonal convex *set* containing ``cells``.
 
     Iterates horizontal and vertical span filling to a fixpoint.  The
@@ -107,13 +107,14 @@ def orthoconvex_closure(cells: CellSet, max_iter: int | None = None) -> CellSet:
     Raises
     ------
     GeometryError
-        If the iteration exceeds ``max_iter`` sweeps (impossible for
-        well-formed inputs; guards against grid corruption).
+        If the iteration exceeds ``width + height + 2`` sweeps
+        (impossible for well-formed inputs; guards against grid
+        corruption).
     """
     if not cells:
         return cells
     w, h = cells.shape
-    budget = max_iter if max_iter is not None else (w + h + 2)
+    budget = w + h + 2
     mask = cells.mask.copy()
     for _ in range(budget):
         new = fill_spans(mask, 0)

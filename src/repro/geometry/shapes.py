@@ -7,9 +7,9 @@ These generators build the shapes as :class:`~repro.geometry.cells.CellSet`
 values anchored at a grid position — used by the shaped fault model, the
 shape-specific tests, and the examples.
 
-All generators take the shape's bounding-box size plus arm-thickness
-parameters, anchor the bounding box's south-west cell at ``anchor``, and
-validate fit against the target grid shape.
+All generators take the shape's bounding-box size, anchor the bounding
+box's south-west cell at ``anchor``, and validate fit against the target
+grid shape.  Every arm is one cell thick.
 """
 
 from __future__ import annotations
@@ -53,79 +53,56 @@ def rectangle(shape: Tuple[int, int], anchor: Coord, w: int, h: int) -> CellSet:
     return CellSet(mask)
 
 
-def l_shape(
-    shape: Tuple[int, int], anchor: Coord, w: int, h: int, thickness: int = 1
-) -> CellSet:
+def l_shape(shape: Tuple[int, int], anchor: Coord, w: int, h: int) -> CellSet:
     """An L: a full bottom row-arm plus a left column-arm (orthoconvex)."""
-    _check_arms(w, h, thickness)
     mask = _blank(shape, anchor, w, h)
     ax, ay = anchor
-    mask[ax : ax + w, ay : ay + thickness] = True          # bottom arm
-    mask[ax : ax + thickness, ay : ay + h] = True          # left arm
+    mask[ax : ax + w, ay] = True          # bottom arm
+    mask[ax, ay : ay + h] = True          # left arm
     return CellSet(mask)
 
 
-def t_shape(
-    shape: Tuple[int, int], anchor: Coord, w: int, h: int, thickness: int = 1
-) -> CellSet:
+def t_shape(shape: Tuple[int, int], anchor: Coord, w: int, h: int) -> CellSet:
     """A T: a full top row-arm plus a centered vertical stem (orthoconvex)."""
-    _check_arms(w, h, thickness)
-    if w < thickness:
-        raise GeometryError("T stem thicker than its bar")
     mask = _blank(shape, anchor, w, h)
     ax, ay = anchor
-    mask[ax : ax + w, ay + h - thickness : ay + h] = True  # top bar
-    sx = ax + (w - thickness) // 2
-    mask[sx : sx + thickness, ay : ay + h] = True          # stem
+    mask[ax : ax + w, ay + h - 1] = True  # top bar
+    mask[ax + (w - 1) // 2, ay : ay + h] = True  # stem
     return CellSet(mask)
 
 
-def plus_shape(
-    shape: Tuple[int, int], anchor: Coord, w: int, h: int, thickness: int = 1
-) -> CellSet:
+def plus_shape(shape: Tuple[int, int], anchor: Coord, w: int, h: int) -> CellSet:
     """A +: centered horizontal and vertical bars (orthoconvex)."""
-    _check_arms(w, h, thickness)
-    if w < thickness or h < thickness:
-        raise GeometryError("+ arms thicker than the bounding box")
     mask = _blank(shape, anchor, w, h)
     ax, ay = anchor
-    bx = ax + (w - thickness) // 2
-    by = ay + (h - thickness) // 2
-    mask[ax : ax + w, by : by + thickness] = True          # horizontal bar
-    mask[bx : bx + thickness, ay : ay + h] = True          # vertical bar
+    mask[ax : ax + w, ay + (h - 1) // 2] = True  # horizontal bar
+    mask[ax + (w - 1) // 2, ay : ay + h] = True  # vertical bar
     return CellSet(mask)
 
 
-def u_shape(
-    shape: Tuple[int, int], anchor: Coord, w: int, h: int, thickness: int = 1
-) -> CellSet:
+def u_shape(shape: Tuple[int, int], anchor: Coord, w: int, h: int) -> CellSet:
     """A U: two vertical arms joined by a bottom bar (NOT orthoconvex for
-    ``w >= 2*thickness + 1`` and ``h >= thickness + 1``)."""
-    _check_arms(w, h, thickness)
-    if w < 2 * thickness + 1:
+    ``w >= 3`` and ``h >= 2``)."""
+    if w < 3:
         raise GeometryError("U too narrow to have a cavity")
     mask = _blank(shape, anchor, w, h)
     ax, ay = anchor
-    mask[ax : ax + w, ay : ay + thickness] = True                  # bottom bar
-    mask[ax : ax + thickness, ay : ay + h] = True                  # left arm
-    mask[ax + w - thickness : ax + w, ay : ay + h] = True          # right arm
+    mask[ax : ax + w, ay] = True          # bottom bar
+    mask[ax, ay : ay + h] = True          # left arm
+    mask[ax + w - 1, ay : ay + h] = True  # right arm
     return CellSet(mask)
 
 
-def h_shape(
-    shape: Tuple[int, int], anchor: Coord, w: int, h: int, thickness: int = 1
-) -> CellSet:
+def h_shape(shape: Tuple[int, int], anchor: Coord, w: int, h: int) -> CellSet:
     """An H: two vertical arms joined by a centered crossbar (NOT orthoconvex
     for a bounding box tall and wide enough to leave cavities)."""
-    _check_arms(w, h, thickness)
-    if w < 2 * thickness + 1 or h < thickness + 2:
+    if w < 3 or h < 3:
         raise GeometryError("H too small to have cavities")
     mask = _blank(shape, anchor, w, h)
     ax, ay = anchor
-    mask[ax : ax + thickness, ay : ay + h] = True                  # left arm
-    mask[ax + w - thickness : ax + w, ay : ay + h] = True          # right arm
-    by = ay + (h - thickness) // 2
-    mask[ax : ax + w, by : by + thickness] = True                  # crossbar
+    mask[ax, ay : ay + h] = True          # left arm
+    mask[ax + w - 1, ay : ay + h] = True  # right arm
+    mask[ax : ax + w, ay + (h - 1) // 2] = True  # crossbar
     return CellSet(mask)
 
 
@@ -143,10 +120,3 @@ def staircase_shape(shape: Tuple[int, int], anchor: Coord, steps: int) -> CellSe
     for i in range(steps):
         mask[ax + i, ay + i] = True
     return CellSet(mask)
-
-
-def _check_arms(w: int, h: int, thickness: int) -> None:
-    if thickness < 1:
-        raise GeometryError(f"thickness must be positive, got {thickness}")
-    if thickness > min(w, h):
-        raise GeometryError(f"thickness {thickness} exceeds extent {w}x{h}")

@@ -34,6 +34,10 @@ from repro.types import Coord
 
 __all__ = ["connect_orthoconvex"]
 
+#: Loop budget of :func:`connect_orthoconvex`; each round removes at
+#: least one fragment, so well-formed inputs never come near it.
+_MAX_JOIN_ROUNDS = 10_000
+
 
 def staircase_cells(u: Coord, v: Coord) -> List[Coord]:
     """Intermediate cells of a monotone staircase from ``u`` to ``v``.
@@ -73,7 +77,7 @@ def _closest_pair(a: CellSet, b: CellSet) -> Tuple[Coord, Coord, int]:
     return u, v, int(cheb[i, j]) - 1
 
 
-def connect_orthoconvex(cells: CellSet, max_rounds: int = 10_000) -> CellSet:
+def connect_orthoconvex(cells: CellSet) -> CellSet:
     """Smallest-effort orthogonal convex *polygon* containing ``cells``.
 
     Alternates orthoconvex closure with greedy nearest-fragment staircase
@@ -83,13 +87,13 @@ def connect_orthoconvex(cells: CellSet, max_rounds: int = 10_000) -> CellSet:
     Raises
     ------
     GeometryError
-        If ``cells`` is empty, or the join loop exceeds ``max_rounds``
-        (impossible for well-formed inputs).
+        If ``cells`` is empty, or the join loop exceeds
+        ``_MAX_JOIN_ROUNDS`` (impossible for well-formed inputs).
     """
     if not cells:
         raise GeometryError("cannot build a polygon from an empty cell set")
     current = orthoconvex_closure(cells)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_JOIN_ROUNDS):
         comps = connected_components(current, connectivity=8)
         if len(comps) == 1:
             return current
@@ -104,4 +108,6 @@ def connect_orthoconvex(cells: CellSet, max_rounds: int = 10_000) -> CellSet:
         assert best is not None
         bridge = CellSet.from_coords(cells.shape, staircase_cells(*best))
         current = orthoconvex_closure(current.union(bridge))
-    raise GeometryError(f"connect_orthoconvex did not converge in {max_rounds} rounds")
+    raise GeometryError(
+        f"connect_orthoconvex did not converge in {_MAX_JOIN_ROUNDS} rounds"
+    )

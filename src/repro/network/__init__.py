@@ -31,7 +31,6 @@ __all__ = [
     "clockwise_ring_hops",
     "dateline_vc_policy",
     "injection_sweep",
-    "nearest_rank",
     "source_routed_traffic",
     "synthetic_traffic",
     "uniform_traffic",
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "batched": ("BatchedNetwork", "BatchedResult", "nearest_rank"),
+    "batched": ("BatchedNetwork", "BatchedResult"),
     "flits": ("Flit", "FlitKind", "WormPacket"),
     "hops": ("HopFunction", "block_detour_hops", "clockwise_ring_hops", "xy_hops"),
     "simulator": ("NetworkResult", "VCSelector", "WormholeNetwork", "dateline_vc_policy"),

@@ -49,6 +49,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import RoutingError
+from repro.obs.metrics import nearest_rank
 from repro.routing.base import FaultModelView
 from repro.routing.packet import DropReason
 from repro.routing.vectorized import TrafficKernel, make_kernel
@@ -57,7 +58,6 @@ __all__ = [
     "BatchedNetwork",
     "BatchedResult",
     "STATUS_NAMES",
-    "nearest_rank",
 ]
 
 # Packet status codes (result column ``status``).
@@ -87,18 +87,11 @@ _REASONS = (
 _DIR_LUT = np.array([3, 1, 2, 0, 2], dtype=np.int32)
 
 
-def nearest_rank(values: np.ndarray, q: float) -> float:
-    """Nearest-rank percentile of a 1-D array; ``nan`` when empty.
-
-    Matches the convention of
-    :func:`repro.obs.summarize.latency_percentiles` so engine results
-    and trace summaries report identical numbers.
-    """
+def _percentile(values: np.ndarray, q: float) -> float:
+    """Nearest-rank ``q``-quantile of a latency column; ``nan`` when empty."""
     if values.size == 0:
         return float("nan")
-    s = np.sort(values)
-    idx = max(0, int(np.ceil(q / 100.0 * s.size)) - 1)
-    return float(s[idx])
+    return float(nearest_rank(np.sort(values), q))
 
 
 @dataclass
@@ -183,15 +176,15 @@ class BatchedResult:
 
     @property
     def p50_latency(self) -> float:
-        return nearest_rank(self.latencies, 50)
+        return _percentile(self.latencies, 0.50)
 
     @property
     def p95_latency(self) -> float:
-        return nearest_rank(self.latencies, 95)
+        return _percentile(self.latencies, 0.95)
 
     @property
     def p99_latency(self) -> float:
-        return nearest_rank(self.latencies, 99)
+        return _percentile(self.latencies, 0.99)
 
     # -- comparison ----------------------------------------------------------
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import RoutingError
 from repro.mesh.topology import Topology
-from repro.network.batched import nearest_rank
+from repro.network.batched import _percentile
 from repro.network.flits import Flit, WormPacket
 from repro.network.hops import HopFunction
 from repro.types import Coord
@@ -129,15 +129,15 @@ class NetworkResult:
     @property
     def p50_latency(self) -> float:
         """Median delivered latency (nearest-rank); ``nan`` when empty."""
-        return nearest_rank(self.latencies, 50)
+        return _percentile(self.latencies, 0.50)
 
     @property
     def p95_latency(self) -> float:
-        return nearest_rank(self.latencies, 95)
+        return _percentile(self.latencies, 0.95)
 
     @property
     def p99_latency(self) -> float:
-        return nearest_rank(self.latencies, 99)
+        return _percentile(self.latencies, 0.99)
 
     @property
     def throughput(self) -> float:

@@ -120,7 +120,6 @@ def injection_sweep(
     seed: int = 0,
     kernel="detour",
     pattern: str = "uniform",
-    engine: str = "batched",
     max_cycles: int = 1_000_000,
     drain_factor: Optional[float] = None,
     endpoint_view: Optional[FaultModelView] = None,
@@ -142,7 +141,7 @@ def injection_sweep(
     detects.  With the default ``None``, every point gets the full
     ``max_cycles`` horizon, so only extreme backlogs register.
     """
-    net = BatchedNetwork(view, kernel=kernel, engine=engine)
+    net = BatchedNetwork(view, kernel=kernel)
     sample_view = endpoint_view if endpoint_view is not None else view
     points: List[SweepPoint] = []
     for i, rate in enumerate(rates):

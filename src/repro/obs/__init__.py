@@ -66,6 +66,7 @@ __all__ = [
     "latency_percentiles",
     "load_chrome_trace",
     "load_run_artifact",
+    "nearest_rank",
     "parse_prometheus",
     "render_prometheus",
     "snapshot_event",
@@ -86,10 +87,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "validate_event_dict", "validate_jsonl",
     ),
     "exposition": ("AdminServer", "parse_prometheus", "render_prometheus"),
-    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "latency_percentiles", "nearest_rank",
+    ),
     "sinks": ("EventSink", "JSONLSink", "MemorySink", "NullSink"),
     "slo": ("SLOConfig", "SLOTracker", "evaluate_outcomes"),
     "spans": ("SpanRecorder", "load_chrome_trace", "stitch_chrome_traces"),
-    "summarize": ("EpochReport", "TraceSummary", "latency_percentiles", "summarize_trace"),
+    "summarize": ("EpochReport", "TraceSummary", "summarize_trace"),
     "telemetry": ("Telemetry",),
 })

@@ -15,19 +15,62 @@ Integer-valued series stay integers (no float drift).
 :meth:`MetricsRegistry.snapshot` returns plain nested dicts ready for
 ``json.dump``; series keys are rendered Prometheus-style:
 ``name{label="value",...}``.
+
+:func:`nearest_rank` is the package's one percentile rule: the traffic
+engines, the service's latency window, the SLO grader and the trace
+summaries all report through it, so their numbers agree.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Tuple, Union
+import math
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = [
+    "Counter",
+    "Gauge",
+    "Histogram",
+    "MetricsRegistry",
+    "latency_percentiles",
+    "nearest_rank",
+]
 
 Number = Union[int, float]
 
 #: A series key: (name, sorted (label, value) pairs).
 SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
+
+
+def nearest_rank(ordered: Sequence[Number], q: float) -> Number:
+    """Nearest-rank ``q``-quantile (``0 < q <= 1``) of a non-empty,
+    ascending sequence: its element at rank ``ceil(q * n)``.
+
+    Callers sort, and choose what an empty sample reports.
+    """
+    n = len(ordered)
+    return ordered[min(n - 1, max(0, math.ceil(q * n) - 1))]
+
+
+def latency_percentiles(
+    samples: List[float], errors: int = 0
+) -> Dict[str, float]:
+    """Nearest-rank percentile summary of a latency sample set (µs);
+    every rank reads 0.0 when there are no samples."""
+    ordered = sorted(samples)
+    n = len(ordered)
+
+    def rank(q: float) -> float:
+        return nearest_rank(ordered, q) if n else 0.0
+
+    return {
+        "count": float(n),
+        "errors": float(errors),
+        "p50": rank(0.50),
+        "p90": rank(0.90),
+        "p99": rank(0.99),
+        "max": ordered[-1] if n else 0.0,
+    }
 
 
 def _series_key(name: str, labels: Dict[str, Any]) -> SeriesKey:

@@ -24,11 +24,12 @@ report — one definition of "healthy", three vantage points.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterable, Tuple
+
+from repro.obs.metrics import nearest_rank
 
 __all__ = ["SLOConfig", "SLOTracker", "evaluate_outcomes"]
 
@@ -106,15 +107,9 @@ def evaluate_outcomes(
     budget_total = (1.0 - config.availability_target) * count
     budget_remaining = max(0.0, budget_total - errors)
     availability_ok = count == 0 or availability >= config.availability_target
-    if oks:
-        oks.sort()
-        rank = min(
-            len(oks) - 1,
-            max(0, math.ceil(config.latency_quantile * len(oks)) - 1),
-        )
-        quantile_us = oks[rank]
-    else:
-        quantile_us = 0.0
+    quantile_us = (
+        nearest_rank(sorted(oks), config.latency_quantile) if oks else 0.0
+    )
     latency_ok = quantile_us <= config.latency_objective_us
     return {
         "config": {

@@ -23,13 +23,13 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.events import validate_event_dict, _iter_jsonl
+from repro.obs.metrics import latency_percentiles
 from repro.obs.slo import SLOConfig, evaluate_outcomes
 
 __all__ = [
     "EpochReport",
     "RunReport",
     "TraceSummary",
-    "latency_percentiles",
     "summarize_trace",
 ]
 
@@ -368,28 +368,6 @@ def _absorb_record(
         report.heartbeats = int(fields["heartbeats"])
         report.dropped = int(fields["dropped"])
         report.duplicated = int(fields["duplicated"])
-
-
-def latency_percentiles(
-    samples: List[float], errors: int = 0
-) -> Dict[str, float]:
-    """Nearest-rank percentile summary of a latency sample set (µs)."""
-    ordered = sorted(samples)
-    n = len(ordered)
-
-    def rank(q: float) -> float:
-        if n == 0:
-            return 0.0
-        return ordered[min(n - 1, max(0, math.ceil(q * n) - 1))]
-
-    return {
-        "count": float(n),
-        "errors": float(errors),
-        "p50": rank(0.50),
-        "p90": rank(0.90),
-        "p99": rank(0.99),
-        "max": ordered[-1] if n else 0.0,
-    }
 
 
 def _run_key(fields: Mapping[str, Any]) -> Tuple[Tuple[str, str], ...]:

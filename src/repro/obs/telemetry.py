@@ -52,8 +52,8 @@ class Telemetry:
     log_level:
         Minimum event severity kept (``"debug"`` keeps everything,
         ``"info"`` drops per-node chatter such as ``node_flip``).
-    labels:
-        Context labels bound to every event and metric series.
+
+    A fresh telemetry binds no context labels; :meth:`child` adds them.
     """
 
     __slots__ = ("_sinks", "metrics", "spans", "labels", "_min_level")
@@ -64,22 +64,21 @@ class Telemetry:
         metrics: Optional[MetricsRegistry] = None,
         spans: Optional[SpanRecorder] = None,
         log_level: str = "info",
-        labels: Optional[Dict[str, Any]] = None,
     ):
         if log_level not in LEVELS:
             raise ValueError(f"log_level must be one of {LEVELS}, got {log_level!r}")
         self._sinks = tuple(sinks)
         self.metrics = metrics
         self.spans = spans
-        self.labels: Dict[str, Any] = dict(labels or {})
+        self.labels: Dict[str, Any] = {}
         self._min_level = LEVELS.index(log_level)
 
     @classmethod
-    def null(cls, log_level: str = "debug") -> "Telemetry":
-        """A telemetry that exercises the full emit path into a
-        :class:`~repro.obs.sinks.NullSink` — the benchmark configuration
-        for measuring instrumentation overhead."""
-        return cls(sinks=(NullSink(),), log_level=log_level)
+    def null(cls) -> "Telemetry":
+        """A telemetry that exercises the full emit path, debug events
+        included, into a :class:`~repro.obs.sinks.NullSink` — the
+        benchmark configuration for measuring instrumentation overhead."""
+        return cls(sinks=(NullSink(),), log_level="debug")
 
     def child(self, **labels: Any) -> "Telemetry":
         """A view sharing sinks/metrics/spans with extra bound labels."""

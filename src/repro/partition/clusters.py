@@ -22,7 +22,7 @@ from repro.errors import PartitionError
 from repro.geometry.cells import CellSet
 from repro.geometry.components import set_distance
 from repro.geometry.staircase import connect_orthoconvex
-from repro.partition.evaluate import FaultCover
+from repro.partition.evaluate import _MIN_SEPARATION, FaultCover
 from repro.types import Coord
 
 __all__ = ["cluster_cover"]
@@ -52,7 +52,7 @@ def _group_by_threshold(coords: List[Coord], t: int) -> List[List[Coord]]:
 
 
 def _polygons_for_groups(
-    shape, groups: Sequence[Sequence[Coord]], min_separation: int
+    shape, groups: Sequence[Sequence[Coord]]
 ) -> List[CellSet]:
     """Build per-group polygons, merging groups until separation holds."""
     parts = [list(g) for g in groups]
@@ -66,7 +66,7 @@ def _polygons_for_groups(
             for j in range(i + 1, len(polys)):
                 too_close = (
                     not polys[i].isdisjoint(polys[j])
-                    or set_distance(polys[i], polys[j]) < min_separation
+                    or set_distance(polys[i], polys[j]) < _MIN_SEPARATION
                 )
                 if too_close:
                     parts[i] = parts[i] + parts[j]
@@ -79,7 +79,7 @@ def _polygons_for_groups(
             return polys
 
 
-def cluster_cover(faults: CellSet, min_separation: int = 2) -> FaultCover:
+def cluster_cover(faults: CellSet) -> FaultCover:
     """Best proximity-clustering cover of a fault set.
 
     Sweeps the clustering threshold over every distinct pairwise
@@ -107,7 +107,7 @@ def cluster_cover(faults: CellSet, min_separation: int = 2) -> FaultCover:
     best: FaultCover | None = None
     for t in candidates:
         groups = _group_by_threshold(coords, t)
-        polys = _polygons_for_groups(faults.shape, groups, min_separation)
+        polys = _polygons_for_groups(faults.shape, groups)
         cover = FaultCover.build(faults, polys)
         if best is None or cover.num_nonfaulty < best.num_nonfaulty:
             best = cover

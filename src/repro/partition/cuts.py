@@ -1,12 +1,11 @@
 """Guillotine-cut heuristic for the open partition problem.
 
 Recursively splits the fault set along the widest fault-free axis gap:
-if some band of ``min_separation - 1`` or more consecutive columns (or
-rows) inside the fault bounding box contains no fault, the faults on
-either side can be covered by separate polygons whose bounding boxes —
-and hence the polygons themselves — stay at least ``min_separation``
-apart.  Leaves are covered by their minimal connected orthoconvex
-polygon.
+if some column (or row) inside the fault bounding box contains no
+fault, the faults on either side can be covered by separate polygons
+whose bounding boxes — and hence the polygons themselves — stay at
+least 2 apart, the paper's disabled-region separation.  Leaves are
+covered by their minimal connected orthoconvex polygon.
 
 Guillotine cuts are the natural dual of the paper's Figure 1 (c)/(d)
 remark that some disabled regions "can be further partitioned": a
@@ -27,11 +26,12 @@ from repro.partition.evaluate import FaultCover
 __all__ = ["guillotine_cover"]
 
 
-def _best_gap(mask: np.ndarray, axis: int, need: int) -> tuple[int, int] | None:
+def _best_gap(mask: np.ndarray, axis: int) -> tuple[int, int] | None:
     """Widest internal run of fault-free lines along ``axis``.
 
     Returns ``(start, length)`` of the run (in occupied-bounding-box
-    coordinates) or None if no run of length >= ``need`` exists.
+    coordinates) or None if every line inside the bounding box holds a
+    fault.
     """
     occupied = mask.any(axis=1 - axis)
     idx = np.nonzero(occupied)[0]
@@ -45,18 +45,17 @@ def _best_gap(mask: np.ndarray, axis: int, need: int) -> tuple[int, int] | None:
         else:
             if run_start is not None:
                 length = pos - run_start
-                if length >= need and (best is None or length > best[1]):
+                if best is None or length > best[1]:
                     best = (run_start, length)
                 run_start = None
     return best
 
 
-def _split(cells: CellSet, min_separation: int) -> List[CellSet]:
+def _split(cells: CellSet) -> List[CellSet]:
     """Recursive guillotine decomposition of a fault set."""
-    need = max(1, min_separation - 1)
     mask = cells.mask
     for axis in (0, 1):
-        gap = _best_gap(mask, axis, need)
+        gap = _best_gap(mask, axis)
         if gap is None:
             continue
         start, length = gap
@@ -68,13 +67,11 @@ def _split(cells: CellSet, min_separation: int) -> List[CellSet]:
         else:
             low[:, start:] = False
             high[:, : start + length] = False
-        return _split(CellSet(low), min_separation) + _split(
-            CellSet(high), min_separation
-        )
+        return _split(CellSet(low)) + _split(CellSet(high))
     return [cells]
 
 
-def guillotine_cover(faults: CellSet, min_separation: int = 2) -> FaultCover:
+def guillotine_cover(faults: CellSet) -> FaultCover:
     """Cover a fault set via recursive fault-free-band splitting.
 
     Raises
@@ -84,6 +81,6 @@ def guillotine_cover(faults: CellSet, min_separation: int = 2) -> FaultCover:
     """
     if not faults:
         raise PartitionError("no faults to cover")
-    parts = _split(faults, min_separation)
+    parts = _split(faults)
     polygons = [connect_orthoconvex(p) for p in parts]
     return FaultCover.build(faults, polygons)

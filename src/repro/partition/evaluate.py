@@ -13,7 +13,7 @@ and :mod:`repro.partition.clusters` produce covers; the exact search in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,11 @@ from repro.geometry.cells import CellSet
 from repro.geometry.orthoconvex import is_orthoconvex
 
 __all__ = ["FaultCover"]
+
+#: Pairwise Manhattan distance the cover builders keep between polygons:
+#: the paper's disabled-region separation (Section 4), so covers stay
+#: drop-in fault regions for the routing layer.
+_MIN_SEPARATION = 2
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,9 @@ class FaultCover:
     def separation(self) -> int:
         """Minimum pairwise Manhattan distance between cover polygons.
 
-        The builders promise at least 2 (matching the disabled-region
-        guarantee) so covers stay drop-in fault regions for routing.
+        The builders promise at least ``_MIN_SEPARATION`` = 2 (matching
+        the disabled-region guarantee) so covers stay drop-in fault
+        regions for routing.
         Returns a large sentinel for single-polygon covers.
         """
         from repro.geometry.components import set_distance

@@ -10,7 +10,8 @@ polygons at Manhattan distance 1 would violate the separation
 requirement), so the search enumerates partitions of the *4-connected
 fault components* rather than of individual faults; each part is then
 covered by its minimal connected orthoconvex polygon.  Partitions whose
-polygons overlap or come closer than the separation floor are rejected.
+polygons overlap or come closer than the disabled-region separation of
+2 are rejected.
 
 Note the per-part polygon is itself a (tight) heuristic — the true
 optimum could in principle use a non-minimal polygon to dodge a
@@ -27,7 +28,7 @@ from repro.errors import PartitionError
 from repro.geometry.cells import CellSet
 from repro.geometry.components import connected_components, set_distance
 from repro.geometry.staircase import connect_orthoconvex
-from repro.partition.evaluate import FaultCover
+from repro.partition.evaluate import _MIN_SEPARATION, FaultCover
 
 __all__ = ["exact_cover"]
 
@@ -55,7 +56,6 @@ def _set_partitions(n: int) -> Iterator[List[List[int]]]:
 
 def exact_cover(
     faults: CellSet,
-    min_separation: int = 2,
     max_atoms: int = 9,
 ) -> FaultCover:
     """Exhaustive-search cover of a small fault set.
@@ -64,8 +64,6 @@ def exact_cover(
     ----------
     faults:
         The fault set (its 4-connected components are the search atoms).
-    min_separation:
-        Required pairwise polygon distance (2 matches disabled regions).
     max_atoms:
         Refuse instances with more components than this — the partition
         count is the Bell number, which explodes quickly.
@@ -91,7 +89,7 @@ def exact_cover(
             for k in part[1:]:
                 group = group.union(atoms[k])
             polygons.append(connect_orthoconvex(group))
-        if not _valid(polygons, min_separation):
+        if not _valid(polygons):
             continue
         cover = FaultCover.build(faults, polygons)
         if best is None or cover.num_nonfaulty < best.num_nonfaulty:
@@ -101,11 +99,11 @@ def exact_cover(
     return best
 
 
-def _valid(polygons: Sequence[CellSet], min_separation: int) -> bool:
+def _valid(polygons: Sequence[CellSet]) -> bool:
     for i in range(len(polygons)):
         for j in range(i + 1, len(polygons)):
             if not polygons[i].isdisjoint(polygons[j]):
                 return False
-            if set_distance(polygons[i], polygons[j]) < min_separation:
+            if set_distance(polygons[i], polygons[j]) < _MIN_SEPARATION:
                 return False
     return True

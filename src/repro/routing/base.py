@@ -113,12 +113,10 @@ class Router(abc.ABC):
     #: Human-readable router name for benchmark tables.
     name: str = "router"
 
-    def __init__(self, view: FaultModelView, max_hops: int | None = None):
+    def __init__(self, view: FaultModelView):
         self.view = view
-        # Generous default: any sane detour fits in 4x the diameter.
-        self.max_hops = (
-            max_hops if max_hops is not None else 4 * (view.topology.diameter + 1) + 16
-        )
+        # Hop budget: any sane detour fits in 4x the diameter.
+        self.max_hops = 4 * (view.topology.diameter + 1) + 16
 
     def route(self, source: Coord, dest: Coord) -> RouteResult:
         """Route one packet; never raises for routable inputs.

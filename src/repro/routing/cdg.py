@@ -135,9 +135,6 @@ def deadlock_cycles(g: Graph, limit: int = 10) -> List[List[Channel]]:
     return cycles
 
 
-def is_deadlock_free(
-    router: Router,
-    pairs: Optional[Iterable[Tuple[Coord, Coord]]] = None,
-) -> bool:
-    """Whether the router's CDG over the given traffic is acyclic."""
-    return not deadlock_cycles(channel_dependency_graph(router, pairs), limit=1)
+def is_deadlock_free(router: Router) -> bool:
+    """Whether the router's CDG over all enabled pairs is acyclic."""
+    return not deadlock_cycles(channel_dependency_graph(router), limit=1)

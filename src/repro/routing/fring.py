@@ -65,8 +65,8 @@ class FRingRouter(Router):
 
     name = "f-ring"
 
-    def __init__(self, view: FaultModelView, max_hops: int | None = None):
-        super().__init__(view, max_hops)
+    def __init__(self, view: FaultModelView):
+        super().__init__(view)
         self._rects: List[Rect] = []
         for obs in view.obstacles:
             if not is_rectangle(obs):

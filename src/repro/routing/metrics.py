@@ -78,7 +78,6 @@ def sample_pairs(
 def evaluate_router(
     router: Router,
     pairs: Sequence[Tuple[Coord, Coord]],
-    oracle: Router | None = None,
 ) -> RoutingMetrics:
     """Route every pair and aggregate the metrics.
 
@@ -90,11 +89,10 @@ def evaluate_router(
         Traffic sample (source, dest) — endpoints need not be enabled in
         the router's view; disabled endpoints count as failures, which
         is deliberate when comparing views with different enabled sets.
-    oracle:
-        Reachability oracle; defaults to a BFS router over the same view.
+
+    Reachability is judged by a BFS router over the same view.
     """
-    if oracle is None:
-        oracle = BFSRouter(router.view)
+    oracle = BFSRouter(router.view)
     delivered = reachable = total_hops = total_detour = minimal = 0
     for source, dest in pairs:
         res: RouteResult = router.route(source, dest)

@@ -84,8 +84,8 @@ class SafetyLevelRouter(Router):
 
     name = "safety-level"
 
-    def __init__(self, view: FaultModelView, max_hops: int | None = None):
-        super().__init__(view, max_hops)
+    def __init__(self, view: FaultModelView):
+        super().__init__(view)
         self._levels = safety_levels(view.enabled)
 
     def _route(self, source: Coord, dest: Coord) -> RouteResult:

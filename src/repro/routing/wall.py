@@ -34,26 +34,13 @@ _DIR_OF = {d.offset: d for d in Direction}
 
 
 class WallRouter(Router):
-    """XY routing with right- or left-hand boundary traversal on blockage.
+    """XY routing with right-hand boundary traversal on blockage.
 
-    Parameters
-    ----------
-    view, max_hops:
-        See :class:`~repro.routing.base.Router`.
-    hand:
-        ``"right"`` keeps the fault region on the packet's right while
-        wall-following (counterclockwise rim traversal), ``"left"`` the
-        mirror image.
+    While wall-following, the packet keeps the fault region on its
+    right (counterclockwise rim traversal).
     """
 
-    name = "wall"
-
-    def __init__(self, view, max_hops: int | None = None, hand: str = "right"):
-        super().__init__(view, max_hops)
-        if hand not in ("right", "left"):
-            raise ValueError(f"hand must be 'right' or 'left', got {hand!r}")
-        self.hand = hand
-        self.name = f"wall-{hand}"
+    name = "wall-right"
 
     def _route(self, source: Coord, dest: Coord) -> RouteResult:
         path = [source]
@@ -118,17 +105,13 @@ class WallRouter(Router):
         """Pick the rim-walk heading when the packet first hits the region.
 
         The blocked preferred hop points into the region; walking
-        perpendicular to it with the chosen hand keeps the region on
-        that side.  Of the two perpendiculars, prefer one that is itself
+        perpendicular to it, counterclockwise, keeps the region on the
+        right.  Of the two perpendiculars, prefer one that is itself
         walkable from here.
         """
         preferred = self._xy_preferred(at, dest)
         blocked_dir = _DIR_OF[(preferred[0][0] - at[0], preferred[0][1] - at[1])]
-        first = (
-            blocked_dir.counterclockwise
-            if self.hand == "right"
-            else blocked_dir.clockwise
-        )
+        first = blocked_dir.counterclockwise
         for cand in (first, first.opposite):
             nxt = (at[0] + cand.offset[0], at[1] + cand.offset[1])
             if self.view.is_enabled(nxt):
@@ -141,23 +124,14 @@ class WallRouter(Router):
     def _wall_step(
         self, at: Coord, heading: Direction
     ) -> Optional[Tuple[Coord, Direction]]:
-        """One hand-rule step: turn into the wall first, then straight,
-        then away, then reverse — taking the first enabled move."""
-        if self.hand == "right":
-            order = (
-                heading.clockwise,          # toward the wall on our right
-                heading,
-                heading.counterclockwise,
-                heading.opposite,
-            )
-        else:
-            order = (
-                heading.counterclockwise,
-                heading,
-                heading.clockwise,
-                heading.opposite,
-            )
-        for d in order:
+        """One right-hand-rule step: turn into the wall first, then
+        straight, then away, then reverse — taking the first enabled move."""
+        for d in (
+            heading.clockwise,  # toward the wall on our right
+            heading,
+            heading.counterclockwise,
+            heading.opposite,
+        ):
             nxt = (at[0] + d.offset[0], at[1] + d.offset[1])
             if self.view.is_enabled(nxt):
                 return nxt, d

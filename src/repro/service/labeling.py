@@ -40,18 +40,14 @@ from typing import (
     Tuple,
 )
 
-from repro.core.incremental import (
-    BlockEnableCache,
-    DeltaReport,
-    IncrementalLabeling,
-)
+from repro.core.incremental import DeltaReport, IncrementalLabeling
 from repro.core.pipeline import LabelingResult
 from repro.core.status import NodeStatus, SafetyDefinition
 from repro.errors import ServiceError
 from repro.faults.faultset import FaultSet
 from repro.mesh.topology import Topology
+from repro.obs.metrics import latency_percentiles
 from repro.obs.slo import SLOConfig, SLOTracker
-from repro.obs.summarize import latency_percentiles
 from repro.obs.telemetry import Telemetry
 from repro.service.recovery import ClientState, RecoveredState, recover_state
 from repro.service.wal import (
@@ -92,8 +88,6 @@ class LabelingService:
     faults:
         Optional initial fault set; absorbed as one injection (and
         logged, when durable).
-    cache:
-        Optional shared :class:`~repro.core.incremental.BlockEnableCache`.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry`.  Each update
         runs under a ``service_update`` span, emits a ``service_update``
@@ -127,7 +121,6 @@ class LabelingService:
         topology: Topology,
         definition: SafetyDefinition = SafetyDefinition.DEF_2B,
         faults: Optional[FaultSet | Iterable[Coord]] = None,
-        cache: Optional[BlockEnableCache] = None,
         telemetry: Optional[Telemetry] = None,
         latency_window: int = 8192,
         wal_dir: Optional[str] = None,
@@ -144,7 +137,7 @@ class LabelingService:
         # false, so the untraced service pays only the branch.
         self._telemetry = telemetry if telemetry is not None else Telemetry()
         self._engine = IncrementalLabeling(
-            topology, definition, cache=cache, telemetry=telemetry
+            topology, definition, telemetry=telemetry
         )
         self._latency_us: Deque[float] = deque(maxlen=latency_window)
         has_metrics = telemetry is not None and telemetry.metrics is not None
@@ -191,43 +184,31 @@ class LabelingService:
         wal_dir: str,
         topology: Optional[Topology] = None,
         definition: Optional[SafetyDefinition] = None,
-        cache: Optional[BlockEnableCache] = None,
         telemetry: Optional[Telemetry] = None,
-        latency_window: int = 8192,
         snapshot_every: Optional[int] = None,
         fsync_every: Optional[int] = None,
-        crash_hook: Optional[Any] = None,
-        verify: bool = True,
-        slo: Optional[SLOConfig] = None,
     ) -> "LabelingService":
         """Rebuild a durable service from its WAL directory.
 
-        Replays snapshot + WAL tail (asserting recorded versions) and —
-        with ``verify=True``, the default — checks the result bit-for-bit
-        against a from-scratch relabeling before serving anything.  The
-        recovered service keeps appending to the same log; its
-        :attr:`recovery` attribute records what the replay found.
+        Replays snapshot + WAL tail (asserting recorded versions) and
+        checks the result bit-for-bit against a from-scratch relabeling
+        before serving anything.  The recovered service keeps appending
+        to the same log; its :attr:`recovery` attribute records what the
+        replay found.
         """
         state = recover_state(
-            wal_dir,
-            topology=topology,
-            definition=definition,
-            cache=cache,
-            telemetry=telemetry,
-            verify=verify,
+            wal_dir, topology=topology, definition=definition, telemetry=telemetry
         )
         service = cls(
             state.engine.topology,
             state.engine.definition,
             telemetry=telemetry,
-            latency_window=latency_window,
             snapshot_every=snapshot_every,
-            slo=slo,
         )
         service._engine = state.engine
         service._clients = dict(state.clients)
         service.recovery = state
-        service._attach_wal(wal_dir, fsync_every, crash_hook)
+        service._attach_wal(wal_dir, fsync_every, None)
         return service
 
     # -- views ------------------------------------------------------------------

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.incremental import BlockEnableCache, IncrementalLabeling
+from repro.core.incremental import IncrementalLabeling
 from repro.core.status import SafetyDefinition
 from repro.errors import DurabilityError
 from repro.mesh.topology import Mesh2D, Topology, Torus2D
@@ -65,14 +65,18 @@ class ClientState:
 
 @dataclass
 class RecoveredState:
-    """Everything :func:`recover_state` reconstructs from a WAL dir."""
+    """Everything :func:`recover_state` reconstructs from a WAL dir.
+
+    ``verified`` is always True: recovery raises rather than return a
+    state that failed its bit-for-bit check.
+    """
 
     engine: IncrementalLabeling
     clients: Dict[str, ClientState] = field(default_factory=dict)
     snapshot_version: int = 0
     replayed: int = 0
     clean: bool = False
-    verified: bool = False
+    verified: bool = True
     elapsed_s: float = 0.0
 
 
@@ -85,9 +89,7 @@ def recover_state(
     wal_dir: str,
     topology: Optional[Topology] = None,
     definition: Optional[SafetyDefinition] = None,
-    cache: Optional[BlockEnableCache] = None,
     telemetry: Optional[Telemetry] = None,
-    verify: bool = True,
 ) -> RecoveredState:
     """Rebuild engine + client dedup state from ``wal_dir``.
 
@@ -130,9 +132,7 @@ def recover_state(
     if definition is None:
         definition = SafetyDefinition.DEF_2B
 
-    engine = IncrementalLabeling(
-        topology, definition, cache=cache, telemetry=telemetry
-    )
+    engine = IncrementalLabeling(topology, definition, telemetry=telemetry)
     if snapshot is not None:
         faults = [(int(x), int(y)) for x, y in snapshot["faults"]]
         if faults:
@@ -178,14 +178,11 @@ def recover_state(
                 )
                 del pending[record.client]
 
-    verified = False
-    if verify:
-        if not engine.verify_against_scratch():
-            raise DurabilityError(
-                f"recovered state in {wal_dir!r} diverges from the "
-                "from-scratch fixpoint of its own fault set"
-            )
-        verified = True
+    if not engine.verify_against_scratch():
+        raise DurabilityError(
+            f"recovered state in {wal_dir!r} diverges from the "
+            "from-scratch fixpoint of its own fault set"
+        )
 
     elapsed = time.perf_counter() - t0
     if telemetry is not None and telemetry.wants("info"):
@@ -203,6 +200,5 @@ def recover_state(
         snapshot_version=base_version,
         replayed=replayed,
         clean=clean,
-        verified=verified,
         elapsed_s=elapsed,
     )

@@ -6,18 +6,22 @@ polygons phase 2 carves out.  Rendering follows the paper's figures —
 the origin is at the **south-west** corner, x grows east, y grows
 north — so printed pictures match the coordinates in the text.
 
-Default glyphs::
+Glyphs::
 
-    #   faulty
+    #   faulty (or, for a cell set, a member)
     x   unsafe and disabled (kept in a disabled region)
     +   unsafe but enabled  (activated by phase 2)
-    .   safe
+    .   safe (or, for a cell set, not a member)
+    @   highlighted member
 
+Pictures carry y labels on the left and an x ruler underneath
+(coordinates mod 10, so each stays one character wide);
+:func:`render_cells` leaves them off with ``axes=False``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.core.pipeline import LabelingResult
 from repro.core.status import NodeStatus
@@ -33,42 +37,22 @@ DEFAULT_GLYPHS: Dict[NodeStatus, str] = {
 }
 
 
-def render_result(
-    result: LabelingResult,
-    glyphs: Mapping[NodeStatus, str] | None = None,
-    axes: bool = True,
-) -> str:
-    """Render a labeling result as an ASCII grid.
-
-    Parameters
-    ----------
-    result:
-        The pipeline output to draw.
-    glyphs:
-        Optional glyph override per :class:`~repro.core.status.NodeStatus`.
-    axes:
-        Include y labels on the left and an x ruler underneath
-        (coordinates mod 10 to stay one character wide).
-    """
-    g = dict(DEFAULT_GLYPHS)
-    if glyphs:
-        g.update(glyphs)
+def render_result(result: LabelingResult) -> str:
+    """Render a labeling result as an ASCII grid with axes."""
     w, h = result.labels.shape
     lines = []
     for y in range(h - 1, -1, -1):  # north row first
-        row = "".join(g[result.labels.status_of((x, y))] for x in range(w))
-        lines.append(f"{y % 10} {row}" if axes else row)
-    if axes:
-        lines.append("  " + "".join(str(x % 10) for x in range(w)))
+        row = "".join(
+            DEFAULT_GLYPHS[result.labels.status_of((x, y))] for x in range(w)
+        )
+        lines.append(f"{y % 10} {row}")
+    lines.append("  " + "".join(str(x % 10) for x in range(w)))
     return "\n".join(lines)
 
 
 def render_cells(
     cells: CellSet,
-    inside: str = "#",
-    outside: str = ".",
     highlight: CellSet | None = None,
-    highlight_glyph: str = "@",
     axes: bool = True,
 ) -> str:
     """Render one cell set (optionally with a highlighted subset).
@@ -81,11 +65,11 @@ def render_cells(
         chars = []
         for x in range(w):
             if highlight is not None and (x, y) in highlight:
-                chars.append(highlight_glyph)
+                chars.append("@")
             elif (x, y) in cells:
-                chars.append(inside)
+                chars.append("#")
             else:
-                chars.append(outside)
+                chars.append(".")
         row = "".join(chars)
         lines.append(f"{y % 10} {row}" if axes else row)
     if axes:

@@ -62,8 +62,6 @@ def _loops_path(cells: CellSet, h: int, scale: int, stroke: str, width: float) -
 def svg_of_result(
     result: LabelingResult,
     scale: int = 12,
-    outline_blocks: bool = True,
-    outline_regions: bool = True,
 ) -> str:
     """Render a labeling result as an SVG document string.
 
@@ -84,11 +82,9 @@ def svg_of_result(
             else:
                 fill = _FILL_SAFE
             doc.append(_rect(x, y, h, scale, fill))
-    if outline_blocks:
-        for b in result.blocks:
-            doc.append(_loops_path(b.cells, h, scale, _STROKE_BLOCK, 1.5))
-    if outline_regions:
-        for r in result.regions:
-            doc.append(_loops_path(r.cells, h, scale, _STROKE_REGION, 2.0))
+    for b in result.blocks:
+        doc.append(_loops_path(b.cells, h, scale, _STROKE_BLOCK, 1.5))
+    for r in result.regions:
+        doc.append(_loops_path(r.cells, h, scale, _STROKE_REGION, 2.0))
     doc.append("</svg>")
     return "\n".join(doc)

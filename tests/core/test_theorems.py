@@ -111,7 +111,7 @@ class TestCheckersDetectViolations:
         from repro.geometry import CellSet, shapes
 
         r = label([(2, 2)])
-        u = shapes.u_shape((10, 10), (4, 4), 5, 4, 1)
+        u = shapes.u_shape((10, 10), (4, 4), 5, 4)
         fake = DisabledRegion(cells=u, faults=CellSet.from_coords((10, 10), [(4, 4)]))
         tampered = self._tamper(r, regions=[fake])
         assert not check_theorem1(tampered).holds
@@ -284,7 +284,7 @@ class TestQuadrantLemmas:
         from repro.core.regions import DisabledRegion
         from repro.geometry import CellSet, shapes
 
-        u = shapes.u_shape((10, 10), (1, 1), 5, 4, 1)
+        u = shapes.u_shape((10, 10), (1, 1), 5, 4)
         fake = DisabledRegion(
             cells=u, faults=CellSet.from_coords((10, 10), [(1, 1)])
         )

@@ -15,22 +15,9 @@ from repro.errors import ProtocolError
 from repro.fabric import SynchronousEngine
 from repro.faults import FaultSet
 from repro.mesh import Mesh2D, Torus2D
+from tests.strategies import fault_sets
 
 W = H = 8
-
-
-@st.composite
-def fault_sets(draw, max_faults=10):
-    n = draw(st.integers(0, max_faults))
-    coords = draw(
-        st.lists(
-            st.tuples(st.integers(0, W - 1), st.integers(0, H - 1)),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    return FaultSet.from_coords((W, H), coords)
 
 
 def run_both(topology, faults, definition, chatty):
@@ -48,7 +35,7 @@ def run_both(topology, faults, definition, chatty):
 
 class TestActiveSetEquivalence:
     @given(
-        fault_sets(),
+        fault_sets(W, H, 10),
         st.sampled_from([Mesh2D(W, H), Torus2D(W, H)]),
         st.sampled_from(list(SafetyDefinition)),
         st.booleans(),
@@ -67,7 +54,7 @@ class TestActiveSetEquivalence:
             assert full.messages_per_round == act.messages_per_round
             assert full.changes_per_round == act.changes_per_round
 
-    @given(fault_sets(max_faults=8), st.sampled_from(list(SafetyDefinition)))
+    @given(fault_sets(W, H, 8), st.sampled_from(list(SafetyDefinition)))
     @settings(max_examples=20, deadline=None)
     def test_debug_full_check_certifies_status_protocols(self, faults, definition):
         # The monotone status protocols must pass the skipped-node no-op

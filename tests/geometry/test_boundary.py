@@ -26,7 +26,7 @@ class TestBoundaryLoops:
         assert sorted(loops[0]) == [(1, 2), (1, 5), (5, 2), (5, 5)]
 
     def test_l_shape_has_six_corners(self):
-        l = shapes.l_shape((8, 8), (0, 0), 4, 4, 1)
+        l = shapes.l_shape((8, 8), (0, 0), 4, 4)
         loops = boundary_loops(l)
         assert len(loops) == 1
         assert len(loops[0]) == 6
@@ -48,7 +48,7 @@ class TestBoundaryLoops:
             boundary_loops(CellSet.empty((3, 3)))
 
     def test_loop_edges_are_rectilinear_unit_steps_after_corner_merge(self):
-        t = shapes.t_shape((10, 10), (1, 1), 5, 4, 1)
+        t = shapes.t_shape((10, 10), (1, 1), 5, 4)
         for loop in boundary_loops(t):
             n = len(loop)
             for i in range(n):
@@ -84,7 +84,7 @@ class TestCornerCells:
         # Definition 4: outside-neighbour in each dimension.  For an L of
         # thickness 1, every cell except the elbow has an outside
         # neighbour in both dimensions.
-        l = shapes.l_shape((8, 8), (0, 0), 3, 3, 1)
+        l = shapes.l_shape((8, 8), (0, 0), 3, 3)
         corners = set(corner_cells(l).coords())
         assert (0, 0) in corners          # the elbow cell: W and S are outside
         assert (2, 0) in corners and (0, 2) in corners  # arm tips

@@ -29,15 +29,19 @@ class TestIsOrthoconvex:
     def test_l_t_plus_are_orthoconvex(self):
         # Paper Section 2: "T-shape, L-shape, and +-shape fault regions
         # are orthogonal convex polygons".
-        assert is_orthoconvex(shapes.l_shape(SHAPE, (1, 1), 5, 4, 2))
-        assert is_orthoconvex(shapes.t_shape(SHAPE, (1, 1), 5, 4, 1))
-        assert is_orthoconvex(shapes.plus_shape(SHAPE, (1, 1), 5, 5, 1))
+        assert is_orthoconvex(shapes.l_shape(SHAPE, (1, 1), 5, 4))
+        thick_l = shapes.rectangle(SHAPE, (1, 1), 5, 2).union(
+            shapes.rectangle(SHAPE, (1, 1), 2, 4)
+        )
+        assert is_orthoconvex(thick_l)
+        assert is_orthoconvex(shapes.t_shape(SHAPE, (1, 1), 5, 4))
+        assert is_orthoconvex(shapes.plus_shape(SHAPE, (1, 1), 5, 5))
 
     def test_u_h_are_not_orthoconvex(self):
         # Paper Section 2: "U-shape and H-shape fault regions are
         # non-orthogonal convex polygons".
-        assert not is_orthoconvex(shapes.u_shape(SHAPE, (1, 1), 5, 4, 1))
-        assert not is_orthoconvex(shapes.h_shape(SHAPE, (1, 1), 5, 5, 1))
+        assert not is_orthoconvex(shapes.u_shape(SHAPE, (1, 1), 5, 4))
+        assert not is_orthoconvex(shapes.h_shape(SHAPE, (1, 1), 5, 5))
 
     def test_diagonal_staircase_is_orthoconvex(self):
         # Corner-touching cells form a single pinched polygon.
@@ -85,14 +89,17 @@ class TestFillSpans:
 
 class TestClosure:
     def test_closure_of_u_is_filled_bbox_part(self):
-        u = shapes.u_shape(SHAPE, (1, 1), 5, 4, 1)
+        u = shapes.u_shape(SHAPE, (1, 1), 5, 4)
         closed = orthoconvex_closure(u)
         # The cavity must be filled; a U's closure is its full bounding box.
         assert len(closed) == 5 * 4
         assert is_orthoconvex(closed)
 
     def test_closure_is_idempotent(self):
-        u = shapes.u_shape(SHAPE, (1, 1), 6, 5, 2)
+        # A U with two-cell-thick arms.
+        u = shapes.rectangle(SHAPE, (1, 1), 6, 2).union(
+            shapes.rectangle(SHAPE, (1, 1), 2, 5)
+        ).union(shapes.rectangle(SHAPE, (5, 1), 2, 5))
         once = orthoconvex_closure(u)
         assert orthoconvex_closure(once) == once
 
@@ -101,7 +108,7 @@ class TestClosure:
         assert s <= orthoconvex_closure(s)
 
     def test_closure_of_orthoconvex_is_identity(self):
-        t = shapes.t_shape(SHAPE, (2, 2), 5, 5, 1)
+        t = shapes.t_shape(SHAPE, (2, 2), 5, 5)
         assert orthoconvex_closure(t) == t
 
     def test_closure_of_diagonal_pair_is_itself(self):
@@ -115,7 +122,7 @@ class TestClosure:
     def test_closure_needs_iteration(self):
         # An H closes to its bounding box, but only after the first
         # horizontal fill enables further vertical fills.
-        h = shapes.h_shape(SHAPE, (1, 1), 5, 5, 1)
+        h = shapes.h_shape(SHAPE, (1, 1), 5, 5)
         closed = orthoconvex_closure(h)
         assert len(closed) == 25
 
@@ -141,7 +148,7 @@ class TestClosure:
 
 class TestRuns:
     def test_row_runs_of_l_shape(self):
-        l = shapes.l_shape((8, 8), (1, 1), 4, 3, 1)
+        l = shapes.l_shape((8, 8), (1, 1), 4, 3)
         runs = row_runs(l)
         assert runs[0] == (1, 1, 4)  # bottom arm spans x 1..4
         assert runs[1] == (2, 1, 1)  # upper rows only the left column

@@ -48,7 +48,7 @@ class TestMonotonePathWithin:
         assert monotone_path_within(r, (0, 0), (2, 2)) is None
 
     def test_l_shape_around_the_elbow(self):
-        l = shapes.l_shape(SHAPE, (1, 1), 6, 6, 1)
+        l = shapes.l_shape(SHAPE, (1, 1), 6, 6)
         # Arm tip to arm tip must route through the elbow, monotonically.
         path = monotone_path_within(l, (6, 1), (1, 6))
         assert path is not None and is_monotone_path(path)
@@ -62,11 +62,11 @@ class TestMonotonePathWithin:
     def test_u_shape_has_no_monotone_path_across(self):
         # The non-orthoconvex U: arm tip to arm tip requires descending
         # into the base and back up — not monotone.
-        u = shapes.u_shape(SHAPE, (1, 1), 7, 5, 1)
+        u = shapes.u_shape(SHAPE, (1, 1), 7, 5)
         assert monotone_path_within(u, (1, 5), (7, 5)) is None
 
     def test_plus_shape_all_pairs(self):
-        p = shapes.plus_shape(SHAPE, (1, 1), 5, 5, 1)
+        p = shapes.plus_shape(SHAPE, (1, 1), 5, 5)
         cells = p.coords()
         for u in cells:
             for v in cells:

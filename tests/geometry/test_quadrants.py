@@ -53,7 +53,10 @@ class TestQuadrantExtremeCorner:
 
     def test_lemma2_constructive_witness_is_a_corner(self):
         # The proof's extreme-(y, then x) node is a Definition-4 corner.
-        l = shapes.l_shape((10, 10), (1, 1), 5, 5, 2)
+        # An L with two-cell-thick arms.
+        l = shapes.rectangle((10, 10), (1, 1), 5, 2).union(
+            shapes.rectangle((10, 10), (1, 1), 2, 5)
+        )
         corners = corner_cells(l)
         for u in l:
             for q in Quadrant:
@@ -72,7 +75,7 @@ class TestQuadrantExtremeCorner:
 class TestQuadrantsWithMembers:
     def test_outside_node_of_orthoconvex_region_has_empty_quadrant(self):
         # Lemma 3 on a T-shape for all nodes just outside it.
-        t = shapes.t_shape((10, 10), (2, 2), 5, 4, 1)
+        t = shapes.t_shape((10, 10), (2, 2), 5, 4)
         mask = t.mask
         for x in range(10):
             for y in range(10):

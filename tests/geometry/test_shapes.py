@@ -24,46 +24,43 @@ class TestRectangle:
 
 class TestLetterShapes:
     def test_l_cell_count(self):
-        l = shapes.l_shape(SHAPE, (0, 0), 5, 4, 1)
+        l = shapes.l_shape(SHAPE, (0, 0), 5, 4)
         # Bottom arm 5 + left arm 4 - shared elbow 1.
         assert len(l) == 8
 
     def test_t_has_bar_and_stem(self):
-        t = shapes.t_shape(SHAPE, (0, 0), 5, 4, 1)
+        t = shapes.t_shape(SHAPE, (0, 0), 5, 4)
         assert (0, 3) in t and (4, 3) in t  # top bar ends
         assert (2, 0) in t                  # stem bottom (centered)
 
     def test_plus_is_symmetric_cross(self):
-        p = shapes.plus_shape(SHAPE, (0, 0), 5, 5, 1)
+        p = shapes.plus_shape(SHAPE, (0, 0), 5, 5)
         assert len(p) == 9
         assert (2, 0) in p and (0, 2) in p and (2, 4) in p and (4, 2) in p
 
     def test_u_has_cavity(self):
-        u = shapes.u_shape(SHAPE, (0, 0), 5, 4, 1)
+        u = shapes.u_shape(SHAPE, (0, 0), 5, 4)
         assert (2, 2) not in u  # the cavity
         assert (0, 3) in u and (4, 3) in u  # arm tops
 
     def test_h_has_two_cavities(self):
-        h = shapes.h_shape(SHAPE, (0, 0), 5, 5, 1)
+        h = shapes.h_shape(SHAPE, (0, 0), 5, 5)
         assert (2, 0) not in h and (2, 4) not in h
         assert (2, 2) in h  # crossbar
 
-    def test_thickness_validation(self):
+    def test_extent_validation(self):
         with pytest.raises(GeometryError):
-            shapes.l_shape(SHAPE, (0, 0), 4, 4, 0)
+            shapes.l_shape(SHAPE, (0, 0), 0, 4)
         with pytest.raises(GeometryError):
-            shapes.l_shape(SHAPE, (0, 0), 4, 4, 5)
+            shapes.t_shape(SHAPE, (14, 0), 4, 4)  # does not fit the grid
         with pytest.raises(GeometryError):
-            shapes.u_shape(SHAPE, (0, 0), 2, 4, 1)  # too narrow for a cavity
-
-    def test_thick_arms(self):
-        l = shapes.l_shape(SHAPE, (0, 0), 6, 6, 2)
-        assert (1, 1) in l and (5, 1) in l and (1, 5) in l
-        assert (3, 3) not in l
+            shapes.u_shape(SHAPE, (0, 0), 2, 4)  # too narrow for a cavity
+        with pytest.raises(GeometryError):
+            shapes.h_shape(SHAPE, (0, 0), 5, 2)  # too short for cavities
 
     def test_bounding_boxes_match_request(self):
         for builder in (shapes.l_shape, shapes.t_shape, shapes.u_shape):
-            s = builder(SHAPE, (3, 2), 6, 5, 1)
+            s = builder(SHAPE, (3, 2), 6, 5)
             assert bounding_rect(s).width == 6
             assert bounding_rect(s).height == 5
 

@@ -20,10 +20,9 @@ from repro.network import (
     BatchedTraffic,
     TRAFFIC_PATTERNS,
     injection_sweep,
-    nearest_rank,
     synthetic_traffic,
 )
-from repro.obs import JSONLSink, MemorySink, MetricsRegistry, Telemetry
+from repro.obs import JSONLSink, MemorySink, MetricsRegistry, Telemetry, nearest_rank
 from repro.obs.events import validate_event
 from repro.obs.summarize import format_summary, summarize_trace
 from repro.routing import FaultModelView
@@ -199,10 +198,9 @@ class TestResultStats:
 
     def test_nearest_rank(self):
         vals = np.array([10, 20, 30, 40], dtype=np.int64)
-        assert nearest_rank(vals, 50) == 20.0
-        assert nearest_rank(vals, 95) == 40.0
-        assert nearest_rank(np.array([7]), 99) == 7.0
-        assert np.isnan(nearest_rank(np.array([], dtype=np.int64), 50))
+        assert nearest_rank(vals, 0.50) == 20.0
+        assert nearest_rank(vals, 0.95) == 40.0
+        assert nearest_rank(np.array([7]), 0.99) == 7.0
 
     def test_percentiles_from_run(self):
         view = clean_view()
@@ -211,8 +209,8 @@ class TestResultStats:
         )
         res = BatchedNetwork(view, kernel="xy").run(traffic)
         lat = res.latencies
-        assert res.p50_latency == nearest_rank(lat, 50)
-        assert res.p95_latency == nearest_rank(lat, 95)
+        assert res.p50_latency == nearest_rank(np.sort(lat), 0.50)
+        assert res.p95_latency == nearest_rank(np.sort(lat), 0.95)
         assert res.p50_latency <= res.p95_latency <= res.p99_latency
         assert res.throughput == pytest.approx(res.num_delivered / res.cycles)
 

@@ -13,10 +13,10 @@ from repro.network import (
     block_detour_hops,
     clockwise_ring_hops,
     dateline_vc_policy,
-    nearest_rank,
     uniform_traffic,
     xy_hops,
 )
+from repro.obs import nearest_rank
 from repro.routing import BFSRouter, FaultModelView
 
 RING = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -202,7 +202,7 @@ class TestNetworkResult:
         lat = res.latencies
         assert lat.size == len(res.delivered)
         assert res.mean_latency == pytest.approx(float(lat.mean()))
-        assert res.p50_latency == nearest_rank(lat, 50)
-        assert res.p95_latency == nearest_rank(lat, 95)
-        assert res.p99_latency == nearest_rank(lat, 99)
+        assert res.p50_latency == nearest_rank(np.sort(lat), 0.50)
+        assert res.p95_latency == nearest_rank(np.sort(lat), 0.95)
+        assert res.p99_latency == nearest_rank(np.sort(lat), 0.99)
         assert res.p50_latency <= res.p95_latency <= res.p99_latency

@@ -34,7 +34,7 @@ class TestBuildValidation:
 
     def test_rejects_non_orthoconvex_polygon(self):
         faults = CellSet.from_coords(SHAPE, [(2, 2)])
-        u = shapes.u_shape(SHAPE, (1, 1), 5, 4, 1)
+        u = shapes.u_shape(SHAPE, (1, 1), 5, 4)
         with pytest.raises(PartitionError):
             FaultCover.build(faults, [u])
 

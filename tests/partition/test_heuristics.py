@@ -37,7 +37,7 @@ class TestClusterCover:
         _valid(cover, faults)
 
     def test_connected_block_stays_single(self):
-        faults = shapes.u_shape(SHAPE, (2, 2), 6, 5, 1)
+        faults = shapes.u_shape(SHAPE, (2, 2), 6, 5)
         cover = cluster_cover(faults)
         assert cover.num_polygons == 1
         # A connected U cannot be split under the separation floor, so
@@ -83,15 +83,12 @@ class TestGuillotineCover:
         assert cover.num_polygons == 1
 
     def test_respects_min_separation(self):
-        # Gap of exactly one column: splitting gives separation 2 (ok
-        # for the default floor), so the guillotine takes it.
+        # Gap of exactly one column: splitting gives separation 2, the
+        # disabled-region floor, so the guillotine takes it.
         faults = CellSet.from_coords(SHAPE, [(3, 3), (5, 3)])
-        cover = guillotine_cover(faults, min_separation=2)
+        cover = guillotine_cover(faults)
         assert cover.num_polygons == 2
         assert cover.separation() == 2
-        # With floor 3 the same pattern must stay joined.
-        cover3 = guillotine_cover(faults, min_separation=3)
-        assert cover3.num_polygons == 1
 
     def test_recursive_splitting(self):
         faults = CellSet.from_coords(SHAPE, [(1, 1), (6, 1), (1, 8), (6, 8)])
@@ -137,5 +134,5 @@ class TestExactCover:
 
     def test_separation_floor_respected(self):
         faults = CellSet.from_coords(SHAPE, [(2, 2), (4, 4)])
-        cover = exact_cover(faults, min_separation=2)
+        cover = exact_cover(faults)
         _valid(cover, faults)

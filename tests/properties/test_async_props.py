@@ -12,29 +12,15 @@ from hypothesis import strategies as st
 
 from repro.core import SafetyDefinition, enabled_fixpoint, unsafe_fixpoint
 from repro.core.distributed import async_enabled, async_unsafe
-from repro.faults import FaultSet
 from repro.mesh import Mesh2D, Torus2D
+from tests.strategies import fault_sets
 
 W = H = 8
 
 
-@st.composite
-def fault_sets(draw, max_faults=10):
-    n = draw(st.integers(0, max_faults))
-    coords = draw(
-        st.lists(
-            st.tuples(st.integers(0, W - 1), st.integers(0, H - 1)),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    return FaultSet.from_coords((W, H), coords)
-
-
 class TestAsyncEquivalence:
     @given(
-        fault_sets(),
+        fault_sets(W, H, 10),
         st.sampled_from(list(SafetyDefinition)),
         st.integers(0, 2**31 - 1),
         st.integers(1, 8),
@@ -48,7 +34,7 @@ class TestAsyncEquivalence:
         )
         assert np.array_equal(got, expected)
 
-    @given(fault_sets(), st.integers(0, 2**31 - 1), st.integers(1, 8))
+    @given(fault_sets(W, H, 10), st.integers(0, 2**31 - 1), st.integers(1, 8))
     @settings(max_examples=20, deadline=None)
     def test_phase2_schedule_oblivious(self, faults, seed, max_delay):
         m = Mesh2D(W, H)
@@ -59,7 +45,7 @@ class TestAsyncEquivalence:
         )
         assert np.array_equal(got, expected)
 
-    @given(fault_sets(max_faults=6), st.integers(0, 2**31 - 1))
+    @given(fault_sets(W, H, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_torus_schedule_oblivious(self, faults, seed):
         t = Torus2D(W, H)
@@ -67,7 +53,7 @@ class TestAsyncEquivalence:
         got, _ = async_unsafe(t, faults, np.random.default_rng(seed))
         assert np.array_equal(got, expected)
 
-    @given(fault_sets(max_faults=6))
+    @given(fault_sets(W, H, 6))
     @settings(max_examples=10, deadline=None)
     def test_different_schedules_agree_with_each_other(self, faults):
         m = Mesh2D(W, H)

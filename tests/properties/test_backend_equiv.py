@@ -6,28 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SafetyDefinition, label_mesh
-from repro.faults import FaultSet
 from repro.mesh import Mesh2D, Torus2D
+from tests.strategies import fault_sets
 
 W = H = 9
 
 
-@st.composite
-def fault_sets(draw, max_faults=12):
-    n = draw(st.integers(0, max_faults))
-    coords = draw(
-        st.lists(
-            st.tuples(st.integers(0, W - 1), st.integers(0, H - 1)),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    return FaultSet.from_coords((W, H), coords)
-
-
 class TestBackendEquivalence:
-    @given(fault_sets(), st.sampled_from(list(SafetyDefinition)))
+    @given(fault_sets(W, H, 12), st.sampled_from(list(SafetyDefinition)))
     @settings(max_examples=25, deadline=None)
     def test_mesh_equivalence(self, faults, definition):
         m = Mesh2D(W, H)
@@ -38,7 +24,7 @@ class TestBackendEquivalence:
         assert rv.rounds_phase1 == rd.rounds_phase1
         assert rv.rounds_phase2 == rd.rounds_phase2
 
-    @given(fault_sets(max_faults=8))
+    @given(fault_sets(W, H, 8))
     @settings(max_examples=15, deadline=None)
     def test_torus_equivalence(self, faults):
         t = Torus2D(W, H)
@@ -48,7 +34,7 @@ class TestBackendEquivalence:
         assert np.array_equal(rv.labels.enabled, rd.labels.enabled)
         assert rv.unwrap_shift == rd.unwrap_shift
 
-    @given(fault_sets(max_faults=8))
+    @given(fault_sets(W, H, 8))
     @settings(max_examples=10, deadline=None)
     def test_chatty_mode_equivalent_labels(self, faults):
         m = Mesh2D(W, H)

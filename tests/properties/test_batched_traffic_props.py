@@ -36,6 +36,7 @@ from repro.mesh import Mesh2D, Torus2D
 from repro.network import BatchedNetwork, BatchedTraffic, synthetic_traffic
 from repro.routing import DropReason, FaultModelView, FRingRouter, XYRouter
 from repro.routing.vectorized import DetourKernel, DetourState
+from tests.strategies import fault_sets
 
 W = H = 8
 
@@ -46,21 +47,13 @@ CROSSOVERS = (0, DetourKernel._SCALAR_MAX, 1 << 62)
 
 
 @st.composite
-def fault_sets(draw, max_faults=10):
+def mixed_fault_sets(draw, max_faults=10):
+    """Half clustered workloads, half the shared uniform fault sets."""
     if draw(st.booleans()):  # clustered workload
         n = draw(st.integers(0, max_faults))
         seed = draw(st.integers(0, 2**31 - 1))
         return clustered((W, H), n, np.random.default_rng(seed), clusters=2)
-    n = draw(st.integers(0, max_faults))
-    coords = draw(
-        st.lists(
-            st.tuples(st.integers(0, W - 1), st.integers(0, H - 1)),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    return FaultSet.from_coords((W, H), coords)
+    return draw(fault_sets(W, H, max_faults))
 
 
 def make_view(topo_kind, faults, view_kind, definition=SafetyDefinition.DEF_2B):
@@ -79,7 +72,7 @@ def make_view(topo_kind, faults, view_kind, definition=SafetyDefinition.DEF_2B):
 
 class TestEngineEquality:
     @given(
-        fault_sets(),
+        mixed_fault_sets(),
         st.sampled_from(["mesh", "torus"]),
         st.sampled_from(["blocks", "regions"]),
         st.sampled_from(["xy", "detour"]),
@@ -105,7 +98,7 @@ class TestEngineEquality:
         )
         assert fast.equals(slow), fast.diff_summary(slow)
 
-    @given(fault_sets(), st.integers(0, 2**31 - 1), st.integers(1, 12))
+    @given(mixed_fault_sets(), st.integers(0, 2**31 - 1), st.integers(1, 12))
     @settings(max_examples=15, deadline=None)
     def test_compaction_invariance(self, faults, seed, frac):
         view = make_view("mesh", faults, "regions")
@@ -120,7 +113,7 @@ class TestEngineEquality:
 
 
 class TestKernelPins:
-    @given(fault_sets(), st.sampled_from(["blocks", "regions"]), st.integers(0, 2**31 - 1))
+    @given(mixed_fault_sets(), st.sampled_from(["blocks", "regions"]), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_xy_kernel_matches_xy_router(self, faults, view_kind, seed):
         view = make_view("mesh", faults, view_kind)
@@ -141,7 +134,7 @@ class TestKernelPins:
     # FRingRouter insists on rectangular obstacles, so the pin runs on
     # the blocks view; regions coverage comes from the engine-equality
     # property above.
-    @given(fault_sets(), st.integers(0, 2**31 - 1))
+    @given(mixed_fault_sets(), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_detour_kernel_matches_fring_router(self, faults, seed):
         view = make_view("mesh", faults, "blocks")
@@ -160,7 +153,7 @@ class TestKernelPins:
             reason = DropReason[next(iter(res.drop_counts()))]
             assert reason in (DropReason.BLOCKED, DropReason.BUDGET)
 
-    @given(fault_sets(), st.sampled_from(["xy", "detour"]), st.integers(0, 2**31 - 1))
+    @given(mixed_fault_sets(), st.sampled_from(["xy", "detour"]), st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_latency_bounded_below_by_distance(self, faults, kernel, seed):
         view = make_view("mesh", faults, "regions")
@@ -306,7 +299,7 @@ def planned_lanes(kern, rng, dests_per_cell=4):
 
 class TestDetourLanes:
     @given(
-        fault_sets(max_faults=14),
+        mixed_fault_sets(max_faults=14),
         st.sampled_from(["blocks", "regions"]),
         st.sampled_from(list(SafetyDefinition)),
         st.integers(0, 2**31 - 1),

@@ -23,25 +23,12 @@ from repro.core.safety import unsafe_fixpoint_reference
 from repro.faults import FaultSet
 from repro.faults.generators import clustered, uniform_random
 from repro.mesh import Mesh2D, Torus2D
+from tests.strategies import fault_sets
 
 W = H = 11
 
 definitions = st.sampled_from(list(SafetyDefinition))
 topologies = st.sampled_from([Mesh2D(W, H), Torus2D(W, H)])
-
-
-@st.composite
-def fault_sets(draw, max_faults=14):
-    n = draw(st.integers(0, max_faults))
-    coords = draw(
-        st.lists(
-            st.tuples(st.integers(0, W - 1), st.integers(0, H - 1)),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    return FaultSet.from_coords((W, H), coords)
 
 
 def assert_kernels_agree(topology, faulty, definition):
@@ -58,7 +45,7 @@ def assert_kernels_agree(topology, faulty, definition):
 
 
 class TestFrontierEquivalence:
-    @given(fault_sets(), topologies, definitions)
+    @given(fault_sets(W, H, 14), topologies, definitions)
     @settings(max_examples=60, deadline=None)
     def test_random_fault_sets(self, faults, topology, definition):
         assert_kernels_agree(topology, faults.mask, definition)
@@ -94,7 +81,7 @@ class TestFrontierEquivalence:
 
 
 class TestPipelineMethods:
-    @given(fault_sets(), topologies, definitions)
+    @given(fault_sets(W, H, 14), topologies, definitions)
     @settings(max_examples=25, deadline=None)
     def test_method_choice_is_invisible(self, faults, topology, definition):
         try:

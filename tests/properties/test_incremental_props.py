@@ -133,7 +133,8 @@ class TestBatchAndGenerators:
         else:
             first = clustered(topo.shape, 80, rng, clusters=3, spread=2.0)
             second = clustered(topo.shape, 90, rng, clusters=4, spread=2.5)
-        engine = IncrementalLabeling.from_faults(topo, first, definition)
+        engine = IncrementalLabeling(topo, definition)
+        engine.inject(list(first))
         assert_matches_scratch(engine)
         engine.inject(list(second))
         assert_matches_scratch(engine)
@@ -216,7 +217,8 @@ class TestContracts:
         faults = clustered(
             topo.shape, 30, np.random.default_rng(9), clusters=3, spread=2.0
         )
-        engine = IncrementalLabeling.from_faults(topo, faults)
+        engine = IncrementalLabeling(topo)
+        engine.inject(list(faults))
         snap = engine.snapshot()
         scratch = label_mesh(topo, faults)
         assert np.array_equal(snap.labels.unsafe, scratch.labels.unsafe)

@@ -10,29 +10,16 @@ from repro.core.theorems import RESULT_CHECKS
 from repro.faults import FaultSet
 from repro.geometry import orthoconvex_closure
 from repro.mesh import Mesh2D, Torus2D
+from tests.strategies import fault_sets
 
 W = H = 12
-
-
-@st.composite
-def fault_sets(draw, max_faults=16):
-    n = draw(st.integers(0, max_faults))
-    coords = draw(
-        st.lists(
-            st.tuples(st.integers(0, W - 1), st.integers(0, H - 1)),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    return FaultSet.from_coords((W, H), coords)
 
 
 definitions = st.sampled_from(list(SafetyDefinition))
 
 
 class TestSectionFourClaims:
-    @given(fault_sets(), definitions)
+    @given(fault_sets(W, H, 16), definitions)
     @settings(max_examples=60, deadline=None)
     def test_all_theorem_checkers_pass(self, faults, definition):
         result = label_mesh(Mesh2D(W, H), faults, definition)
@@ -40,7 +27,7 @@ class TestSectionFourClaims:
             outcome = check(result)
             assert outcome.holds, (name, outcome.detail)
 
-    @given(fault_sets())
+    @given(fault_sets(W, H, 16))
     @settings(max_examples=30, deadline=None)
     def test_theorem2_explicit(self, faults):
         # Each disabled region IS the orthoconvex closure of its faults.
@@ -50,7 +37,7 @@ class TestSectionFourClaims:
 
 
 class TestLabelInvariants:
-    @given(fault_sets(), definitions)
+    @given(fault_sets(W, H, 16), definitions)
     @settings(max_examples=40, deadline=None)
     def test_label_plane_invariants(self, faults, definition):
         result = label_mesh(Mesh2D(W, H), faults, definition)
@@ -60,7 +47,7 @@ class TestLabelInvariants:
         assert not np.any(labels.faulty & labels.enabled)
         assert not np.any(~labels.unsafe & ~labels.enabled)
 
-    @given(fault_sets())
+    @given(fault_sets(W, H, 16))
     @settings(max_examples=30, deadline=None)
     def test_unsafe_monotone_in_faults(self, faults):
         # Adding a fault can only grow the unsafe set.
@@ -71,7 +58,7 @@ class TestLabelInvariants:
         grown, _ = unsafe_fixpoint(m, grown_faults)
         assert not np.any(base & ~grown)
 
-    @given(fault_sets(), definitions)
+    @given(fault_sets(W, H, 16), definitions)
     @settings(max_examples=30, deadline=None)
     def test_region_cells_subset_of_blocks(self, faults, definition):
         result = label_mesh(Mesh2D(W, H), faults, definition)
@@ -81,7 +68,7 @@ class TestLabelInvariants:
         for r in result.regions:
             assert not np.any(r.cells.mask & ~block_union)
 
-    @given(fault_sets())
+    @given(fault_sets(W, H, 16))
     @settings(max_examples=30, deadline=None)
     def test_fault_conservation(self, faults):
         result = label_mesh(Mesh2D(W, H), faults)
@@ -90,7 +77,7 @@ class TestLabelInvariants:
 
 
 class TestRoundCounts:
-    @given(fault_sets())
+    @given(fault_sets(W, H, 16))
     @settings(max_examples=30, deadline=None)
     def test_rounds_bounded_by_flip_counts(self, faults):
         # The paper claims phase 1 converges "through max{d(B)} rounds";
@@ -118,7 +105,7 @@ class TestRoundCounts:
         # paper's headline observation.
         assert result.rounds_phase1 < Mesh2D(W, H).diameter
 
-    @given(fault_sets())
+    @given(fault_sets(W, H, 16))
     @settings(max_examples=20, deadline=None)
     def test_empty_faults_zero_rounds(self, faults):
         if len(faults) == 0:
@@ -127,7 +114,7 @@ class TestRoundCounts:
 
 
 class TestTorusProperties:
-    @given(fault_sets(max_faults=10))
+    @given(fault_sets(W, H, 10))
     @settings(max_examples=30, deadline=None)
     def test_torus_claims_hold_in_unwrapped_frame(self, faults):
         result = label_mesh(Torus2D(W, H), faults)
@@ -135,7 +122,7 @@ class TestTorusProperties:
             outcome = check(result)
             assert outcome.holds, (name, outcome.detail)
 
-    @given(fault_sets(max_faults=10))
+    @given(fault_sets(W, H, 10))
     @settings(max_examples=20, deadline=None)
     def test_torus_shift_invariance(self, faults):
         # Labeling a shifted fault pattern yields shifted labels: the

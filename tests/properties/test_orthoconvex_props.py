@@ -13,33 +13,18 @@ on pipeline-produced disabled regions over random fault patterns:
 """
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import label_mesh
-from repro.faults import FaultSet
 from repro.geometry import perimeter
 from repro.geometry.paths import is_monotone_path, monotone_path_within
 from repro.mesh import Mesh2D
+from tests.strategies import fault_sets
 
 W = H = 11
 
 
-@st.composite
-def fault_sets(draw, max_faults=12):
-    n = draw(st.integers(1, max_faults))
-    coords = draw(
-        st.lists(
-            st.tuples(st.integers(0, W - 1), st.integers(0, H - 1)),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    return FaultSet.from_coords((W, H), coords)
-
-
 class TestRegionStructure:
-    @given(fault_sets())
+    @given(fault_sets(W, H, 12, min_faults=1))
     @settings(max_examples=40, deadline=None)
     def test_staircase_connectivity_of_regions(self, faults):
         result = label_mesh(Mesh2D(W, H), faults)
@@ -56,7 +41,7 @@ class TestRegionStructure:
                 assert path is not None, (u, v, cells)
                 assert is_monotone_path(path)
 
-    @given(fault_sets())
+    @given(fault_sets(W, H, 12, min_faults=1))
     @settings(max_examples=40, deadline=None)
     def test_perimeter_identity(self, faults):
         result = label_mesh(Mesh2D(W, H), faults)
@@ -66,7 +51,7 @@ class TestRegionStructure:
             height = y1 - y0 + 1
             assert perimeter(region.cells) == 2 * (width + height)
 
-    @given(fault_sets())
+    @given(fault_sets(W, H, 12, min_faults=1))
     @settings(max_examples=30, deadline=None)
     def test_blocks_satisfy_the_same_identity(self, faults):
         # Rectangles are orthoconvex, so the identity holds a fortiori.

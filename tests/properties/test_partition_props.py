@@ -1,8 +1,6 @@
 """Property-based tests for the open-problem cover heuristics."""
 
-import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.geometry import (
     CellSet,
@@ -10,22 +8,14 @@ from repro.geometry import (
     is_orthoconvex,
 )
 from repro.partition import FaultCover, cluster_cover, exact_cover, guillotine_cover
+from tests.strategies import fault_sets
 
 W = H = 14
 
 
-@st.composite
-def fault_sets(draw, min_cells=1, max_cells=8):
-    n = draw(st.integers(min_cells, max_cells))
-    coords = draw(
-        st.lists(
-            st.tuples(st.integers(0, W - 1), st.integers(0, H - 1)),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    return CellSet.from_coords((W, H), coords)
+def fault_cells(max_cells):
+    """Non-empty fault sets as cell sets, the covers' input type."""
+    return fault_sets(W, H, max_cells, min_faults=1).map(lambda f: f.cells)
 
 
 def _check_valid(cover: FaultCover, faults: CellSet) -> None:
@@ -39,24 +29,24 @@ def _check_valid(cover: FaultCover, faults: CellSet) -> None:
 
 
 class TestHeuristicCovers:
-    @given(fault_sets())
+    @given(fault_cells(8))
     @settings(max_examples=40, deadline=None)
     def test_cluster_cover_always_valid(self, faults):
         _check_valid(cluster_cover(faults), faults)
 
-    @given(fault_sets())
+    @given(fault_cells(8))
     @settings(max_examples=40, deadline=None)
     def test_guillotine_cover_always_valid(self, faults):
         _check_valid(guillotine_cover(faults), faults)
 
-    @given(fault_sets())
+    @given(fault_cells(8))
     @settings(max_examples=30, deadline=None)
     def test_heuristics_never_worse_than_single_polygon(self, faults):
         baseline = len(connect_orthoconvex(faults)) - len(faults)
         assert cluster_cover(faults).num_nonfaulty <= baseline
         assert guillotine_cover(faults).num_nonfaulty <= baseline
 
-    @given(fault_sets(max_cells=6))
+    @given(fault_cells(6))
     @settings(max_examples=20, deadline=None)
     def test_exact_lower_bounds_heuristics(self, faults):
         exact = exact_cover(faults)

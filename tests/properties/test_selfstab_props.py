@@ -24,22 +24,9 @@ from repro.core.distributed import async_unsafe, distributed_unsafe
 from repro.fabric import ChannelModel
 from repro.faults import FaultSchedule, FaultSet, staggered_crashes, uniform_random
 from repro.mesh import Mesh2D, Torus2D
+from tests.strategies import fault_sets
 
 W = H = 8
-
-
-@st.composite
-def fault_sets(draw, max_faults=8):
-    n = draw(st.integers(0, max_faults))
-    coords = draw(
-        st.lists(
-            st.tuples(st.integers(0, W - 1), st.integers(0, H - 1)),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
-    return FaultSet.from_coords((W, H), coords)
 
 
 @st.composite
@@ -84,7 +71,7 @@ def expected_unsafe(topology, faults, schedule, definition):
 
 class TestSyncSelfStabilization:
     @given(
-        fault_sets(),
+        fault_sets(W, H, 8),
         schedules(),
         channels(),
         st.sampled_from(list(SafetyDefinition)),
@@ -100,7 +87,7 @@ class TestSyncSelfStabilization:
         )
 
     @given(
-        fault_sets(max_faults=6),
+        fault_sets(W, H, 6),
         schedules(max_crashes=4),
         channels(),
         st.sampled_from(list(SafetyDefinition)),
@@ -115,7 +102,7 @@ class TestSyncSelfStabilization:
             got, expected_unsafe(t, faults, schedule, definition)
         )
 
-    @given(fault_sets(), schedules(), channels())
+    @given(fault_sets(W, H, 8), schedules(), channels())
     @settings(max_examples=15, deadline=None)
     def test_full_stepping_agrees(self, faults, schedule, channel):
         m = Mesh2D(W, H)
@@ -130,7 +117,7 @@ class TestSyncSelfStabilization:
 
 class TestAsyncSelfStabilization:
     @given(
-        fault_sets(),
+        fault_sets(W, H, 8),
         schedules(),
         channels(),
         st.sampled_from(list(SafetyDefinition)),
@@ -154,7 +141,7 @@ class TestAsyncSelfStabilization:
         )
 
     @given(
-        fault_sets(max_faults=6),
+        fault_sets(W, H, 6),
         schedules(max_crashes=4),
         channels(),
         st.integers(0, 2**31 - 1),

@@ -14,9 +14,8 @@ from repro.core import SafetyDefinition, label_mesh
 from repro.core.status import NodeStatus
 from repro.faults import FaultSet
 from repro.mesh import Mesh2D, Torus2D
-from repro.obs import JSONLSink, MetricsRegistry, Telemetry
+from repro.obs import JSONLSink, MetricsRegistry, Telemetry, latency_percentiles
 from repro.obs.events import validate_jsonl
-from repro.obs.summarize import latency_percentiles
 from repro.service import LabelingService
 
 FAULTS = [(3, 3), (3, 4), (4, 3)]

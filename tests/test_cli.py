@@ -597,9 +597,9 @@ class TestServeAdminPlane:
         assert result["rc"] == 0
 
     def test_admin_readyz_gates_on_unverified_recovery(self, tmp_path, capsys):
-        """A durable restart without verification must come up
-        NOT-ready until recovery verification has passed; the default
-        recovery path verifies, so readiness is immediate here."""
+        """A durable restart reports ready only after recovery has
+        verified its state; recovery always verifies before the server
+        listens, so readiness is immediate here."""
         from repro.service import ServiceClient
 
         wal_dir = str(tmp_path / "wal")

@@ -16,7 +16,7 @@ def paper_result():
 class TestAsciiResult:
     def test_glyph_counts_match_labels(self):
         r = paper_result()
-        art = render_result(r, axes=False)
+        art = render_result(r)
         assert art.count("#") == 3       # faults
         assert art.count("+") == 6       # activated
         assert art.count("x") == 0       # nothing left disabled here
@@ -24,22 +24,15 @@ class TestAsciiResult:
 
     def test_origin_is_southwest(self):
         r = paper_result()
-        lines = render_result(r, axes=False).splitlines()
-        # Fault (2, 1) must appear in the second line from the bottom,
-        # third column.
-        assert lines[-2][2] == "#"
+        lines = render_result(r).splitlines()
+        # Fault (2, 1) must appear in the second grid line from the
+        # bottom (above the x ruler), third column after the "y " label.
+        assert lines[-3][2 + 2] == "#"
 
     def test_axes_ruler(self):
         r = paper_result()
         art = render_result(r)
         assert art.splitlines()[-1].strip() == "012345"
-
-    def test_glyph_override(self):
-        from repro.core import NodeStatus
-
-        r = paper_result()
-        art = render_result(r, glyphs={NodeStatus.FAULTY: "F"}, axes=False)
-        assert art.count("F") == 3 and art.count("#") == 0
 
 
 class TestAsciiCells:
@@ -58,9 +51,3 @@ class TestSvg:
         assert svg.rstrip().endswith("</svg>")
         assert svg.count("<rect") == 36 + 0  # one per cell
         assert "<polygon" in svg  # block/region outlines
-
-    def test_result_svg_outline_toggles(self):
-        plain = svg_of_result(
-            paper_result(), outline_blocks=False, outline_regions=False
-        )
-        assert "<polygon" not in plain
