@@ -30,7 +30,7 @@ Checked claims:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from repro.core.pipeline import LabelingResult
 from repro.core.regions import DisabledRegion
 from repro.geometry.boundary import corner_cells
 from repro.geometry.cells import CellSet
-from repro.geometry.orthoconvex import is_orthoconvex, orthoconvex_closure
 from repro.geometry.quadrants import quadrant_extreme_corner, quadrants_with_members
 from repro.geometry.rectangles import is_rectangle
 from repro.geometry.staircase import connect_orthoconvex
@@ -60,6 +59,9 @@ __all__ = [
 
 #: Outside nodes :func:`check_lemma3` probes per region.
 _LEMMA3_SAMPLES = 64
+
+#: Member cells ``(ids, xs, ys)`` tagged with the index of their set.
+_Tagged = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,71 @@ def _crop(cells: CellSet, box: Tuple[slice, slice]) -> CellSet:
     to its origin."""
     (x0, x1, _), (y0, y1, _) = (s.indices(n) for s, n in zip(box, cells.shape))
     return cells._crop(x0, y0, (x1 - x0, y1 - y0))
+
+
+def _members(sets: Iterable[CellSet]) -> _Tagged:
+    """Every member of ``sets`` as int64 ``(ids, xs, ys)``, tagged with the
+    index of its set and ordered by ``(id, x, y)``.  Each set's members are
+    read row-major; an extracted set reads its member slice, with no grid
+    scan."""
+    coords = [s._coords() for s in sets]
+    ids = np.repeat(np.arange(len(coords)), [xs.size for xs, _ in coords])
+    none = [np.zeros(0, dtype=np.int64)]
+    xs = np.concatenate([xs for xs, _ in coords] or none).astype(np.int64, copy=False)
+    ys = np.concatenate([ys for _, ys in coords] or none).astype(np.int64, copy=False)
+    return ids, xs, ys
+
+
+def _isin(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Whether each of ``targets`` is one of the ascending ``keys``."""
+    if not keys.size:
+        return np.zeros(targets.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, targets), keys.size - 1)
+    return keys[pos] == targets
+
+
+def _lines(
+    line: np.ndarray, pos: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per grid line of the members: ``line`` holds ascending line ids and
+    ``pos`` the distinct positions, ascending within each line.  Returns
+    each line's id, first and last position, and whether its members form
+    one unbroken run (they do iff the extent equals the count)."""
+    first = np.flatnonzero(np.diff(line, prepend=-1))
+    last = np.flatnonzero(np.diff(line, append=-1))
+    lo, hi = pos[first], pos[last]
+    return line[first], lo, hi, hi - lo == last - first
+
+
+def _fill(
+    line: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every position ``lo..hi`` of every line, as ``(line, pos)`` ordered
+    by line, then position."""
+    n = hi - lo + 1
+    # Output slot j of a line starting at slot s holds lo + (j - s).
+    return np.repeat(line, n), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
+
+
+def _closure(
+    ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, shape: Tuple[int, int]
+) -> _Tagged:
+    """The orthoconvex closure of every tagged set at once: column and row
+    span fills over all sets' lines, iterated to their common fixpoint.
+    Takes and returns members ordered by ``(id, x, y)``."""
+    w, h = shape
+    while True:
+        col, lo, hi, _ = _lines(ids * w + xs, ys)
+        col, fy = _fill(col, lo, hi)
+        fid, fx = np.divmod(col, w)
+        order = np.argsort((fid * h + fy) * w + fx)
+        row, lo, hi, _ = _lines((fid * h + fy)[order], fx[order])
+        row, fx = _fill(row, lo, hi)
+        if fx.size == xs.size:  # fills only add members: nothing changed
+            return ids, xs, ys
+        fid, fy = np.divmod(row, h)
+        order = np.argsort((fid * w + fx) * h + fy)
+        ids, xs, ys = fid[order], fx[order], fy[order]
 
 
 def check_blocks_rectangular(result: LabelingResult) -> CheckOutcome:
@@ -146,9 +213,8 @@ def check_region_separation(result: LabelingResult) -> CheckOutcome:
     h = regions[0].cells.shape[1]
     # Every member cell as a row-major key tagged with its region id; the
     # stable sort keeps ids ascending among equal keys.
-    coords = [r.cells._coords() for r in regions]
-    key = np.concatenate([xs.astype(np.int64) * h + ys for xs, ys in coords])
-    rid = np.repeat(np.arange(n), [xs.size for xs, _ in coords])
+    rid, xs, ys = _members(r.cells for r in regions)
+    key = xs * h + ys
     order = np.argsort(key, kind="stable")
     key, rid = key[order], rid[order]
     # A shared cell is a hit on the key itself (distance 0); 4-adjacent
@@ -172,26 +238,61 @@ def check_region_separation(result: LabelingResult) -> CheckOutcome:
 
 
 def check_theorem1(result: LabelingResult) -> CheckOutcome:
-    """Theorem 1: every disabled region is an orthogonal convex polygon."""
+    """Theorem 1: every disabled region is an orthogonal convex polygon.
+
+    One pass over all regions' members: each column and each row of a
+    region must hold one unbroken run, and the region must be 8-connected.
+    With one run per column, that is: its columns are consecutive, and the
+    runs of adjacent columns lie within one row of each other (every path
+    between two columns crosses each column in between)."""
     claim = "theorem 1 (regions are orthogonal convex polygons)"
-    for k, r in enumerate(result.regions):
-        if not is_orthoconvex(_crop(r.cells, _box(r.cells)), require_connected=True):
-            return _fail(claim, f"region {k} ({r.cells!r}) is not orthoconvex")
-    return _ok(claim)
+    regions = result.regions
+    if not regions:
+        return _ok(claim)
+    w, h = regions[0].cells.shape
+    rid, xs, ys = _members(r.cells for r in regions)
+    bad = np.bincount(rid, minlength=len(regions)) == 0  # the empty set is no region
+    col, lo, hi, one_run = _lines(rid * w + xs, ys)
+    bad[col[~one_run] // w] = True
+    order = np.argsort((rid * h + ys) * w + xs)
+    row, _, _, one_run = _lines((rid * h + ys)[order], xs[order])
+    bad[row[~one_run] // h] = True
+    same = col[1:] // w == col[:-1] // w
+    apart = (col[1:] != col[:-1] + 1) | (lo[1:] > hi[:-1] + 1) | (lo[:-1] > hi[1:] + 1)
+    bad[col[1:][same & apart] // w] = True
+    failing = np.flatnonzero(bad)
+    if not failing.size:
+        return _ok(claim)
+    k = int(failing[0])
+    return _fail(claim, f"region {k} ({regions[k].cells!r}) is not orthoconvex")
 
 
 def check_lemma1(result: LabelingResult) -> CheckOutcome:
-    """Lemma 1: every corner node of a disabled region is faulty."""
+    """Lemma 1: every corner node of a disabled region is faulty.
+
+    A member is a corner when, along each axis, a neighbour is missing
+    from its own region (beyond the grid counts as missing); each
+    membership test is one ``searchsorted`` on the region-tagged keys."""
     claim = "lemma 1 (corner nodes are faulty)"
-    for k, r in enumerate(result.regions):
-        box = _box(r.cells)
-        corners = corner_cells(_crop(r.cells, box))
-        faults = _crop(r.faults, box)
-        if not corners.issubset(faults):
-            x0, y0 = box[0].start, box[1].start
-            bad = [(x + x0, y + y0) for x, y in corners.difference(faults).coords()[:3]]
-            return _fail(claim, f"region {k} has nonfaulty corners at {bad}")
-    return _ok(claim)
+    regions = result.regions
+    if not regions:
+        return _ok(claim)
+    w, h = regions[0].cells.shape
+    rid, xs, ys = _members(r.cells for r in regions)
+    key = (rid * w + xs) * h + ys
+    east = (xs < w - 1) & _isin(key, key + h)
+    west = (xs > 0) & _isin(key, key - h)
+    north = (ys < h - 1) & _isin(key, key + 1)
+    south = (ys > 0) & _isin(key, key - 1)
+    fid, fx, fy = _members(r.faults for r in regions)
+    corner = ~(east & west) & ~(north & south)
+    bad = np.flatnonzero(corner & ~_isin((fid * w + fx) * h + fy, key))
+    if not bad.size:
+        return _ok(claim)
+    k = int(rid[bad[0]])
+    first = bad[rid[bad] == k][:3]
+    coords = list(zip(xs[first].tolist(), ys[first].tolist()))
+    return _fail(claim, f"region {k} has nonfaulty corners at {coords}")
 
 
 def check_lemma2(region: DisabledRegion) -> CheckOutcome:
@@ -239,43 +340,55 @@ def check_lemma3(region: DisabledRegion) -> CheckOutcome:
 def check_theorem2(result: LabelingResult) -> CheckOutcome:
     """Theorem 2: each region is the smallest orthoconvex polygon covering
     its faults — mechanically, the region equals the orthoconvex closure
-    of its fault set."""
+    of its fault set, computed for all regions at once."""
     claim = "theorem 2 (region == orthoconvex closure of its faults)"
-    for k, r in enumerate(result.regions):
-        box = _box(r.cells, r.faults)
-        cells = _crop(r.cells, box)
-        closure = orthoconvex_closure(_crop(r.faults, box))
-        if closure != cells:
-            extra = cells.difference(closure)
-            missing = closure.difference(cells)
-            return _fail(
-                claim,
-                f"region {k}: closure mismatch "
-                f"(+{len(extra)} region-only, -{len(missing)} closure-only cells)",
-            )
-    return _ok(claim)
+    regions = result.regions
+    if not regions:
+        return _ok(claim)
+    shape = regions[0].cells.shape
+    w, h = shape
+    cid, cx, cy = _closure(*_members(r.faults for r in regions), shape)
+    rid, xs, ys = _members(r.cells for r in regions)
+    closure, cells = (cid * w + cx) * h + cy, (rid * w + xs) * h + ys
+    extra = np.bincount(rid[~_isin(closure, cells)], minlength=len(regions))
+    missing = np.bincount(cid[~_isin(cells, closure)], minlength=len(regions))
+    failing = np.flatnonzero(extra + missing)
+    if not failing.size:
+        return _ok(claim)
+    k = int(failing[0])
+    return _fail(
+        claim,
+        f"region {k}: closure mismatch "
+        f"(+{extra[k]} region-only, -{missing[k]} closure-only cells)",
+    )
 
 
 def check_corollary(result: LabelingResult) -> CheckOutcome:
     """Corollary: per faulty block, nonfaulty nodes covered by its regions
     <= nonfaulty nodes in the smallest orthoconvex polygon containing all
-    the block's faults (computed as closure + minimal staircase joins, which
-    never leave the faults' bounding box, so each block counts on a window)."""
+    the block's faults.
+
+    One pass counts every block's nonfaulty disabled members.  A block
+    counting 0 holds whatever the polygon keeps, so only the others build
+    it (closure + minimal staircase joins, which never leave the faults'
+    bounding box, so each counts on a window)."""
     claim = "corollary (regions cover <= smallest single-OCP nonfaulty nodes)"
-    faulty = result.labels.faulty
-    disabled = result.labels.disabled
-    for b in result.blocks:
+    blocks, labels = result.blocks, result.labels
+    faulty = labels.faulty
+    bid, xs, ys = _members(b.cells for b in blocks)
+    kept = labels.unsafe[xs, ys] & ~labels.enabled[xs, ys] & ~faulty[xs, ys]
+    in_regions = np.bincount(bid[kept], minlength=len(blocks))
+    for k in np.flatnonzero(in_regions).tolist():
+        b = blocks[k]
         if not b.faults:
             continue
         box = _box(b.cells, b.faults)
-        nonfaulty = ~faulty[box]
-        in_regions = int((_crop(b.cells, box).mask & disabled[box] & nonfaulty).sum())
         single_ocp = connect_orthoconvex(_crop(b.faults, box))
-        in_ocp = int((single_ocp.mask & nonfaulty).sum())
-        if in_regions > in_ocp:
+        in_ocp = int((single_ocp.mask & ~faulty[box]).sum())
+        if in_regions[k] > in_ocp:
             return _fail(
                 claim,
-                f"block {b.rect}: regions keep {in_regions} nonfaulty disabled, "
+                f"block {b.rect}: regions keep {in_regions[k]} nonfaulty disabled, "
                 f"single OCP would keep {in_ocp}",
             )
     return _ok(claim)

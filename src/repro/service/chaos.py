@@ -270,6 +270,11 @@ class ChaosProxy:
         if rolls[2] < self.delay_prob:
             self.stats["delayed"] += 1
             threading.Event().wait(delay)
+        # Counted before the frame leaves: the server's answer may reach
+        # the client, and a reader of the stats, before this thread runs on.
+        duplicate = rolls[4] < self.dup_prob and _carries_seq(frame)
+        if duplicate:
+            self.stats["duplicated"] += 1
         if rolls[3] < self.split_prob and len(frame) > 2:
             self.stats["split"] += 1
             half = len(frame) // 2
@@ -278,8 +283,7 @@ class ChaosProxy:
             upstream.sendall(frame[half:])
         else:
             upstream.sendall(frame)
-        if rolls[4] < self.dup_prob and _carries_seq(frame):
-            self.stats["duplicated"] += 1
+        if duplicate:
             upstream.sendall(frame)
         return True
 

@@ -259,6 +259,46 @@ class TestViolationWitnesses:
         out = check_lemma1(bad)
         assert out.detail == "region 1 has nonfaulty corners at [(8, 5), (9, 3), (9, 5)]"
 
+    def test_theorem1_gap_column_and_empty_region(self):
+        # (2,2) and (4,3) keep every row and column one run, but column 3
+        # is empty, so the two cells are no single polygon; the empty set
+        # is no region either.
+        r = self._with_regions(self._region([(7, 7)]), self._region([(2, 2), (4, 3)]))
+        out = check_theorem1(r)
+        assert out.detail == "region 1 (CellSet(shape=(10, 10), count=2)) is not orthoconvex"
+        r = self._with_regions(self._region([(7, 7)]), self._region([]))
+        assert check_theorem1(r).detail.startswith("region 1 (")
+        assert check_theorem1(self._with_regions(self._region([(2, 2), (3, 3)]))).holds
+
+    def test_lemma1_neighbours_stay_inside_the_region_and_grid(self):
+        # Region 0 fills the two east columns: its top of column 8 and
+        # bottom of column 9 are consecutive cells of a full-height pair
+        # of columns, and region 1 sits beyond the east edge in key
+        # order, yet all four extreme cells are corners.
+        east = [(x, y) for x in (8, 9) for y in range(10)]
+        r = self._with_regions(
+            self._region(east, faults=[(8, 0), (9, 9)]),
+            self._region([(0, y) for y in range(10)]),
+        )
+        out = check_lemma1(r)
+        assert out.detail == "region 0 has nonfaulty corners at [(8, 9), (9, 0)]"
+
+    def test_corollary_witness_after_a_block_that_holds(self):
+        # Block 0 keeps (1, 2), as the single polygon must too; block 1 is
+        # the diagonal pair of test_corollary_violation, disabled again.
+        r = label([(1, 1), (1, 3), (2, 2), (6, 6), (7, 7)], definition=SafetyDefinition.DEF_2A)
+        assert [b.rect for b in r.blocks] == [Rect(1, 1, 2, 3), Rect(6, 6, 7, 7)]
+        assert r.labels.disabled[1, 2] and check_corollary(r).holds
+        enabled = r.labels.enabled.copy()
+        enabled[7, 6] = False
+        tampered = dataclasses.replace(
+            r, labels=dataclasses.replace(r.labels, enabled=enabled)
+        )
+        assert check_corollary(tampered).detail == (
+            "block Rect(x0=6, y0=6, x1=7, y1=7): regions keep 1 nonfaulty "
+            "disabled, single OCP would keep 0"
+        )
+
     def test_lemma1_full_height_column(self):
         column = [(0, y) for y in range(10)]
         out = check_lemma1(self._with_regions(self._region(column, faults=[(0, 0)])))

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.core import SafetyDefinition, label_mesh, unsafe_fixpoint
 from repro.core.theorems import RESULT_CHECKS
 from repro.faults import FaultSet
-from repro.geometry import orthoconvex_closure
+from repro.geometry import CellSet, orthoconvex_closure
 from repro.mesh import Mesh2D, Torus2D
-from tests.strategies import fault_sets
+from tests.strategies import fault_sets, labeling_results
 
 W = H = 12
 
@@ -67,6 +67,24 @@ class TestLabelInvariants:
             block_union |= b.cells.mask
         for r in result.regions:
             assert not np.any(r.cells.mask & ~block_union)
+
+    @given(labeling_results())
+    @settings(max_examples=100, deadline=None)
+    def test_regions_lie_inside_one_block(self, result):
+        # Disabled regions are local to faulty blocks: each lies inside
+        # exactly one block, holds exactly the faults it covers, and
+        # together they are the disabled plane.
+        labels = result.labels
+        block_of = np.full(labels.shape, -1)
+        for k, b in enumerate(result.blocks):
+            block_of[b.cells.mask] = k
+        union = np.zeros(labels.shape, dtype=bool)
+        for r in result.regions:
+            owners = np.unique(block_of[r.cells.mask])
+            assert owners.size == 1 and owners[0] >= 0
+            assert r.faults == CellSet(r.cells.mask & labels.faulty)
+            union |= r.cells.mask
+        assert np.array_equal(union, labels.disabled)
 
     @given(fault_sets(W, H, 16))
     @settings(max_examples=30, deadline=None)

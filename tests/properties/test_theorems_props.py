@@ -1,29 +1,27 @@
 """The theorem checkers against a slow oracle.
 
-:func:`repro.core.theorems.check_all` crops every region to its bounding
-box and finds separation violations with one sort.  The oracle below is
-the plain pairwise, full-grid formulation of the same claims; every
-outcome — claim, verdict and witness text — must match it on real
-pipeline results and on results corrupted in ways that break each claim.
+:func:`repro.core.theorems.check_all` checks all regions (or blocks) at
+once, in a few passes over their member cells tagged with the region or
+block id.  The oracle below is the plain pairwise, full-grid formulation
+of the same claims; every outcome — claim, verdict and witness text —
+must match it on real pipeline results and on results corrupted in ways
+that break each claim.
 """
 
 import dataclasses
 from itertools import combinations
 
-import numpy as np
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SafetyDefinition, label_mesh
 from repro.core.theorems import CheckOutcome, check_all
-from repro.faults import clustered, uniform_random
 from repro.geometry import CellSet, connect_orthoconvex, is_orthoconvex, orthoconvex_closure
 from repro.geometry.boundary import corner_cells
 from repro.geometry.components import set_distance
 from repro.geometry.quadrants import quadrant_extreme_corner, quadrants_with_members
 from repro.geometry.rectangles import Rect, is_rectangle
-from repro.mesh import Mesh2D, Torus2D
 from repro.mesh.coords import Quadrant
+from tests.strategies import labeling_results
 
 
 def _first(claim, details):
@@ -89,23 +87,6 @@ def oracle(result, quadrant_lemmas):
     return out
 
 
-@st.composite
-def results(draw):
-    w, h = draw(st.integers(6, 16)), draw(st.integers(6, 16))
-    torus = draw(st.booleans())
-    topology = (Torus2D if torus else Mesh2D)(w, h)
-    count = draw(st.integers(0, min(w, h) // 2 if torus else w * h // 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        faults = clustered((w, h), count, rng, clusters=draw(st.integers(1, 3)), spread=1.5)
-    else:
-        faults = uniform_random((w, h), count, rng)
-    try:
-        return label_mesh(topology, faults, draw(st.sampled_from(list(SafetyDefinition))))
-    except ValueError:  # the torus pattern wraps all the way round: no planar view
-        reject()
-
-
 def _edit_cells(cells, coord, value):
     mask = cells.mask.copy()
     mask[coord] = value
@@ -115,12 +96,12 @@ def _edit_cells(cells, coord, value):
 @st.composite
 def tampered(draw):
     """A pipeline result with one to three hand-made corruptions."""
-    result = draw(results())
+    result = draw(labeling_results())
     w, h = result.labels.shape
     for _ in range(draw(st.integers(1, 3))):
         regions, blocks = list(result.regions), list(result.blocks)
-        kind = draw(st.sampled_from(
-            ["add", "drop", "copy", "faults", "block_cell", "block_rect", "disable"]))
+        kind = draw(st.sampled_from(["add", "drop", "copy", "collide", "faults",
+                                     "block_cell", "block_rect", "drop_block", "disable"]))
         cell = (draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)))
         if kind == "disable":
             # A nonfaulty node turned disabled: inflates the corollary count.
@@ -131,12 +112,15 @@ def tampered(draw):
             labels = dataclasses.replace(result.labels, unsafe=unsafe, enabled=enabled)
             result = dataclasses.replace(result, labels=labels)
             continue
-        if kind.startswith("block"):
+        if "block" in kind:
             if not blocks:
                 continue
             k = draw(st.integers(0, len(blocks) - 1))
             b = blocks[k]
-            if kind == "block_cell":
+            if kind == "drop_block":
+                # Its disabled cells now belong to no block.
+                del blocks[k]
+            elif kind == "block_cell":
                 flipped = _edit_cells(b.cells, cell, not b.cells.mask[cell])
                 blocks[k] = dataclasses.replace(b, cells=flipped)
             else:
@@ -161,6 +145,17 @@ def tampered(draw):
             if 0 <= x0 + dx and x1 + dx < w and 0 <= y0 + dy and y1 + dy < h:
                 regions.insert(draw(st.integers(0, len(regions))), dataclasses.replace(
                     r, cells=r.cells.translated(dx, dy), faults=r.faults.translated(dx, dy)))
+        elif kind == "collide" and len(regions) > 1:
+            # Moved onto a row or column line of another region, so both
+            # regions hold members of one grid line.
+            j = draw(st.sampled_from([i for i in range(len(regions)) if i != k]))
+            xk, yk = draw(st.sampled_from(r.cells.coords()))
+            xj, yj = draw(st.sampled_from(regions[j].cells.coords()))
+            dx, dy = (xj - xk, 0) if draw(st.booleans()) else (0, yj - yk)
+            x0, y0, x1, y1 = (r.cells | r.faults).bounding_box()
+            if 0 <= x0 + dx and x1 + dx < w and 0 <= y0 + dy and y1 + dy < h:
+                regions[k] = dataclasses.replace(
+                    r, cells=r.cells.translated(dx, dy), faults=r.faults.translated(dx, dy))
         elif kind == "faults":
             # Faults moved off the region (or onto all of it).
             regions[k] = dataclasses.replace(
@@ -170,7 +165,7 @@ def tampered(draw):
 
 
 class TestCheckAllMatchesOracle:
-    @given(results(), st.booleans())
+    @given(labeling_results(), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_pipeline_results(self, result, quadrant_lemmas):
         assert check_all(result, quadrant_lemmas) == oracle(result, quadrant_lemmas)
