@@ -44,7 +44,8 @@ from repro.analysis.tables import format_table
 from repro.core.batch import label_batch
 from repro.core.pipeline import label_mesh  # noqa: F401 - tracers patch it by name
 from repro.core.status import SafetyDefinition
-from repro.faults.generators import uniform_random
+from repro.faults.generators import draw_uniform
+from repro.faults.generators import uniform_random  # noqa: F401 - tracers patch it by name
 from repro.mesh.topology import Mesh2D, Topology
 
 __all__ = ["Fig5Point", "Fig5Curve", "run_fig5", "DEFAULT_F_VALUES"]
@@ -118,10 +119,10 @@ def _fig5_batch(
 ) -> List[_TrialRow]:
     """The rows of trials ``start .. stop - 1`` of one ``f`` value."""
     topo, definition, method, f, fi, start, stop, trials, seed = task
-    faulty = np.empty((stop - start, *topo.shape), dtype=bool)
+    faulty = np.zeros((stop - start, topo.num_nodes), dtype=bool)
     for plane, ti in zip(faulty, range(start, stop)):
-        rng = trial_rng(trials, seed + _F_SEED_STRIDE * fi, ti)
-        plane[...] = uniform_random(topo.shape, f, rng).mask
+        draw_uniform(plane, f, trial_rng(trials, seed + _F_SEED_STRIDE * fi, ti))
+    faulty = faulty.reshape(-1, *topo.shape)
     out = label_batch(topo, faulty, definition, method)
     return list(
         zip(

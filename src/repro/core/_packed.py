@@ -4,11 +4,11 @@ Every label of the paper is one bit, and every round reads only a
 node's four neighbours, so a label plane packs 64 cells to a word and a
 round becomes a dozen whole-array word operations.
 
-**Layout.**  A plane of shape ``(width, height)`` lives in a *frame* of
-``width + 2`` rows of ``1 + ceil(height / 64)`` little-endian ``'<u8'``
-words.  Frame row ``x + 1`` holds x-row ``x``: word 0 is a guard word,
-and bit ``j`` of data word ``k`` is cell ``(x, 64 (k - 1) + j)``.  Rows
-0 and ``width + 1`` are the ghost rows.  Read as one flat word array,
+**Layout.**  A plane lives in the frame of
+:func:`repro.geometry._bitplanes.pack`: ``width + 2`` rows of
+``1 + ceil(height / 64)`` little-endian words, frame row ``x + 1``
+holding x-row ``x`` behind a guard word, with ghost rows 0 and
+``width + 1``.  Read as one flat word array,
 
 * the E and W neighbours of every cell are the same slice shifted by
   one frame row;
@@ -48,9 +48,9 @@ from typing import Callable, Tuple
 import numpy as np
 
 from repro.errors import ConvergenceError
+from repro.geometry._bitplanes import WORD, pack, unpack
 from repro.mesh.topology import Topology
 
-_WORD = np.dtype("<u8")
 _ONE = np.uint64(1)
 _TOP = np.uint64(63)
 
@@ -60,22 +60,6 @@ _TOP = np.uint64(63)
 #: sources of the N / S views), ``e`` / ``w`` the E / W row views;
 #: ``t1`` and ``t2`` are scratch buffers.
 Rule = Callable[..., None]
-
-
-def pack(planes: np.ndarray) -> np.ndarray:
-    """The frame of a ``(..., width, height)`` plane or stack of planes:
-    ring, padding and guard bits all zero."""
-    *lead, width, height = planes.shape
-    frame = np.zeros((*lead, width + 2, 1 + -(-height // 64)), dtype=_WORD)
-    rows = np.packbits(planes, axis=-1, bitorder="little")
-    frame.view(np.uint8)[..., 1:-1, 8 : 8 + rows.shape[-1]] = rows
-    return frame
-
-
-def unpack(frame: np.ndarray, height: int) -> np.ndarray:
-    """The ``(..., width, height)`` bool planes held by ``frame``."""
-    rows = frame.view(np.uint8)[..., 1:-1, 8 : 8 + -(-height // 8)]
-    return np.unpackbits(rows, axis=-1, count=height, bitorder="little").view(bool)
 
 
 def _north_south(c, cn, cp, n, s, t) -> None:
@@ -138,7 +122,7 @@ def fixpoint(
     # guard bits and ghost rows are the per-round padding mask; the
     # ghost rows between planes keep every plane from reading another.
     keep = pack(~faulty).reshape(-1)[lo:hi]
-    temps = [np.empty(hi - lo, dtype=_WORD) for _ in range(2)]
+    temps = [np.empty(hi - lo, dtype=WORD) for _ in range(2)]
     # Which words changed in a round, over a whole frame whose first and
     # last rows stay False, so that it splits into one row per plane.
     diff = np.zeros(cur.size, dtype=bool)

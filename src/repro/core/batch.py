@@ -18,13 +18,16 @@ plane:
 * **Torus.**  Each plane is rolled to its own unwrap frame
   (:func:`~repro.core.pipeline._torus_unwrap_shift`), as
   :func:`~repro.core.pipeline.assemble_result` does for one plane.
-* **Extraction.**  The stack's member scan is labeled in one run pass:
-  plane ``t``'s column ``x`` becomes column ``t * (width + 1) + x``, so
-  an empty column separates consecutive planes and no run ever touches
-  another plane's runs.  Components come out plane by plane, each
+* **Extraction.**  The stack is cut into runs on its packed words and
+  labeled in one run pass: plane ``t``'s column ``x`` becomes column
+  ``t * (width + 2) + x`` (the frame rows of
+  :func:`~repro.geometry._bitplanes.pack`), so the empty ghost columns
+  between consecutive planes keep every run from touching another
+  plane's runs.  Components come out plane by plane, each
   plane's in the order :func:`~repro.core.blocks.extract_blocks` /
-  :func:`~repro.core.regions.extract_regions` give, and every count and
-  ratio is a ``bincount`` over the run tables.  The rectangle, fault
+  :func:`~repro.core.regions.extract_regions` give.  The fault and
+  enabled planes are read at the members of the runs, and every count
+  and ratio is a ``bincount`` of those reads.  The rectangle, fault
   coverage and fault-holding checks are the ones those extractors run.
 
 For every plane the results equal those of ``label_mesh`` on that
@@ -44,7 +47,8 @@ from repro.core.pipeline import _pick_kernel, _torus_unwrap_shift
 from repro.core.regions import _check_faults_held
 from repro.core.safety import unsafe_fixpoints
 from repro.core.status import SafetyDefinition
-from repro.geometry.components import _fault_runs, _label_runs, _Runs
+from repro.geometry._bitplanes import expand_runs, frame_runs, pack
+from repro.geometry.components import _label_runs, _Runs
 from repro.mesh.topology import Topology
 
 __all__ = ["BatchLabels", "label_batch"]
@@ -106,26 +110,23 @@ def label_batch(
     if topology.wraps:
         faulty, unsafe, enabled = _unwrap(faulty, unsafe, enabled)
 
-    # Every derived mask is a subset of the unsafe scan: the faults (once
-    # checked), the activated cells and the disabled cells.
     planes = faulty.shape[0]
     width, height = topology.shape
-    gap = width + 1  # column stride of a plane: its width plus one empty column
-    fault_idx = np.flatnonzero(faulty)
-    _check_covers(unsafe.reshape(-1)[fault_idx], "unsafe")
-    unsafe_idx = np.flatnonzero(unsafe)
-    on = enabled.reshape(-1)
-    _check_covers(~on[fault_idx], "disabled")
-    fault_scan = _stacked_scan(fault_idx, faulty.shape)
-    enabled_at = on[unsafe_idx]
-
-    runs, xs, ys = _stacked_runs(unsafe_idx, faulty.shape, 4)
-    sizes, boxes = _check_rectangles(runs, xs, ys, topology.shape)
-    block_plane = boxes[0] // gap
-    faults_in = _comp_counts(runs, fault_scan, height)
-    freed_scan = _stacked_scan(unsafe_idx[enabled_at], faulty.shape)
-    freed = _comp_counts(runs, freed_scan, height)
-    nonfaulty = sizes - faults_in
+    stride = width + 2  # column stride of a plane in a stacked scan
+    fault_plane = faulty.reshape(-1)
+    frame = pack(unsafe)
+    runs = _label_runs(_Runs(*frame_runs(frame)), height, 4)
+    sizes, boxes = _check_rectangles(runs, topology.shape)
+    block_plane = boxes[0] // stride
+    # Each block's faults and freed cells, read off the planes at its
+    # members: a Figure-5 plane holds a few hundred unsafe cells, far
+    # fewer than a word scan of the fault plane costs.
+    at = _flat_cells(runs, topology.shape)
+    block = np.repeat(runs.comp, runs.lengths())
+    faults_at = fault_plane[at]
+    _check_covers(np.count_nonzero(faults_at) == faults, "unsafe")
+    nonfaulty = sizes - np.bincount(block[faults_at], minlength=runs.count)
+    freed = np.bincount(block[enabled.reshape(-1)[at]], minlength=runs.count)
     reducible = nonfaulty > 0
     ratios = freed[reducible] / nonfaulty[reducible]
     per_plane = np.bincount(block_plane[reducible], minlength=planes)
@@ -133,12 +134,16 @@ def label_batch(
         part.tolist() for part in np.split(ratios, np.cumsum(per_plane)[:-1])
     ]
 
-    regions, xs, ys = _stacked_runs(unsafe_idx[~enabled_at], faulty.shape, 8)
+    frame &= ~pack(enabled)  # the disabled cells
+    regions = _label_runs(_Runs(*frame_runs(frame)), height, 8)
+    faults_at = fault_plane[_flat_cells(regions, topology.shape)]
+    _check_covers(np.count_nonzero(faults_at) == faults, "disabled")
+    region = np.repeat(regions.comp, regions.lengths())
     _check_faults_held(
-        regions, _fault_runs(regions, *fault_scan, height), xs, ys, topology.shape
+        regions, np.bincount(region[faults_at], minlength=regions.count), topology.shape
     )
     region_plane = np.empty(regions.count, dtype=np.int64)
-    region_plane[regions.comp] = regions.x // gap
+    region_plane[regions.comp] = regions.x // stride
 
     return BatchLabels(
         rounds_phase1=rounds1,
@@ -160,31 +165,10 @@ def _unwrap(*stacks: np.ndarray) -> Tuple[np.ndarray, ...]:
     return out
 
 
-def _stacked_scan(
-    flat: np.ndarray, shape: Tuple[int, int, int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The stacked scan of the flat indices ``flat`` into a stack of
-    ``shape``: every member's column ``t * (width + 1) + x`` and its
-    ``y``."""
-    _, width, height = shape
-    rows = flat // height  # t * width + x
-    return rows + rows // width, flat - rows * height
-
-
-def _stacked_runs(
-    flat: np.ndarray, shape: Tuple[int, int, int], connectivity: int
-) -> Tuple[_Runs, np.ndarray, np.ndarray]:
-    """The labeled runs of the stacked scan of ``flat``, with the
-    scan's plane-local ``xs`` and its ``ys``."""
-    planes, width, height = shape
-    cols, ys = _stacked_scan(flat, shape)
-    runs = _label_runs(cols, ys, (planes * (width + 1), height), connectivity)
-    return runs, cols % (width + 1), ys
-
-
-def _comp_counts(
-    runs: _Runs, scan: Tuple[np.ndarray, np.ndarray], height: int
-) -> np.ndarray:
-    """How many cells of ``scan`` (all members of ``runs``) each
-    component holds."""
-    return np.bincount(_fault_runs(runs, *scan, height).comp, minlength=runs.count)
+def _flat_cells(runs: _Runs, shape: Tuple[int, int]) -> np.ndarray:
+    """The flat stack index ``(t * width + x) * height + y`` of every cell
+    of ``runs`` cut from a stack of planes of ``shape``, run by run."""
+    width, height = shape
+    cols, ys = expand_runs(runs.x, runs.y0, runs.y1)
+    # Plane t's column x was scanned as column t * (width + 2) + x.
+    return (cols - 2 * (cols // (width + 2))) * height + ys

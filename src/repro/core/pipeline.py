@@ -38,6 +38,7 @@ from repro.fabric.channel import ChannelModel
 from repro.fabric.stats import RunStats
 from repro.faults.faultset import FaultSet
 from repro.faults.schedule import FaultSchedule
+from repro.geometry.components import _scan
 from repro.mesh.topology import Topology
 from repro.obs.telemetry import Telemetry
 
@@ -393,13 +394,14 @@ def assemble_result(
         faults = FaultSet.from_mask(faulty)
 
     labels = LabelGrid(faulty=faulty, unsafe=unsafe, enabled=enabled)
+    fault_runs = _scan(faulty)  # one fault scan serves both extractions
     blocks = _stage(
         telemetry, "extract_blocks", "extract_blocks", _count,
-        lambda t: extract_blocks(unsafe, faulty),
+        lambda t: extract_blocks(unsafe, faulty, fault_runs),
     )
     regions = _stage(
         telemetry, "extract_regions", "extract_regions", _count,
-        lambda t: extract_regions(labels.disabled, faulty),
+        lambda t: extract_regions(labels.disabled, faulty, fault_runs),
     )
     return LabelingResult(
         topology=topology,

@@ -18,18 +18,23 @@ as the oracle for :func:`extract_regions` (property tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blocks import _check_covers, _check_shapes, _component_cells
+from repro.core.blocks import (
+    _check_covers,
+    _check_shapes,
+    _component_cells,
+    _faults_in,
+)
 from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
 from repro.geometry.components import (
-    _fault_runs,
     _label_runs,
-    _Runs,
     _lazy_components,
+    _Runs,
+    _scan,
     connected_components_reference,
 )
 from repro.types import BoolGrid
@@ -61,26 +66,21 @@ class DisabledRegion:
         return self.cells.diameter()
 
 
-def _check_faults_held(
-    runs: _Runs,
-    fault_runs: _Runs,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    shape: Tuple[int, int],
-) -> None:
-    """Every component of the labeled ``runs`` holds a fault of
-    ``fault_runs``; ``xs``/``ys`` are the member scan in coordinates of
-    ``shape``."""
-    held = np.bincount(fault_runs.comp, minlength=runs.count)
+def _check_faults_held(runs: _Runs, held: np.ndarray, shape: Tuple[int, int]) -> None:
+    """Every component of the labeled ``runs`` on a grid of ``shape``
+    holds a fault: ``held`` counts each component's faults (or fault
+    runs)."""
     empty = np.flatnonzero(held == 0)
     if empty.size:
-        culprit = _component_cells(runs, xs, ys, shape, int(empty[0]))
+        culprit = _component_cells(runs, shape, int(empty[0]))
         raise GeometryError(
             f"disabled region {culprit!r} contains no fault — phase-2 labels corrupt"
         )
 
 
-def extract_regions(disabled: BoolGrid, faulty: BoolGrid) -> List[DisabledRegion]:
+def extract_regions(
+    disabled: BoolGrid, faulty: BoolGrid, fault_runs: Optional[_Runs] = None
+) -> List[DisabledRegion]:
     """Decompose a disabled mask into disabled regions.
 
     Parameters
@@ -89,6 +89,9 @@ def extract_regions(disabled: BoolGrid, faulty: BoolGrid) -> List[DisabledRegion
         Phase-2 ``unsafe & ~enabled`` mask (must contain every fault).
     faulty:
         Ground-truth fault mask.
+    fault_runs:
+        The runs of ``faulty``, when the caller has already cut them;
+        cut here otherwise.
 
     One union-find label pass over the disabled mask's vertical runs;
     sizes, boxes and group splits are reduced over those runs.
@@ -106,14 +109,13 @@ def extract_regions(disabled: BoolGrid, faulty: BoolGrid) -> List[DisabledRegion
     """
     _check_shapes(disabled, faulty, "disabled")
     shape = disabled.shape
-    fx, fy = np.nonzero(faulty)
-    _check_covers(disabled[fx, fy], "disabled")
-    xs, ys = np.nonzero(disabled)
-    runs = _label_runs(xs, ys, shape, connectivity=8)
-    fault_runs = _fault_runs(runs, fx, fy, shape[1])
-    _check_faults_held(runs, fault_runs, xs, ys, shape)
-    cells = _lazy_components(shape, xs, ys, runs)
-    faults = _lazy_components(shape, fx, fy, fault_runs)
+    if fault_runs is None:
+        fault_runs = _scan(faulty)
+    runs = _label_runs(_scan(disabled), shape[1], connectivity=8)
+    held = _faults_in(runs, fault_runs, shape[1], "disabled")
+    _check_faults_held(runs, np.bincount(held.comp, minlength=runs.count), shape)
+    cells = _lazy_components(shape, runs)
+    faults = _lazy_components(shape, held)
     return [DisabledRegion(cells=c, faults=f) for c, f in zip(cells, faults)]
 
 
@@ -124,7 +126,7 @@ def extract_regions_reference(
     components and one fault mask per region.  Same result and the
     same errors, at per-cell Python cost."""
     _check_shapes(disabled, faulty, "disabled")
-    _check_covers(disabled[faulty], "disabled")
+    _check_covers(bool(disabled[faulty].all()), "disabled")
     regions: List[DisabledRegion] = []
     for comp in connected_components_reference(CellSet(disabled), connectivity=8):
         faults_in = CellSet(comp.mask & faulty)

@@ -36,8 +36,9 @@ import numpy as np
 
 from repro.core.pipeline import LabelingResult
 from repro.core.regions import DisabledRegion
+from repro.geometry._bitplanes import expand_runs
 from repro.geometry.boundary import corner_cells
-from repro.geometry.cells import CellSet
+from repro.geometry.cells import CellSet, _gather_runs
 from repro.geometry.quadrants import quadrant_extreme_corner, quadrants_with_members
 from repro.geometry.rectangles import is_rectangle
 from repro.geometry.staircase import connect_orthoconvex
@@ -59,6 +60,10 @@ __all__ = [
 
 #: Outside nodes :func:`check_lemma3` probes per region.
 _LEMMA3_SAMPLES = 64
+
+#: Block pairs :func:`check_block_separation` measures at once; bounds
+#: the memory of a crowded sweep window.
+_SEPARATION_BAND = 1 << 20
 
 #: Member cells ``(ids, xs, ys)`` tagged with the index of their set.
 _Tagged = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -104,14 +109,12 @@ def _crop(cells: CellSet, box: Tuple[slice, slice]) -> CellSet:
 
 def _members(sets: Iterable[CellSet]) -> _Tagged:
     """Every member of ``sets`` as int64 ``(ids, xs, ys)``, tagged with the
-    index of its set and ordered by ``(id, x, y)``.  Each set's members are
-    read row-major; an extracted set reads its member slice, with no grid
-    scan."""
-    coords = [s._coords() for s in sets]
-    ids = np.repeat(np.arange(len(coords)), [xs.size for xs, _ in coords])
-    none = [np.zeros(0, dtype=np.int64)]
-    xs = np.concatenate([xs for xs, _ in coords] or none).astype(np.int64, copy=False)
-    ys = np.concatenate([ys for _, ys in coords] or none).astype(np.int64, copy=False)
+    index of its set and ordered by ``(id, x, y)``.  All sets' runs are
+    gathered first (an extracted set reads its run slice, a block one run
+    per column, with no grid scan) and expanded to cells in one pass."""
+    ids, x, y0, y1 = _gather_runs(list(sets))
+    tagged = (np.repeat(ids, y1 - y0 + 1), *expand_runs(x, y0, y1))
+    ids, xs, ys = (a.astype(np.int64, copy=False) for a in tagged)
     return ids, xs, ys
 
 
@@ -136,16 +139,6 @@ def _lines(
     return line[first], lo, hi, hi - lo == last - first
 
 
-def _fill(
-    line: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Every position ``lo..hi`` of every line, as ``(line, pos)`` ordered
-    by line, then position."""
-    n = hi - lo + 1
-    # Output slot j of a line starting at slot s holds lo + (j - s).
-    return np.repeat(line, n), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
-
-
 def _closure(
     ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, shape: Tuple[int, int]
 ) -> _Tagged:
@@ -155,11 +148,11 @@ def _closure(
     w, h = shape
     while True:
         col, lo, hi, _ = _lines(ids * w + xs, ys)
-        col, fy = _fill(col, lo, hi)
+        col, fy = expand_runs(col, lo, hi)
         fid, fx = np.divmod(col, w)
         order = np.argsort((fid * h + fy) * w + fx)
         row, lo, hi, _ = _lines((fid * h + fy)[order], fx[order])
-        row, fx = _fill(row, lo, hi)
+        row, fx = expand_runs(row, lo, hi)
         if fx.size == xs.size:  # fills only add members: nothing changed
             return ids, xs, ys
         fid, fy = np.divmod(row, h)
@@ -177,30 +170,47 @@ def check_blocks_rectangular(result: LabelingResult) -> CheckOutcome:
 
 
 def check_block_separation(result: LabelingResult) -> CheckOutcome:
-    """Distance between faulty blocks >= 3 (Def 2a) / >= 2 (Def 2b)."""
+    """Distance between faulty blocks >= 3 (Def 2a) / >= 2 (Def 2b).
+
+    A sweep on ``x0``: a block can be that close only to the blocks whose
+    ``x0`` lies less than ``need`` columns past its ``x1``, so each block
+    is tested against the window of blocks after it in ``x0`` order that
+    start before ``x1 + need``.  The witness is the violating pair
+    ``(i, j)``, ``i < j``, that comes first in block order."""
     need = result.definition.min_block_separation
     claim = f"block separation >= {need}"
     blocks = result.blocks
+    n = len(blocks)
     rects = np.array(
         [(b.rect.x0, b.rect.y0, b.rect.x1, b.rect.y1) for b in blocks], dtype=np.int64
     ).reshape(-1, 4)
-    lo, hi = rects[:, :2], rects[:, 2:]
-    # Rect.distance of a band of rows against every block at once; the
-    # band bounds the pair matrix on meshes with many blocks.
-    band = 1 + (1 << 20) // max(1, len(blocks))
-    for start in range(0, len(blocks), band):
-        rows = slice(start, start + band)
-        gap = np.maximum(lo[rows, None], lo) - np.minimum(hi[rows, None], hi)
-        dist = np.maximum(gap, 0).sum(axis=2)
-        bad = np.argwhere(np.triu(dist < need, start + 1))  # pairs i < j only
-        if bad.size:
-            i, j = bad[0]
-            return _fail(
-                claim,
-                f"blocks {blocks[start + i].rect} and {blocks[j].rect} "
-                f"at distance {dist[i, j]}",
-            )
-    return _ok(claim)
+    order = np.argsort(rects[:, 0], kind="stable")
+    rects = rects[order]
+    window = np.searchsorted(rects[:, 0], rects[:, 2] + need) - np.arange(1, n + 1)
+    first = np.cumsum(window) - window  # first pair slot of every block
+    best = None  # (i * n + j, distance)
+    start = 0
+    while start < n:
+        stop = int(np.searchsorted(first, first[start] + _SEPARATION_BAND))
+        stop = max(start + 1, stop)
+        at = np.arange(start, stop)
+        a, b = expand_runs(at, at + 1, at + window[start:stop])
+        ra, rb = rects[a], rects[b]
+        gap = np.maximum(ra[:, :2], rb[:, :2]) - np.minimum(ra[:, 2:], rb[:, 2:])
+        dist = np.maximum(gap, 0).sum(axis=1)
+        bad = dist < need
+        if bad.any():
+            i, j = order[a[bad]], order[b[bad]]
+            code = np.minimum(i, j) * n + np.maximum(i, j)
+            k = int(np.argmin(code))
+            best = min(best or (n * n, 0), (int(code[k]), int(dist[bad][k])))
+        start = stop
+    if best is None:
+        return _ok(claim)
+    i, j = divmod(best[0], n)
+    return _fail(
+        claim, f"blocks {blocks[i].rect} and {blocks[j].rect} at distance {best[1]}"
+    )
 
 
 def check_region_separation(result: LabelingResult) -> CheckOutcome:

@@ -53,14 +53,25 @@ def uniform_random(
     FaultModelError
         If ``count`` is negative or exceeds the number of nodes.
     """
-    w, h = shape
-    total = w * h
+    mask = np.zeros(shape, dtype=bool)
+    draw_uniform(mask.reshape(-1), count, rng)
+    return FaultSet.from_mask(mask)
+
+
+def draw_uniform(flat: np.ndarray, count: int, rng: np.random.Generator) -> None:
+    """Set ``count`` distinct cells of the flat, all-clear bool mask
+    ``flat``, drawn uniformly: :func:`uniform_random`'s draw, for callers
+    that fill a plane of a larger array (one draw per Figure-5 trial).
+
+    Raises
+    ------
+    FaultModelError
+        If ``count`` is negative or exceeds the number of nodes.
+    """
+    total = flat.size
     if not 0 <= count <= total:
         raise FaultModelError(f"cannot place {count} faults on {total} nodes")
-    flat = rng.choice(total, size=count, replace=False)
-    mask = np.zeros(total, dtype=bool)
-    mask[flat] = True
-    return FaultSet.from_mask(mask.reshape(shape))
+    flat[rng.choice(total, size=count, replace=False)] = True
 
 
 def clustered(

@@ -9,21 +9,23 @@ as dict keys.
 
 A set built from a mask copies it.  The geometry extractors instead
 build sets *lazily*: each knows its grid shape, count and inclusive
-bounding box, plus either a slice of member arrays shared by every
-component of one extraction or nothing at all (the set fills its
+bounding box, plus either a slice of vertical-run arrays shared by
+every component of one extraction or nothing at all (the set fills its
 bounding box).  The tight bounding-box window and the full-grid
 :attr:`CellSet.mask` are built on first read and cached read-only, so
 ``len``, ``bool``, :meth:`CellSet.bounding_box` and
-:meth:`CellSet.diameter` cost no grid work.
+:meth:`CellSet.diameter` cost no grid work, and no per-cell array is
+built unless a caller reads coordinates.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GeometryError
+from repro.geometry._bitplanes import Runs, expand_runs, scan_runs
 from repro.types import BoolGrid, Coord
 
 __all__ = ["CellSet"]
@@ -31,14 +33,16 @@ __all__ = ["CellSet"]
 #: Inclusive bounding box ``(x_min, y_min, x_max, y_max)``.
 BBox = Tuple[int, int, int, int]
 
-#: Members ``(xs[i], ys[i])`` for ``lo <= i < hi``, in row-major order.
-MemberSlice = Tuple[np.ndarray, np.ndarray, int, int]
+#: Runs ``(x, y0, y1, lo, hi)``: the cells ``(x[r], y)`` for
+#: ``y0[r] <= y <= y1[r]`` and ``lo <= r < hi``, maximal and in
+#: row-major order.
+RunSlice = Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]
 
 
 class CellSet:
     """An immutable set of cells on a fixed ``(width, height)`` grid."""
 
-    __slots__ = ("_shape", "_count", "_bbox", "_members", "_window", "_mask", "_hash")
+    __slots__ = ("_shape", "_count", "_bbox", "_runs", "_window", "_mask", "_hash")
 
     def __init__(self, mask: BoolGrid):
         m = np.array(mask, dtype=bool, order="C", copy=True)
@@ -48,7 +52,7 @@ class CellSet:
         self._shape: Tuple[int, int] = m.shape  # type: ignore[assignment]
         self._count = int(m.sum())
         self._bbox: Optional[BBox] = None
-        self._members: Optional[MemberSlice] = None
+        self._runs: Optional[RunSlice] = None
         self._window: Optional[np.ndarray] = None
         self._mask: Optional[np.ndarray] = m
         self._hash: Optional[int] = None
@@ -71,22 +75,22 @@ class CellSet:
         shape: Tuple[int, int],
         bbox: Optional[BBox],
         count: int,
-        members: Optional[MemberSlice] = None,
+        runs: Optional[RunSlice] = None,
     ) -> "CellSet":
         """Zero-copy internal constructor from a known bounding box.
 
-        ``members`` is a :data:`MemberSlice` of arrays the caller never
+        ``runs`` is a :data:`RunSlice` of arrays the caller never
         mutates, or ``None`` when the set fills its bounding box.
         ``count`` must be the member count and ``bbox`` the tight
         inclusive bounding box inside ``shape`` (ignored when ``count``
-        is 0).  Nothing is checked: callers derive all of it from member
+        is 0).  Nothing is checked: callers derive all of it from run
         scans or sets they already hold.
         """
         obj = cls.__new__(cls)
         obj._shape = shape
         obj._count = count
         obj._bbox = bbox if count else None
-        obj._members = members
+        obj._runs = runs
         obj._window = None
         obj._mask = None
         obj._hash = None
@@ -144,29 +148,53 @@ class CellSet:
                 x0, y0, x1, y1 = self.bounding_box()
                 if self._mask is not None:
                     win = self._mask[x0 : x1 + 1, y0 : y1 + 1]
-                elif self._members is None:
+                elif self._runs is None:
                     win = np.ones((x1 - x0 + 1, y1 - y0 + 1), dtype=bool)
                 else:
-                    xs, ys, lo, hi = self._members
-                    win = np.zeros((x1 - x0 + 1, y1 - y0 + 1), dtype=bool)
-                    win[xs[lo:hi] - x0, ys[lo:hi] - y0] = True
+                    # +1 at every run's first cell and -1 just past its
+                    # last; runs are maximal, so no two marks collide,
+                    # and a running sum along y fills the runs.
+                    x, ry0, ry1 = self._run_arrays()
+                    edges = np.zeros((x1 - x0 + 1, y1 - y0 + 2), dtype=np.int8)
+                    edges[x - x0, ry0 - y0] = 1
+                    edges[x - x0, ry1 - y0 + 1] = -1
+                    win = np.cumsum(edges[:, :-1], axis=1, dtype=np.int8).view(bool)
             win.setflags(write=False)
             self._window = win
         return win
+
+    def _fills_box(self) -> bool:
+        """Whether the (non-empty) set fills its bounding box."""
+        x0, y0, x1, y1 = self.bounding_box()
+        return self._count == (x1 - x0 + 1) * (y1 - y0 + 1)
+
+    def _run_arrays(self) -> Runs:
+        """Member runs ``(x, y0, y1)``: maximal vertical runs in row-major
+        order, read without building the full-grid mask when the set was
+        constructed lazily (one run per column for a set filling its
+        bounding box)."""
+        if self._runs is not None:
+            x, y0, y1, lo, hi = self._runs
+            return x[lo:hi], y0[lo:hi], y1[lo:hi]
+        if not self._count:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, empty
+        if self._mask is not None:
+            return scan_runs(self._mask)
+        bx0, by0, bx1, by1 = self.bounding_box()
+        if self._fills_box():
+            x = np.arange(bx0, bx1 + 1)
+            return x, np.full_like(x, by0), np.full_like(x, by1)
+        x, y0, y1 = scan_runs(self._window_view())
+        return x + bx0, y0 + by0, y1 + by0
 
     def _coords(self) -> Tuple[np.ndarray, np.ndarray]:
         """Member ``(xs, ys)`` arrays in row-major order (``np.nonzero`` of
         the mask), read without building the full-grid mask when the set
         was constructed lazily."""
-        if self._members is not None:
-            xs, ys, lo, hi = self._members
-            return xs[lo:hi], ys[lo:hi]
         if self._mask is not None:
             return np.nonzero(self._mask)  # type: ignore[return-value]
-        wx, wy = np.nonzero(self._window_view())
-        if not self._count:
-            return wx, wy
-        return wx + self._bbox[0], wy + self._bbox[1]  # type: ignore[index]
+        return expand_runs(*self._run_arrays())
 
     def _crop(self, x0: int, y0: int, shape: Tuple[int, int]) -> "CellSet":
         """The members on the ``shape`` window of the grid at origin
@@ -343,3 +371,48 @@ class CellSet:
 
     def __repr__(self) -> str:
         return f"CellSet(shape={self.shape}, count={self._count})"
+
+
+def _gather_runs(sets: Sequence[CellSet]) -> Tuple[np.ndarray, ...]:
+    """The member runs of every set of ``sets`` as ``(ids, x, y0, y1)``,
+    each run tagged with the index of its set, ordered by index and
+    row-major within a set (:meth:`CellSet._run_arrays` of each).
+
+    Run slices of shared arrays are gathered with one index per array,
+    and sets filling their bounding box are expanded to one run per
+    column together, so per set this costs attribute reads, not numpy
+    calls.
+    """
+    shared: Dict[int, Tuple[RunSlice, List[int], List[int], List[int]]] = {}
+    boxes: List[Tuple[int, int, int, int, int]] = []
+    parts: List[Tuple[np.ndarray, ...]] = []
+    for k, s in enumerate(sets):
+        if not s._count:
+            continue
+        runs = s._runs
+        if runs is not None:
+            _, ks, los, his = shared.setdefault(id(runs[0]), (runs, [], [], []))
+            ks.append(k)
+            los.append(runs[3])
+            his.append(runs[4])
+        elif s._fills_box():
+            boxes.append((k, *s.bounding_box()))
+        else:
+            x, y0, y1 = s._run_arrays()
+            parts.append((np.full(x.size, k), x, y0, y1))
+    for (x, y0, y1, _, _), ks, los, his in shared.values():
+        ids, at = expand_runs(np.array(ks), np.array(los), np.array(his) - 1)
+        parts.append((ids, x[at], y0[at], y1[at]))
+    if boxes:
+        k, bx0, by0, bx1, by1 = np.array(boxes, dtype=np.int64).T
+        ids, x = expand_runs(k, bx0, bx1)
+        n = bx1 - bx0 + 1
+        parts.append((ids, x, np.repeat(by0, n), np.repeat(by1, n)))
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    ids, x, y0, y1 = (np.concatenate(column) for column in zip(*parts))
+    if len(parts) > 1:
+        order = np.argsort(ids, kind="stable")
+        ids, x, y0, y1 = ids[order], x[order], y0[order], y1[order]
+    return ids, x, y0, y1

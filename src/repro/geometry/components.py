@@ -10,15 +10,23 @@ Two connectivities matter in the paper:
   single corner point as part of one region (its Section 3 example puts
   faults ``(2,1)`` and ``(3,2)`` into one disabled region).
 
-Components are labeled by a NumPy union-find over vertical runs: one
-pass over the row-major member scan cuts the cells into maximal column
-runs, the touching runs of neighbouring columns are found by interval
-overlap (two binary searches per run), and the run graph is collapsed
-by hooking roots and vectorized pointer jumping.  After the first pass
-every step costs time in the number of runs, not cells — and a faulty
-block or a disabled region meets each column in one run.  No per-cell
+Components are labeled by a NumPy union-find over vertical runs.  A
+mask is packed 64 cells to a word and cut into its maximal column runs
+on those words (:func:`repro.geometry._bitplanes.scan_runs`); the
+touching runs of neighbouring columns are found by interval overlap
+(two binary searches per run), and the run graph is collapsed by
+hooking roots and vectorized pointer jumping.  Every step costs time in
+the words and the runs, not the cells, and a faulty block or a disabled
+region meets each column in one run: a 1000 x 1000 block is 10^6 cells
+but 17,034 words and 1,000 runs.  Components come out as lazy
+:class:`CellSet` values holding slices of the shared run arrays, so no
+per-cell array is built unless a caller reads coordinates.  No per-cell
 Python work; this is what makes block/region extraction cheap enough
-for the per-trial hot path of large sweeps.
+for the per-trial hot path of large sweeps.  On the perfbench ``label``
+workload (seed 4242, 20 s runs, 10 alternating pairs on a shared 2-CPU
+host) cutting runs from words instead of from an ``np.nonzero`` member
+scan raised ``work_per_s`` from 14.3M to 36.8M cells/s and lowered
+``peak_rss_mb`` from 88.4 to 68.8 MB (``docs/algorithms.md`` §5.4).
 
 :func:`connected_components_reference` keeps the original per-cell
 breadth-first flood fill as the oracle the property tests pin the
@@ -29,10 +37,11 @@ their smallest row-major member, so results are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.geometry._bitplanes import expand_runs, scan_runs
 from repro.geometry.cells import CellSet
 from repro.types import BoolGrid
 
@@ -59,28 +68,24 @@ def _check_connectivity(connectivity: int) -> None:
 
 
 class _Runs(NamedTuple):
-    """The vertical runs of a row-major member scan, in scan order.
-
-    Run ``r`` holds members ``start[r] .. start[r] + length[r] - 1``: the
+    """Maximal vertical runs in row-major order: run ``r`` holds the
     cells ``(x[r], y)`` for ``y0[r] <= y <= y1[r]``.  Once labeled, run
     ``r`` belongs to component ``comp[r]`` of ``0..count-1``; a vertical
     run is 4-connected, so it never straddles two components."""
 
-    start: np.ndarray
-    length: np.ndarray
     x: np.ndarray
     y0: np.ndarray
     y1: np.ndarray
     comp: np.ndarray = np.empty(0, dtype=np.int32)
     count: int = 0
 
-    def member_comps(self) -> np.ndarray:
-        """``comp_of[i]``, the component of member ``i``."""
-        return np.repeat(self.comp, self.length)
+    def lengths(self) -> np.ndarray:
+        """Cell count of every run."""
+        return self.y1 - self.y0 + 1
 
     def sizes(self) -> np.ndarray:
-        """Member count of every component."""
-        return np.bincount(self.comp, self.length, self.count).astype(np.int64)
+        """Cell count of every component."""
+        return np.bincount(self.comp, self.lengths(), self.count).astype(np.int64)
 
     def boxes(self) -> np.ndarray:
         """Inclusive bounding boxes of every component as a ``(4, count)``
@@ -96,23 +101,10 @@ class _Runs(NamedTuple):
         return boxes
 
 
-def _scan_runs(xs: np.ndarray, ys: np.ndarray) -> _Runs:
-    """Cut a row-major member scan into its maximal vertical runs,
-    unlabeled.  Members are sorted by x then y, so a new run starts at
-    each column change or y gap."""
-    n = xs.size
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return _Runs(empty, empty, empty, empty, empty)
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    np.logical_or(xs[1:] != xs[:-1], ys[1:] != ys[:-1] + 1, out=new_run[1:])
-    start = new_run.nonzero()[0]
-    length = np.empty_like(start)
-    np.subtract(start[1:], start[:-1], out=length[:-1])
-    length[-1] = n - start[-1]
-    y0 = ys[start]
-    return _Runs(start, length, xs[start], y0, y0 + (length - 1))
+def _scan(planes: np.ndarray) -> _Runs:
+    """The unlabeled runs of a mask or a stack of masks
+    (:func:`~repro.geometry._bitplanes.scan_runs`)."""
+    return _Runs(*scan_runs(planes))
 
 
 def _run_edges(
@@ -168,54 +160,34 @@ def _run_roots(a: np.ndarray, b: np.ndarray, nruns: int) -> np.ndarray:
     return parent
 
 
-def _label_runs(
-    xs: np.ndarray, ys: np.ndarray, shape: Tuple[int, int], connectivity: int
-) -> _Runs:
-    """Union-find labeling of a member scan at run granularity.
+def _label_runs(runs: _Runs, h: int, connectivity: int) -> _Runs:
+    """Union-find labeling of row-major runs on a grid of height ``h``.
 
-    ``xs``/``ys`` must be the row-major member scan of a mask (exactly
-    what ``np.nonzero`` returns).  One pass over the members cuts them
-    into vertical runs; everything after that — adjacency, union-find,
-    numbering — costs time proportional to the run count, so a
-    rectangle of a million cells in a thousand columns joins a thousand
-    runs.  Components are numbered ``0..count-1`` by their smallest
-    row-major member.
+    Adjacency, union-find and numbering all cost time proportional to
+    the run count, so a rectangle of a million cells in a thousand
+    columns joins a thousand runs.  Components are numbered
+    ``0..count-1`` by their smallest row-major member.
     """
-    runs = _scan_runs(xs, ys)
-    nruns = runs.start.size
+    nruns = runs.x.size
     if nruns == 0:
         return runs
-    parent = _run_roots(*_run_edges(runs.x, runs.y0, runs.y1, shape[1], connectivity), nruns)
-    # Run ids increase in scan order and a root is its component's
+    parent = _run_roots(*_run_edges(runs.x, runs.y0, runs.y1, h, connectivity), nruns)
+    # Run ids increase in row-major order and a root is its component's
     # smallest run, so ranking the roots numbers the components by
     # first (smallest row-major) member.
     rank = np.cumsum(parent == np.arange(nruns), dtype=np.int32) - 1
     return runs._replace(comp=rank[parent], count=int(rank[-1]) + 1)
 
 
-def _label_coords(
-    xs: np.ndarray, ys: np.ndarray, shape: Tuple[int, int], connectivity: int
-) -> Tuple[np.ndarray, int]:
-    """Union-find labeling in coordinate space (see :func:`_label_runs`).
-
-    Returns ``(comp_of, count)`` where ``comp_of[i]`` is the component
-    index of member ``i``; components are numbered ``0..count-1`` by
-    their smallest row-major member.
-    """
-    runs = _label_runs(xs, ys, shape, connectivity)
-    return runs.member_comps(), runs.count
-
-
 def label_components(mask: BoolGrid, connectivity: int = 4) -> Tuple[np.ndarray, int]:
     """Label the connected components of a boolean grid, vectorized.
 
-    Union-find over *runs*: member cells are grouped into maximal
-    vertical runs (consecutive ``y`` at constant ``x``) with a single
-    pass over the row-major member scan; each run finds the slice of
-    runs it touches in the column to its west with two binary searches
-    over run keys; and the run graph is collapsed to per-run minima by
-    hooking roots under smaller roots and pointer jumping
-    (``parent = parent[parent]``).
+    Union-find over *runs*: the mask is cut into maximal vertical runs
+    (consecutive ``y`` at constant ``x``) on its 64-cell words; each run
+    finds the slice of runs it touches in the column to its west with
+    two binary searches over run keys; and the run graph is collapsed to
+    per-run minima by hooking roots under smaller roots and pointer
+    jumping (``parent = parent[parent]``).
 
     Parameters
     ----------
@@ -234,10 +206,9 @@ def label_components(mask: BoolGrid, connectivity: int = 4) -> Tuple[np.ndarray,
     """
     _check_connectivity(connectivity)
     labels = np.full(mask.shape, -1, dtype=np.int32)
-    xs, ys = np.nonzero(mask)
-    comp_of, count = _label_coords(xs, ys, mask.shape, connectivity)
-    labels[xs, ys] = comp_of
-    return labels, count
+    runs = _label_runs(_scan(mask), mask.shape[1], connectivity)
+    labels[expand_runs(runs.x, runs.y0, runs.y1)] = np.repeat(runs.comp, runs.lengths())
+    return labels, runs.count
 
 
 def connected_components(cells: CellSet, connectivity: int = 4) -> List[CellSet]:
@@ -258,44 +229,64 @@ def connected_components(cells: CellSet, connectivity: int = 4) -> List[CellSet]
         result is deterministic.
     """
     _check_connectivity(connectivity)
-    xs, ys = cells._coords()
-    runs = _label_runs(xs, ys, cells.shape, connectivity)
-    return _lazy_components(cells.shape, xs, ys, runs)
+    runs = _label_runs(_Runs(*cells._run_arrays()), cells.shape[1], connectivity)
+    return _lazy_components(cells.shape, runs)
 
 
-def _fault_runs(runs: _Runs, fx: np.ndarray, fy: np.ndarray, h: int) -> _Runs:
-    """The row-major scan ``fx``/``fy`` of some members (the faults, say)
-    as one-cell runs, each labeled with the component of the member run
-    that holds it.  Every scanned cell must lie in some member run; one
-    binary search over the run keys finds it."""
-    at = np.searchsorted(runs.x * h + runs.y0, fx * h + fy, side="right") - 1
-    ones = np.ones_like(fx)
-    return _Runs(np.arange(fx.size), ones, fx, fy, fy, runs.comp[at], runs.count)
+def _subset_runs(runs: _Runs, sub: _Runs, h: int) -> Optional[_Runs]:
+    """The runs ``sub`` of a subset of the labeled ``runs``' cells (the
+    faults, say), each labeled with the component of the run holding it,
+    or ``None`` if some cell of ``sub`` lies in no run.
+
+    Both are maximal row-major runs on a grid of height ``h``, so the sub
+    runs inside run ``r`` are one contiguous slice: those starting at or
+    after its start and ending at or before its end, found by two binary
+    searches per run of ``runs``.  The slices are disjoint and in order,
+    so they cover every sub run exactly when their sizes add up to the
+    sub run count."""
+    sub_x, run_x = sub.x * h, runs.x * h
+    lo = np.searchsorted(sub_x + sub.y0, run_x + runs.y0, side="left")
+    hi = np.searchsorted(sub_x + sub.y1, run_x + runs.y1, side="right")
+    inside = np.maximum(hi - lo, 0)
+    if inside.sum() != sub.x.size:
+        return None
+    return sub._replace(comp=np.repeat(runs.comp, inside), count=runs.count)
 
 
-def _lazy_components(
-    shape: Tuple[int, int], xs: np.ndarray, ys: np.ndarray, runs: _Runs
-) -> List[CellSet]:
-    """One lazily built :class:`CellSet` per component ``0..count-1``.
+def _lazy_components(shape: Tuple[int, int], runs: _Runs) -> List[CellSet]:
+    """One lazily built :class:`CellSet` per component ``0..count-1`` of
+    the labeled ``runs`` (components may be empty).
 
-    ``xs``/``ys`` must be the row-major member scan that ``runs`` was cut
-    from (components may be empty).  A stable sort groups the members by
-    component, keeping row-major order inside each group; it is skipped
-    when the runs are already grouped, as they are for a single
-    component.  Every set then holds its slice of the shared grouped
-    arrays and its bounding box, so no component touches a grid until it
-    is read.
+    A stable sort groups the runs by component, keeping row-major order
+    inside each group; it is skipped when the runs are already grouped,
+    as they are for a single component.  A group's first and last runs
+    give its ``x`` extent, and one ``reduceat`` per quantity its ``y``
+    extent and size.  Every set then holds its slice of the shared
+    grouped run arrays and its bounding box, so no component touches a
+    grid until it is read.
     """
-    comp = runs.comp
+    comp, x, y0, y1 = runs.comp, runs.x, runs.y0, runs.y1
     if (comp[1:] < comp[:-1]).any():
-        order = np.argsort(runs.member_comps(), kind="stable")
-        xs, ys = xs[order], ys[order]
-    ends = np.cumsum(runs.sizes()).tolist()
-    x0, y0, x1, y1 = runs.boxes().tolist()
+        order = np.argsort(comp, kind="stable")
+        x, y0, y1 = x[order], y0[order], y1[order]
+    counts = np.bincount(comp, minlength=runs.count)
+    ends = np.cumsum(counts)
+    held = counts > 0
+    first = (ends - counts)[held]
+    stats = np.zeros((5, runs.count), dtype=np.int64)  # x0, y0, x1, y1, size
+    if first.size:
+        stats[:, held] = (
+            x[first],
+            np.minimum.reduceat(y0, first),
+            x[ends[held] - 1],
+            np.maximum.reduceat(y1, first),
+            np.add.reduceat(y1 - y0 + 1, first),
+        )
+    ends = ends.tolist()
     lazy = CellSet._lazy
     return [
-        lazy(shape, (a, b, c, d), hi - lo, (xs, ys, lo, hi))
-        for a, b, c, d, lo, hi in zip(x0, y0, x1, y1, [0] + ends[:-1], ends)
+        lazy(shape, (a, b, c, d), n, (x, y0, y1, lo, hi))
+        for a, b, c, d, n, lo, hi in zip(*stats.tolist(), [0] + ends[:-1], ends)
     ]
 
 
@@ -337,8 +328,8 @@ def is_connected(cells: CellSet, connectivity: int = 4) -> bool:
     if not cells:
         return False
     _check_connectivity(connectivity)
-    xs, ys = cells._coords()
-    return _label_runs(xs, ys, cells.shape, connectivity).count == 1
+    runs = _label_runs(_Runs(*cells._run_arrays()), cells.shape[1], connectivity)
+    return runs.count == 1
 
 
 def set_distance(a: CellSet, b: CellSet) -> int:

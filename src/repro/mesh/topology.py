@@ -183,9 +183,9 @@ class Topology(abc.ABC):
 
         On a mesh the ring holds the ghost label ``fill``; it is constant,
         so it is written once, into a frame whose ring bits are still zero
-        (as :func:`repro.core._packed.pack` leaves them).  On a torus the
-        ring holds the wrap-around copies, is rewritten after every round,
-        and ``fill`` is ignored.  This is the packed sibling of
+        (as :func:`repro.geometry._bitplanes.pack` leaves them).  On a
+        torus the ring holds the wrap-around copies, is rewritten after
+        every round, and ``fill`` is ignored.  This is the packed sibling of
         :meth:`neighbor_views`.
         """
 

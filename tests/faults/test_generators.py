@@ -10,6 +10,7 @@ from repro.faults import (
     shaped,
     uniform_random,
 )
+from repro.faults.generators import draw_uniform
 from repro.geometry import is_orthoconvex, is_rectangle
 
 
@@ -39,6 +40,24 @@ class TestUniformRandom:
         a = uniform_random((20, 20), 15, np.random.default_rng(5))
         b = uniform_random((20, 20), 15, np.random.default_rng(5))
         assert a == b
+
+    @pytest.mark.parametrize("count", [0, 1, 37, 400])
+    def test_plane_draw_is_the_same_stream(self, count):
+        # Figure-5 trials draw straight into a plane of their stack; the
+        # plane must hold the mask uniform_random draws from the same
+        # stream, which is the one rng.choice gives.
+        stack = np.zeros((3, 20 * 20), dtype=bool)
+        draw_uniform(stack[1], count, np.random.default_rng(count))
+        want = np.zeros(400, dtype=bool)
+        want[np.random.default_rng(count).choice(400, size=count, replace=False)] = True
+        assert np.array_equal(stack[1], want)
+        assert not stack[0].any() and not stack[2].any()
+        mask = uniform_random((20, 20), count, np.random.default_rng(count)).mask
+        assert np.array_equal(mask.reshape(-1), want)
+
+    def test_plane_draw_count_validation(self, rng):
+        with pytest.raises(FaultModelError):
+            draw_uniform(np.zeros(16, dtype=bool), 17, rng)
 
     def test_roughly_uniform_spread(self):
         # With many draws, each quadrant of the grid gets a fair share.

@@ -37,10 +37,10 @@ from repro.geometry import (
 )
 from repro.geometry.components import (
     _run_edges,
-    _scan_runs,
     connected_components_reference,
 )
 from repro.mesh import Mesh2D, Torus2D
+from tests.geometry.scan_reference import scan_runs_reference
 
 GRID = (10, 10)
 
@@ -101,17 +101,12 @@ EDGE_MASKS = {
 def _touching_runs(mask, conn):
     """The run-join oracle: every pair of vertical runs in neighbouring
     columns that some pair of member cells joins, by brute force."""
-    xs, ys = np.nonzero(mask)
-    runs = _scan_runs(xs, ys)
+    x, y0, y1 = runs = scan_runs_reference(mask)
     d = 0 if conn == 4 else 1
     pairs = set()
-    for a in range(runs.start.size):
+    for a in range(x.size):
         for b in range(a):
-            if (
-                runs.x[b] == runs.x[a] - 1
-                and runs.y0[b] <= runs.y1[a] + d
-                and runs.y0[a] - d <= runs.y1[b]
-            ):
+            if x[b] == x[a] - 1 and y0[b] <= y1[a] + d and y0[a] - d <= y1[b]:
                 pairs.add((a, b))
     return runs, pairs
 
@@ -127,12 +122,12 @@ def _check_against_oracle(mask, conn):
     assert count == len(oracle)
     assert np.array_equal(labels, expected)
     runs, pairs = _touching_runs(mask, conn)
-    a, b = _run_edges(runs.x, runs.y0, runs.y1, mask.shape[1], conn)
+    a, b = _run_edges(*runs, mask.shape[1], conn)
     assert set(zip(a.tolist(), b.tolist())) == pairs
     assert a.size == len(pairs)  # each pair once
     # Touching runs of two columns form a monotone staircase, so the
     # edges number fewer than the runs: O(runs), never O(cells).
-    assert a.size <= max(2 * runs.start.size - 1, 0)
+    assert a.size <= max(2 * runs[0].size - 1, 0)
 
 
 class TestRunJoin:
@@ -157,9 +152,9 @@ class TestRunJoin:
     @pytest.mark.parametrize("conn", [4, 8])
     def test_full_block_joins_one_edge_per_column(self, conn):
         mask = np.ones((1000, 1000), dtype=bool)
-        runs = _scan_runs(*np.nonzero(mask))
-        a, _ = _run_edges(runs.x, runs.y0, runs.y1, 1000, conn)
-        assert runs.start.size == 1000 and a.size == 999
+        runs = scan_runs_reference(mask)
+        a, _ = _run_edges(*runs, 1000, conn)
+        assert runs[0].size == 1000 and a.size == 999
 
     def test_steps_of_full_runs_are_not_a_block(self):
         # Each column is one full run, so every run is a rectangle, but

@@ -2,8 +2,8 @@
 
 The geometry extractors build every block, region and component as a
 lazy :class:`CellSet`: a grid shape, a count, a bounding box and either
-a slice of shared member arrays, nothing (the set fills its bounding
-box), or a shared bounding-box window.  Each lazy form of a random mask
+a slice of shared vertical-run arrays, nothing (the set fills its
+bounding box), or a shared bounding-box window.  Each lazy form of a random mask
 must agree with ``CellSet(mask)`` on every observable: equality both
 ways, hash, size, geometry, the read-only full-grid mask, iteration
 order, membership and the set algebra.
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry import CellSet
+from tests.geometry.scan_reference import scan_runs_reference
 
 
 @st.composite
@@ -44,17 +45,18 @@ def masks(draw):
 
 
 def lazy_forms(mask, pad):
-    """Every lazy construction of ``mask``'s cells: a member slice inside
+    """Every lazy construction of ``mask``'s cells: a run slice inside
     padded shared arrays, the full-rectangle form when the cells fill
     their bounding box, and a window shared through a crop."""
     shape = mask.shape
     xs, ys = np.nonzero(mask)
     n = int(xs.size)
     bbox = (int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())) if n else None
-    # Foreign members around the slice: the set must read only lo..hi.
-    shared_x = np.concatenate([np.zeros(pad, np.int64), xs, np.zeros(pad, np.int64)])
-    shared_y = np.concatenate([np.zeros(pad, np.int64), ys, np.zeros(pad, np.int64)])
-    sliced = CellSet._lazy(shape, bbox, n, (shared_x, shared_y, pad, pad + n))
+    # Foreign runs around the slice: the set must read only lo..hi.
+    foreign = np.zeros(pad, np.int64)
+    runs = [np.concatenate([foreign, a, foreign]) for a in scan_runs_reference(mask)]
+    nruns = runs[0].size - 2 * pad
+    sliced = CellSet._lazy(shape, bbox, n, (*runs, pad, pad + nruns))
     forms = [sliced, sliced._crop(0, 0, shape)]
     if n and n == (bbox[2] - bbox[0] + 1) * (bbox[3] - bbox[1] + 1):
         forms.append(CellSet._lazy(shape, bbox, n))

@@ -220,6 +220,18 @@ def test_src_imports_only_stdlib_numpy_and_repro():
     assert foreign == []
 
 
+def test_geometry_imports_nothing_from_core():
+    # The geometry layer sits below the labeling core: the core's packed
+    # kernels share its bit-plane layout, never the other way round.
+    upward = sorted(
+        f"{_module_name(path)} imports {module}"
+        for path in _py_files(os.path.join(PKG, "geometry"))
+        for module, _ in _imports(path)
+        if module == "repro.core" or module.startswith("repro.core.")
+    )
+    assert upward == []
+
+
 #: Modules that no other module, benchmark or example imports, kept on
 #: purpose.  Anything else without such a caller is dead code.
 UNIMPORTED_ON_PURPOSE = {
