@@ -7,7 +7,7 @@ Times the hot paths this repository optimises —
   frontier kernels (on the acceptance workload: a 500x500 mesh with 100
   clustered faults),
 * the end-to-end pipeline, reference geometry + the bool-grid reference
-  kernels vs the default fast path (frontier kernels + vectorized
+  kernels vs the default fast path (packed kernels + vectorized
   extraction), with a
   breakdown attributing time to kernels vs extraction vs theorem
   verification,
@@ -150,7 +150,7 @@ def bench_kernels(size: int, f: int, repeats: int) -> dict:
     )
 
     # End-to-end: everything slow (the bool-grid reference kernels +
-    # reference per-cell geometry) vs the default fast path (auto
+    # reference per-cell geometry) vs the default fast path (packed
     # kernels + vectorized union-find geometry) — the Amdahl headline of
     # this repository.
     def slow_pipeline():

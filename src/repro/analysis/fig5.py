@@ -23,11 +23,11 @@ The unit of work is a *batch*: the trials of one ``f`` value, split so
 that a batch holds at most ``_BATCH_CELLS`` cells (and at least one
 plane).  Each trial draws its faults from its own generator, exactly as
 a per-trial run would, and :func:`repro.core.batch.label_batch` labels
-the batch as one ``(T, width, height)`` stack of planes and reduces it
-to the per-trial rows with array operations.  Rows are aggregated in
-trial order, so every float is summed in the same order as by one
-``label_mesh`` call per trial, and the tables are identical to that
-path's (the tests keep it as the oracle).
+the batch as one ``(T, width, height)`` stack of planes on the packed
+kernel and reduces it to the per-trial rows with array operations.
+Rows are aggregated in trial order, so every float is summed in the
+same order as by one ``label_mesh`` call per trial, and the tables are
+identical to that path's (the tests keep it as the oracle).
 """
 
 from __future__ import annotations
@@ -115,15 +115,15 @@ _TrialRow = Tuple[float, float, List[float], float, float]
 
 
 def _fig5_batch(
-    task: Tuple[Topology, SafetyDefinition, str, int, int, int, int, int, int],
+    task: Tuple[Topology, SafetyDefinition, int, int, int, int, int, int],
 ) -> List[_TrialRow]:
     """The rows of trials ``start .. stop - 1`` of one ``f`` value."""
-    topo, definition, method, f, fi, start, stop, trials, seed = task
+    topo, definition, f, fi, start, stop, trials, seed = task
     faulty = np.zeros((stop - start, topo.num_nodes), dtype=bool)
     for plane, ti in zip(faulty, range(start, stop)):
         draw_uniform(plane, f, trial_rng(trials, seed + _F_SEED_STRIDE * fi, ti))
     faulty = faulty.reshape(-1, *topo.shape)
-    out = label_batch(topo, faulty, definition, method)
+    out = label_batch(topo, faulty, definition)
     return list(
         zip(
             out.rounds_phase1.astype(float).tolist(),
@@ -159,9 +159,9 @@ def run_fig5(
     seed:
         Root seed; each (f, trial) pair gets its own spawned stream.
     method:
-        Labeling kernel, ``"dense"``, ``"frontier"`` or ``"auto"`` (see
-        :func:`repro.core.pipeline.label_mesh`); ``"auto"`` applies
-        :func:`~repro.core.pipeline.choose_kernel` to each batch.
+        ``"auto"`` or ``"dense"``; both run the packed kernel, the only
+        one :func:`~repro.core.batch.label_batch` has.  Kept because
+        benchmark scripts pass both and compare the tables.
     jobs:
         Worker processes for the trial batches, dispatched through the
         warm chunked executor of :mod:`repro.analysis.executor`; any
@@ -171,9 +171,11 @@ def run_fig5(
     topo = topology if topology is not None else Mesh2D(100, 100)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if method not in ("auto", "dense"):
+        raise ValueError(f"unknown method {method!r}: the sweep runs the dense kernel")
     per_batch = max(1, _BATCH_CELLS // topo.num_nodes)
     tasks = [
-        (topo, definition, method, f, fi, lo, min(lo + per_batch, trials), trials, seed)
+        (topo, definition, f, fi, lo, min(lo + per_batch, trials), trials, seed)
         for fi, f in enumerate(f_values)
         for lo in range(0, trials, per_batch)
     ]

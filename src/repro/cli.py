@@ -98,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_label = sub.add_parser("label", help="run the two-phase labeling")
     common(p_label)
     p_label.add_argument(
-        "--method",
-        choices=["dense", "frontier", "auto"],
-        default="auto",
-        help="vectorized labeling kernel (frontier = sparse active-set)",
-    )
-    p_label.add_argument(
         "--backend",
         choices=["vectorized", "distributed"],
         default="vectorized",
@@ -189,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest fault count in the sweep",
     )
     p_fig5.add_argument("--f-step", type=_positive_int, default=10)
-    p_fig5.add_argument(
-        "--method",
-        choices=["dense", "frontier", "auto"],
-        default="auto",
-        help="vectorized labeling kernel (frontier = sparse active-set)",
-    )
     p_fig5.add_argument(
         "--jobs",
         type=int,
@@ -536,7 +524,7 @@ def _cmd_label(args) -> int:
     faults = _faults(args, topo.shape)
     telemetry, finish_telemetry = _telemetry_from_args(args)
     result = label_mesh(
-        topo, faults, _definition(args), backend=args.backend, method=args.method,
+        topo, faults, _definition(args), backend=args.backend,
         schedule=schedule, channel=channel, telemetry=telemetry,
     )
     if finish_telemetry is not None:
@@ -595,7 +583,6 @@ def _cmd_fig5(args) -> int:
         f_values=range(0, args.f_max + 1, args.f_step),
         trials=args.trials,
         seed=args.seed,
-        method=args.method,
         jobs=args.jobs,
     )
     print(curve.as_table())

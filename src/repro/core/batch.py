@@ -10,11 +10,8 @@ plane:
 
 * **Kernels.**  Both fixpoints run once over the whole stack — the
   packed Jacobi loop of :mod:`repro.core._packed` on a ``(T, width + 2,
-  words)`` frame, or the frontier loop of :mod:`repro.core.frontier` on
-  flat indices over ``T`` planes — and return every plane's round
-  count.  ``method`` chooses between them as
-  :func:`~repro.core.pipeline.label_mesh` does, with
-  :func:`~repro.core.pipeline.choose_kernel` applied to the stack.
+  words)`` frame, the kernel :func:`~repro.core.pipeline.label_mesh`
+  runs — and return every plane's round count.
 * **Torus.**  Each plane is rolled to its own unwrap frame
   (:func:`~repro.core.pipeline._torus_unwrap_shift`), as
   :func:`~repro.core.pipeline.assemble_result` does for one plane.
@@ -42,8 +39,7 @@ import numpy as np
 
 from repro.core.blocks import _check_covers, _check_rectangles
 from repro.core.enabling import enabled_fixpoints
-from repro.core.frontier import enabled_fixpoints_sparse, unsafe_fixpoints_sparse
-from repro.core.pipeline import _pick_kernel, _torus_unwrap_shift
+from repro.core.pipeline import _torus_unwrap_shift
 from repro.core.regions import _check_faults_held
 from repro.core.safety import unsafe_fixpoints
 from repro.core.status import SafetyDefinition
@@ -73,40 +69,27 @@ def label_batch(
     topology: Topology,
     faulty: np.ndarray,
     definition: SafetyDefinition = SafetyDefinition.DEF_2B,
-    method: str = "auto",
 ) -> BatchLabels:
     """Run both phases and the Figure-5 reductions on a fault stack.
 
     ``faulty`` is a ``(T, width, height)`` bool stack of fault planes of
-    ``topology``'s shape; it is not modified.  ``method`` is
-    ``"dense"``, ``"frontier"`` or ``"auto"``, as for
-    :func:`~repro.core.pipeline.label_mesh`.
+    ``topology``'s shape; it is not modified.
 
     Raises
     ------
     ValueError
-        On a plane shape other than the topology's, an unknown
-        ``method``, or a torus plane whose unsafe nodes occupy every
-        column or row (as ``label_mesh`` raises).
+        On a plane shape other than the topology's, or a torus plane
+        whose unsafe nodes occupy every column or row (as ``label_mesh``
+        raises).
     """
     if faulty.shape[1:] != topology.shape:
         raise ValueError(
             f"fault plane shape {faulty.shape[1:]} != topology shape {topology.shape}"
         )
-    if method not in ("dense", "frontier", "auto"):
-        raise ValueError(f"unknown method {method!r}")
     budget = topology.num_nodes + 2
-    cells, faults = faulty.size, int(np.count_nonzero(faulty))
-    if _pick_kernel(method, faults, cells) == "frontier":
-        unsafe, rounds1 = unsafe_fixpoints_sparse(topology, faulty, definition, budget)
-    else:
-        unsafe, rounds1 = unsafe_fixpoints(topology, faulty, definition, budget)
-    # The unsafe nonfaulty cells: every fault is unsafe (checked below).
-    active = int(np.count_nonzero(unsafe)) - faults
-    if _pick_kernel(method, active, cells) == "frontier":
-        enabled, rounds2 = enabled_fixpoints_sparse(topology, faulty, unsafe, budget)
-    else:
-        enabled, rounds2 = enabled_fixpoints(topology, faulty, unsafe, budget)
+    faults = int(np.count_nonzero(faulty))
+    unsafe, rounds1 = unsafe_fixpoints(topology, faulty, definition, budget)
+    enabled, rounds2 = enabled_fixpoints(topology, faulty, unsafe, budget)
     if topology.wraps:
         faulty, unsafe, enabled = _unwrap(faulty, unsafe, enabled)
 

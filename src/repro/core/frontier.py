@@ -1,16 +1,12 @@
-"""Sparse frontier fixpoints — exact, asymptotically cheaper labeling.
+"""Sparse frontier fixpoints: the incremental engine's warm-start wave.
 
-The dense Jacobi kernels in :mod:`repro.core.safety` and
+The packed Jacobi kernels in :mod:`repro.core.safety` and
 :mod:`repro.core.enabling` re-evaluate the rule at **every** cell every
-round, so one labeling costs ``O(N * rounds)`` even when only a handful
-of cells near the faults ever changes.  This module propagates from an
-*active frontier* instead: the only cells whose rule is evaluated in a
-round are the neighbours of the cells that flipped in the previous
-round (plus, in round 1, the cells the initial state could possibly
-fire).  Per round the work is proportional to the frontier size, so a
-whole labeling costs ``O(|affected area|)`` — on a 500x500 mesh with
-100 clustered faults that is thousands of cells instead of hundreds of
-millions of cell evaluations.
+round.  This module propagates from an *active frontier* instead: the
+only cells whose rule is evaluated in a round are the neighbours of the
+cells that flipped in the previous round (plus, in round 1, the cells
+the initial state could possibly fire), so per round the work is
+proportional to the frontier size.
 
 Why this is **exact**, not an approximation: both rules are monotone
 local rules — a cell's next status is a monotone function of its
@@ -25,14 +21,19 @@ per-round flip sets of the two schedules are identical, and therefore
 so are the fixpoint **and the round count** (a property test holds the
 two kernels to bit-identical labels and equal round counts).
 
+One-shot labeling does not run here: the packed kernels win or tie on
+every full-grid instance measured below 8000² (``docs/algorithms.md``
+§5.1.1).  What stays is what no packed kernel does —
+:func:`unsafe_fixpoint_sparse` resumes from a partial fixpoint and a
+seed set, which is how :class:`~repro.core.incremental
+.IncrementalLabeling` absorbs a fault delta in work proportional to
+the changed area.  :func:`enabled_fixpoint_sparse` is its phase-2
+counterpart, kept for the kernel rows of
+``benchmarks/perf_baseline.py``.
+
 The kernels work on flat row-major indices (``i = x * height + y``)
 with vectorized gathers, so each round is a few NumPy ops on arrays of
-frontier size — no per-cell Python.  A ``(T, width, height)`` stack of
-planes is labeled in the same loop (``i = (t * width + x) * height +
-y``): neighbour validity and torus wrap are local to a plane, so no
-frontier ever crosses into another plane, and each plane's round count
-is the last round that flipped one of its cells.  The public 2-D
-kernels are the ``T = 1`` call of that loop.
+frontier size — no per-cell Python.
 """
 
 from __future__ import annotations
@@ -50,31 +51,18 @@ from repro.types import BoolGrid
 __all__ = ["unsafe_fixpoint_sparse", "enabled_fixpoint_sparse"]
 
 
-def _frontier_meter(telemetry: Optional[Telemetry]):
-    """The per-round frontier-size histogram, or ``None`` when off.
-
-    Resolved once per fixpoint call so the hot loop pays a single
-    ``is not None`` check per round.
-    """
-    if telemetry is None or telemetry.metrics is None:
-        return None
-    return telemetry.histogram("frontier_active_cells")
-
-
 def _neighbor_indices(
     idx: np.ndarray, width: int, height: int, wraps: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Flat neighbour indices of the cells ``idx``, in (E, W, N, S) order.
 
-    ``idx`` may index a stack of planes; every link stays in its plane.
     Returns ``(nbrs, valid)``, both of shape ``(4, len(idx))``.  On a
     torus every link exists and wraps; on a mesh, links leaving the grid
     have ``valid`` False and their index clamped to 0 — the caller must
     substitute the ghost label for them.
     """
-    row = idx // height
-    y = idx - row * height
-    x = row % width
+    x = idx // height
+    y = idx - x * height
     n = width * height
     east, west, north, south = idx + height, idx - height, idx + 1, idx - 1
     if wraps:
@@ -108,20 +96,18 @@ def unsafe_fixpoint_sparse(
     topology: Topology,
     faulty: BoolGrid,
     definition: SafetyDefinition = SafetyDefinition.DEF_2B,
-    max_rounds: int | None = None,
     telemetry: Optional[Telemetry] = None,
     initial: Optional[BoolGrid] = None,
     seeds: Optional[np.ndarray] = None,
 ) -> Tuple[BoolGrid, int]:
     """Phase-1 fixpoint by frontier propagation.
 
-    Drop-in replacement for :func:`repro.core.safety.unsafe_fixpoint`:
-    same signature, same fixpoint, same round count (see the module
-    docstring for the exactness argument), but per-round work scales
-    with the frontier instead of the grid.  ``telemetry`` (optional)
-    observes each round's frontier size into the
-    ``frontier_active_cells`` histogram — the direct measure of the
-    sparse kernels' work.
+    Same fixpoint and round count as
+    :func:`repro.core.safety.unsafe_fixpoint` (see the module docstring
+    for the exactness argument), but per-round work scales with the
+    frontier instead of the grid.  ``telemetry`` (optional) observes
+    each round's frontier size into the ``frontier_active_cells``
+    histogram — the direct measure of the wave's work.
 
     Warm starts: ``initial``, when given, is a valid under-approximation
     of the fixpoint (any state reachable by the monotone rule from a
@@ -139,7 +125,7 @@ def unsafe_fixpoint_sparse(
         raise ConvergenceError(
             f"fault mask shape {faulty.shape} != topology shape {topology.shape}"
         )
-    budget = max_rounds if max_rounds is not None else (topology.num_nodes + 2)
+    budget = topology.num_nodes + 2
     if initial is None:
         grid = np.ascontiguousarray(faulty, dtype=bool).copy()
     else:
@@ -148,43 +134,12 @@ def unsafe_fixpoint_sparse(
                 f"warm-start shape {initial.shape} != topology shape {topology.shape}"
             )
         grid = np.ascontiguousarray(initial, dtype=bool) | faulty
-    rounds = _unsafe_rounds(
-        topology, grid.ravel(), 1, definition, budget, seeds,
-        _frontier_meter(telemetry),
-    )
-    return grid, int(rounds[0])
-
-
-def unsafe_fixpoints_sparse(
-    topology: Topology,
-    faulty: np.ndarray,
-    definition: SafetyDefinition,
-    budget: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`unsafe_fixpoint_sparse` of every plane of a
-    ``(T, width, height)`` fault stack in one frontier loop: the fixpoint
-    stack and each plane's changing-round count."""
-    grid = np.array(faulty, dtype=bool, order="C")
-    rounds = _unsafe_rounds(
-        topology, grid.reshape(-1), grid.shape[0], definition, budget, None, None
-    )
-    return grid, rounds
-
-
-def _unsafe_rounds(
-    topology: Topology,
-    unsafe: np.ndarray,
-    planes: int,
-    definition: SafetyDefinition,
-    budget: int,
-    seeds: Optional[np.ndarray],
-    meter,
-) -> np.ndarray:
-    """Run the phase-1 frontier loop in place on the flat stack
-    ``unsafe`` of ``planes`` planes; return every plane's rounds."""
+    meter = None
+    if telemetry is not None and telemetry.metrics is not None:
+        meter = telemetry.histogram("frontier_active_cells")
     width, height = topology.shape
     wraps = topology.wraps
-    cells = width * height
+    unsafe = grid.ravel()
 
     def still_safe_neighbors(flipped: np.ndarray) -> np.ndarray:
         nbrs, valid = _neighbor_indices(flipped, width, height, wraps)
@@ -196,8 +151,7 @@ def _unsafe_rounds(
     else:
         seed_idx = np.asarray(seeds, dtype=np.intp)
     frontier = still_safe_neighbors(seed_idx) if seed_idx.size else seed_idx
-    rounds = np.zeros(planes, dtype=np.int64)
-    done = 0
+    rounds = 0
     while frontier.size:
         if meter is not None:
             meter.observe(int(frontier.size))
@@ -211,79 +165,41 @@ def _unsafe_rounds(
         if flipped.size == 0:
             break
         unsafe[flipped] = True
-        done += 1
-        if done > budget:
+        rounds += 1
+        if rounds > budget:
             raise ConvergenceError(
                 f"unsafe labeling did not converge within {budget} rounds"
             )
-        # A plane flips in every round until its own fixpoint, so its
-        # round count is the last round that flipped one of its cells.
-        rounds[flipped // cells] = done
         frontier = still_safe_neighbors(flipped)
-    return rounds
+    return grid, rounds
 
 
 def enabled_fixpoint_sparse(
     topology: Topology,
     faulty: BoolGrid,
     unsafe: BoolGrid,
-    max_rounds: int | None = None,
-    telemetry: Optional[Telemetry] = None,
 ) -> Tuple[BoolGrid, int]:
     """Phase-2 fixpoint by frontier propagation.
 
-    Drop-in replacement for
-    :func:`repro.core.enabling.enabled_fixpoint` with identical labels
-    and round counts.  Only disabled nonfaulty cells can ever change,
-    so they seed the first frontier; afterwards the frontier is the
-    still-disabled neighbourhood of the cells enabled last round.
+    Identical labels and round counts to
+    :func:`repro.core.enabling.enabled_fixpoint`.  Only disabled
+    nonfaulty cells can ever change, so they seed the first frontier;
+    afterwards the frontier is the still-disabled neighbourhood of the
+    cells enabled last round.
     """
     if faulty.shape != topology.shape or unsafe.shape != topology.shape:
         raise ConvergenceError("label plane shapes disagree with the topology")
     if np.any(faulty & ~unsafe):
         raise ConvergenceError("phase-1 labels invalid: a faulty node is safe")
-    budget = max_rounds if max_rounds is not None else (topology.num_nodes + 2)
+    budget = topology.num_nodes + 2
     grid = ~np.ascontiguousarray(unsafe, dtype=bool)
-    rounds = _enabled_rounds(
-        topology, np.ascontiguousarray(faulty, dtype=bool).ravel(), grid.ravel(),
-        1, budget, _frontier_meter(telemetry),
-    )
-    return grid, int(rounds[0])
-
-
-def enabled_fixpoints_sparse(
-    topology: Topology, faulty: np.ndarray, unsafe: np.ndarray, budget: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`enabled_fixpoint_sparse` of every plane of
-    ``(T, width, height)`` stacks in one frontier loop: the fixpoint
-    stack and each plane's changing-round count."""
-    grid = ~np.ascontiguousarray(unsafe, dtype=bool)
-    rounds = _enabled_rounds(
-        topology, np.ascontiguousarray(faulty, dtype=bool).reshape(-1),
-        grid.reshape(-1), grid.shape[0], budget, None,
-    )
-    return grid, rounds
-
-
-def _enabled_rounds(
-    topology: Topology,
-    faulty: np.ndarray,
-    enabled: np.ndarray,
-    planes: int,
-    budget: int,
-    meter,
-) -> np.ndarray:
-    """Run the phase-2 frontier loop in place on the flat stack
-    ``enabled`` of ``planes`` planes; return every plane's rounds."""
     width, height = topology.shape
     wraps = topology.wraps
-    cells = width * height
-    frontier = np.flatnonzero(~enabled & ~faulty)
-    rounds = np.zeros(planes, dtype=np.int64)
-    done = 0
+    enabled = grid.ravel()
+    fault = np.ascontiguousarray(faulty, dtype=bool).ravel()
+    frontier = np.flatnonzero(~enabled & ~fault)
+    rounds = 0
     while frontier.size:
-        if meter is not None:
-            meter.observe(int(frontier.size))
         nbrs, valid = _neighbor_indices(frontier, width, height, wraps)
         vals = enabled[nbrs] | ~valid  # ghost neighbours are enabled
         fire = vals.sum(axis=0, dtype=np.int8) >= 2
@@ -291,13 +207,12 @@ def _enabled_rounds(
         if flipped.size == 0:
             break
         enabled[flipped] = True
-        done += 1
-        if done > budget:
+        rounds += 1
+        if rounds > budget:
             raise ConvergenceError(
                 f"enable labeling did not converge within {budget} rounds"
             )
-        rounds[flipped // cells] = done
         nbrs, valid = _neighbor_indices(flipped, width, height, wraps)
         cand = _distinct(nbrs[valid])
-        frontier = cand[~enabled[cand] & ~faulty[cand]]
-    return rounds
+        frontier = cand[~enabled[cand] & ~fault[cand]]
+    return grid, rounds

@@ -49,8 +49,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.enabling import enabled_fixpoint
-from repro.core.frontier import enabled_fixpoint_sparse, unsafe_fixpoint_sparse
-from repro.core.pipeline import LabelingResult, assemble_result, choose_kernel
+from repro.core.frontier import unsafe_fixpoint_sparse
+from repro.core.pipeline import LabelingResult, assemble_result
 from repro.core.safety import unsafe_fixpoint
 from repro.core.status import LabelGrid, NodeStatus, SafetyDefinition
 from repro.errors import FaultModelError, GeometryError
@@ -867,16 +867,7 @@ class IncrementalLabeling:
     def _resync_enabled(self) -> Tuple[int, int, int]:
         """Global phase-2 fallback for irregular (full-wrap) components."""
         before = self._enabled
-        active = int(np.count_nonzero(self._unsafe & ~self._faulty))
-        if choose_kernel(active, self._topology.num_nodes) == "frontier":
-            enabled, rounds = enabled_fixpoint_sparse(
-                self._topology, self._faulty, self._unsafe,
-                telemetry=self._telemetry,
-            )
-        else:
-            enabled, rounds = enabled_fixpoint(
-                self._topology, self._faulty, self._unsafe
-            )
+        enabled, rounds = enabled_fixpoint(self._topology, self._faulty, self._unsafe)
         nd = int(np.count_nonzero(before & ~enabled & ~self._faulty))
         na = int(np.count_nonzero(~before & enabled))
         self._enabled = enabled

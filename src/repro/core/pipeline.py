@@ -10,8 +10,8 @@ and a fault set it runs
 
 on either execution backend:
 
-* ``"vectorized"`` (default) — NumPy Jacobi fixpoints; fast, used by the
-  large Figure-5 sweeps;
+* ``"vectorized"`` (default) — the bit-packed NumPy Jacobi fixpoints
+  (:mod:`repro.core._packed`), the one kernel for full-grid labeling;
 * ``"distributed"`` — per-node programs on the synchronous fabric; the
   faithful reproduction of the paper's protocol, also reporting message
   statistics.
@@ -30,7 +30,10 @@ import numpy as np
 
 from repro.core.blocks import FaultyBlock, extract_blocks
 from repro.core.enabling import enabled_fixpoint
-from repro.core.frontier import enabled_fixpoint_sparse, unsafe_fixpoint_sparse
+from repro.core.frontier import (  # noqa: F401 - tracers patch them by name
+    enabled_fixpoint_sparse,
+    unsafe_fixpoint_sparse,
+)
 from repro.core.regions import DisabledRegion, extract_regions
 from repro.core.safety import unsafe_fixpoint
 from repro.core.status import LabelGrid, SafetyDefinition
@@ -42,34 +45,9 @@ from repro.geometry.components import _scan
 from repro.mesh.topology import Topology
 from repro.obs.telemetry import Telemetry
 
-__all__ = ["LabelingResult", "assemble_result", "choose_kernel", "label_mesh"]
+__all__ = ["LabelingResult", "assemble_result", "label_mesh"]
 
 Backend = Literal["vectorized", "distributed"]
-Method = Literal["dense", "frontier", "auto"]
-
-#: The frontier kernel runs when the cells that can change are at most
-#: ``1 / _AUTO_SPARSITY`` of the grid; denser instances stay on the dense
-#: Jacobi kernel, whose whole-grid passes amortise better.  Crossover
-#: measurements: docs/algorithms.md §5.1.1.
-_AUTO_SPARSITY = 16
-
-
-def choose_kernel(active_cells: int, grid_cells: int) -> str:
-    """The vectorized kernel for one fixpoint: ``"frontier"`` or ``"dense"``.
-
-    ``active_cells`` is the number of cells that could possibly change
-    (faulty cells for phase 1, unsafe nonfaulty cells for phase 2) —
-    the quantity the frontier's work actually scales with.  This is the
-    one dense/frontier rule: ``label_mesh(method="auto")`` applies it per
-    phase, and the incremental engine's global phase-2 resync applies it
-    too.
-    """
-    return "frontier" if active_cells * _AUTO_SPARSITY <= grid_cells else "dense"
-
-
-def _pick_kernel(method: str, active_cells: int, grid_cells: int) -> str:
-    """``method`` itself, or the :func:`choose_kernel` pick for ``"auto"``."""
-    return choose_kernel(active_cells, grid_cells) if method == "auto" else method
 
 
 def _stage(
@@ -133,9 +111,9 @@ class LabelingResult:
     backend:
         Which execution backend produced the labels.
     method:
-        Which vectorized kernels ran: ``"dense"``, ``"frontier"``, or a
-        per-phase mix like ``"frontier+dense"`` chosen by ``"auto"``.
-        ``"n/a"`` for the distributed backend.
+        Which kernels produced the labels: ``"dense"`` (the packed
+        fixpoints) for the vectorized backend, ``"n/a"`` for the
+        distributed one, ``"incremental"`` for an incremental snapshot.
     stats_phase1, stats_phase2:
         Fabric message statistics (distributed backend only).
     unwrap_shift:
@@ -224,7 +202,6 @@ def label_mesh(
     definition: SafetyDefinition = SafetyDefinition.DEF_2B,
     backend: Backend = "vectorized",
     chatty: bool = False,
-    method: Method = "auto",
     schedule: Optional[FaultSchedule] = None,
     channel: Optional[ChannelModel] = None,
     telemetry: Optional[Telemetry] = None,
@@ -245,13 +222,6 @@ def label_mesh(
     chatty:
         Distributed backend only: re-broadcast status every round, as in
         the paper's literal pseudo-code, instead of only on change.
-    method:
-        Vectorized backend only: ``"dense"`` runs the whole-grid Jacobi
-        kernels, ``"frontier"`` the sparse frontier kernels
-        (:mod:`repro.core.frontier` — identical labels and round
-        counts, work proportional to the affected area), and ``"auto"``
-        (default) picks per phase with :func:`choose_kernel`.  Checked
-        for every backend, but only the vectorized one uses it.
     schedule:
         Distributed backend only: a
         :class:`~repro.faults.schedule.FaultSchedule` of crashes that
@@ -270,11 +240,12 @@ def label_mesh(
         Optional :class:`~repro.obs.telemetry.Telemetry`.  The pipeline
         emits ``phase_transition`` events around each phase, wraps the
         phases in ``phase_unsafe`` / ``phase_enable`` profiling spans
-        (tagged with the kernel that ran) and the extraction steps in
-        ``extract_blocks`` / ``extract_regions`` spans and events (so
-        ``repro obs summarize`` attributes extraction time per run), and
-        threads phase-labeled children into the frontier kernels and the
-        fabric engines.  ``None`` (default) disables all instrumentation.
+        (tagged with the kernel that ran, ``dense`` or ``fabric``) and
+        the extraction steps in ``extract_blocks`` / ``extract_regions``
+        spans and events (so ``repro obs summarize`` attributes
+        extraction time per run), and threads phase-labeled children
+        into the fabric engines.  ``None`` (default) disables all
+        instrumentation.
 
     Returns
     -------
@@ -284,8 +255,6 @@ def label_mesh(
         raise ValueError(
             f"fault shape {faults.shape} != topology shape {topology.shape}"
         )
-    if method not in ("dense", "frontier", "auto"):
-        raise ValueError(f"unknown method {method!r}")
     dynamic = (schedule is not None and bool(schedule)) or (
         channel is not None and not channel.is_reliable
     )
@@ -296,23 +265,17 @@ def label_mesh(
     faulty = faults.mask
     tel = telemetry
     if backend == "vectorized":
-        k1 = _pick_kernel(method, int(np.count_nonzero(faulty)), faulty.size)
         unsafe, rounds1 = _stage(
             tel, "unsafe", "phase_unsafe", _rounds,
-            lambda t: unsafe_fixpoint_sparse(topology, faulty, definition, telemetry=t)
-            if k1 == "frontier" else unsafe_fixpoint(topology, faulty, definition),
-            kernel=k1,
-        )
-        k2 = _pick_kernel(
-            method, int(np.count_nonzero(unsafe & ~faulty)), faulty.size
+            lambda t: unsafe_fixpoint(topology, faulty, definition),
+            kernel="dense",
         )
         enabled, rounds2 = _stage(
             tel, "enable", "phase_enable", _rounds,
-            lambda t: enabled_fixpoint_sparse(topology, faulty, unsafe, telemetry=t)
-            if k2 == "frontier" else enabled_fixpoint(topology, faulty, unsafe),
-            kernel=k2,
+            lambda t: enabled_fixpoint(topology, faulty, unsafe),
+            kernel="dense",
         )
-        method_used = k1 if k1 == k2 else f"{k1}+{k2}"
+        method_used = "dense"
         stats1 = stats2 = None
     elif backend == "distributed":
         from repro.core.distributed import distributed_enabled, distributed_unsafe

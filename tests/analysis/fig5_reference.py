@@ -22,7 +22,6 @@ from repro.mesh.topology import Topology
 def fig5_trial_reference(
     topo: Topology,
     definition: SafetyDefinition,
-    method: str,
     f: int,
     fi: int,
     ti: int,
@@ -32,7 +31,7 @@ def fig5_trial_reference(
     """Trial ``ti`` of the ``fi``-th fault count ``f``, labeled alone."""
     rng = trial_rng(trials, seed + _F_SEED_STRIDE * fi, ti)
     faults = uniform_random(topo.shape, f, rng)
-    result = label_mesh(topo, faults, definition, backend="vectorized", method=method)
+    result = label_mesh(topo, faults, definition, backend="vectorized")
     return (
         float(result.rounds_phase1),
         float(result.rounds_phase2),
@@ -48,11 +47,10 @@ def fig5_rows_reference(
     f_values: Sequence[int],
     trials: int,
     seed: int,
-    method: str = "auto",
 ) -> List[_TrialRow]:
     """Every trial's row, in (f, trial) order."""
     return [
-        fig5_trial_reference(topo, definition, method, f, fi, ti, trials, seed)
+        fig5_trial_reference(topo, definition, f, fi, ti, trials, seed)
         for fi, f in enumerate(f_values)
         for ti in range(trials)
     ]
@@ -64,8 +62,7 @@ def run_fig5_reference(
     f_values: Sequence[int],
     trials: int,
     seed: int,
-    method: str = "auto",
 ) -> Fig5Curve:
     """The curve ``run_fig5`` must return for the same arguments."""
-    rows = fig5_rows_reference(topology, definition, f_values, trials, seed, method)
+    rows = fig5_rows_reference(topology, definition, f_values, trials, seed)
     return _curve(definition, topology, f_values, trials, seed, rows)

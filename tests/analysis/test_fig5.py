@@ -81,9 +81,9 @@ class TestFig5Driver:
         assert curve.points[0].num_blocks.mean > 0
 
     def test_jobs_and_method_invisible(self):
-        # Parallel scheduling and the frontier kernel must not change a
+        # Parallel scheduling and the method name must not change a
         # single aggregate: every (f, trial) cell reseeds from its grid
-        # position and the kernels are property-tested identical.
+        # position, and "auto" and "dense" name the same kernel.
         def same(a, b):
             # Exact equality, except nan == nan (f=0 has no reducible
             # blocks, so enabled_ratio aggregates zero samples).
@@ -94,7 +94,6 @@ class TestFig5Driver:
         fields = ("rounds_fb", "rounds_dr", "enabled_ratio", "num_blocks", "num_regions")
         for variant in (
             run_fig5(SafetyDefinition.DEF_2B, jobs=2, **kw),
-            run_fig5(SafetyDefinition.DEF_2B, method="frontier", **kw),
             run_fig5(SafetyDefinition.DEF_2B, method="dense", jobs=2, **kw),
         ):
             for pv, pb in zip(variant.points, base.points):
@@ -113,11 +112,11 @@ class TestBatchMatchesPerTrialOracle:
 
     @pytest.mark.parametrize("topo_cls", [Mesh2D, Torus2D])
     @pytest.mark.parametrize("definition", list(SafetyDefinition))
-    @pytest.mark.parametrize("method", ["dense", "frontier", "auto"])
+    @pytest.mark.parametrize("method", ["dense", "auto"])
     def test_tables_identical(self, topo_cls, definition, method):
         topo = topo_cls(24, 24)
         expected = run_fig5_reference(
-            definition, topo, self.F_VALUES, trials=6, seed=31, method=method
+            definition, topo, self.F_VALUES, trials=6, seed=31
         ).as_table()
         for jobs in (1, 2):
             got = run_fig5(
@@ -147,7 +146,7 @@ class TestBatchMatchesPerTrialOracle:
                 for start in range(0, trials, planes):
                     stop = min(start + planes, trials)
                     rows += fig5._fig5_batch(
-                        (topo, definition, "auto", f, fi, start, stop, trials, seed)
+                        (topo, definition, f, fi, start, stop, trials, seed)
                     )
                 assert rows == expected[fi * trials : (fi + 1) * trials]
 
@@ -174,3 +173,8 @@ class TestBatchMatchesPerTrialOracle:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             run_fig5(topology=Mesh2D(5, 5), f_values=[1], trials=1, method="bogus")
+
+    def test_frontier_method_rejected(self):
+        # The sweep has one kernel; "frontier" no longer names one.
+        with pytest.raises(ValueError, match="unknown method 'frontier'"):
+            run_fig5(topology=Mesh2D(5, 5), f_values=[1], trials=1, method="frontier")

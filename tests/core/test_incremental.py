@@ -191,5 +191,5 @@ class TestBlockSolve:
         diagonal = [(2 + i, 2 + i) for i in range(side)]
         report = m.inject(diagonal)
         assert m.verify_against_scratch()
-        scratch = label_mesh(mesh, m.faults, method="dense")
+        scratch = label_mesh(mesh, m.faults)
         assert report.rounds_phase2 == scratch.rounds_phase2

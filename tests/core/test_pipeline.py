@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import SafetyDefinition, label_mesh
-from repro.core.pipeline import choose_kernel
+from repro.core import frontier
+from repro.core.batch import label_batch
 from repro.faults import FaultSet, uniform_random
 from repro.mesh import Mesh2D, Torus2D
 
@@ -49,17 +50,25 @@ class TestLabelMesh:
 
 
 class TestKernelChoice:
-    def test_ten_percent_faults_run_phase1_dense(self):
-        m = Mesh2D(100, 100)
-        faults = uniform_random(m.shape, 1000, np.random.default_rng(0))
-        r = label_mesh(m, faults)
-        assert r.method.split("+")[0] == "dense"
+    @pytest.mark.parametrize("side, count", [(1000, 250), (100, 100)])
+    def test_never_runs_frontier(self, monkeypatch, side, count):
+        # The sparse instances a sparsity rule would send to the frontier
+        # kernels: one-shot labeling runs the packed kernels regardless.
+        # Every frontier loop gathers neighbours through one helper.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frontier kernel ran")
 
-    def test_sparse_instance_picks_frontier(self):
-        assert choose_kernel(250, 1000 * 1000) == "frontier"
-
-    def test_all_active_block_picks_dense(self):
-        assert choose_kernel(96 * 96, 96 * 96) == "dense"
+        monkeypatch.setattr(frontier, "_neighbor_indices", refuse)
+        m = Mesh2D(side, side)
+        faulty = uniform_random(m.shape, count, np.random.default_rng(0)).mask
+        for d in SafetyDefinition:
+            r = label_mesh(m, FaultSet.from_mask(faulty), d)
+            assert r.method == "dense"
+            out = label_batch(m, faulty[None], d)
+            assert (out.rounds_phase1[0], out.rounds_phase2[0]) == (
+                r.rounds_phase1,
+                r.rounds_phase2,
+            )
 
 
 class TestResultMetrics:

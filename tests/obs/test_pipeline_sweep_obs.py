@@ -88,17 +88,21 @@ class TestFrontierTelemetry:
         assert hist.min is not None and hist.min >= 1
 
     def test_pipeline_routes_phase_labels_to_kernels(self):
-        reg = MetricsRegistry()
+        # The packed kernels take no telemetry, so a vectorized run
+        # observes no frontier sizes (only incremental warm starts do);
+        # the fabric engines get phase-labeled children.
         topo = Mesh2D(10, 10)
-        label_mesh(
-            topo,
-            _faults(topo),
-            method="frontier",
-            telemetry=Telemetry(metrics=reg),
-        )
-        keys = set(reg.snapshot()["histograms"])
-        assert 'frontier_active_cells{phase="unsafe"}' in keys
-        assert 'frontier_active_cells{phase="enable"}' in keys
+        keys = {}
+        for backend in ("vectorized", "distributed"):
+            reg = MetricsRegistry()
+            label_mesh(
+                topo, _faults(topo), backend=backend,
+                telemetry=Telemetry(metrics=reg),
+            )
+            keys[backend] = set(reg.snapshot()["histograms"])
+        assert not any("frontier_active_cells" in k for k in keys["vectorized"])
+        assert 'engine_flips_per_round{engine="sync",phase="unsafe"}' in keys["distributed"]
+        assert 'engine_flips_per_round{engine="sync",phase="enable"}' in keys["distributed"]
 
 
 def _metric_ok(value, rng):

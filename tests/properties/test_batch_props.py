@@ -1,7 +1,7 @@
 """Property: labeling a stack of planes IS labeling each plane alone.
 
-* Kernels — the packed Jacobi loop and the frontier loop, run over a
-  ``(T, width, height)`` stack, return every plane's bool-grid reference
+* Kernels — the packed Jacobi loop, run over a ``(T, width, height)``
+  stack, returns every plane's bool-grid reference
   fixpoint and round count, on meshes and tori, under Definitions 2a
   and 2b, for both phases, at heights on both sides of the 64-bit word
   boundaries; a budget too small for some plane raises the reference's
@@ -19,12 +19,6 @@ from hypothesis import strategies as st
 from repro.core import SafetyDefinition
 from repro.core.batch import label_batch
 from repro.core.enabling import enabled_fixpoint_reference, enabled_fixpoints
-from repro.core.frontier import (
-    enabled_fixpoint_sparse,
-    enabled_fixpoints_sparse,
-    unsafe_fixpoint_sparse,
-    unsafe_fixpoints_sparse,
-)
 from repro.core.pipeline import label_mesh
 from repro.core.safety import unsafe_fixpoint_reference, unsafe_fixpoints
 from repro.errors import ConvergenceError
@@ -33,8 +27,6 @@ from repro.mesh import Mesh2D, Torus2D
 
 HEIGHTS = (1, 63, 64, 65, 129)
 TOPOLOGIES = (Mesh2D, Torus2D)
-UNSAFE_KERNELS = (unsafe_fixpoints, unsafe_fixpoints_sparse)
-ENABLED_KERNELS = (enabled_fixpoints, enabled_fixpoints_sparse)
 
 
 @st.composite
@@ -69,16 +61,14 @@ class TestStackedKernels:
         topology, faulty = stack
         budget = topology.num_nodes + 2
         unsafe_ref, r1_ref, enabled_ref, r2_ref = references(topology, faulty, definition)
-        for kernel in UNSAFE_KERNELS:
-            unsafe, r1 = kernel(topology, faulty, definition, budget)
-            assert unsafe.shape == faulty.shape and unsafe.dtype == bool
-            assert np.array_equal(unsafe, unsafe_ref), kernel.__name__
-            assert r1.tolist() == r1_ref, kernel.__name__
-        for kernel in ENABLED_KERNELS:
-            enabled, r2 = kernel(topology, faulty, unsafe_ref, budget)
-            assert enabled.shape == faulty.shape and enabled.dtype == bool
-            assert np.array_equal(enabled, enabled_ref), kernel.__name__
-            assert r2.tolist() == r2_ref, kernel.__name__
+        unsafe, r1 = unsafe_fixpoints(topology, faulty, definition, budget)
+        assert unsafe.shape == faulty.shape and unsafe.dtype == bool
+        assert np.array_equal(unsafe, unsafe_ref)
+        assert r1.tolist() == r1_ref
+        enabled, r2 = enabled_fixpoints(topology, faulty, unsafe_ref, budget)
+        assert enabled.shape == faulty.shape and enabled.dtype == bool
+        assert np.array_equal(enabled, enabled_ref)
+        assert r2.tolist() == r2_ref
 
     @pytest.mark.parametrize("topo_cls", TOPOLOGIES)
     @pytest.mark.parametrize("height", HEIGHTS)
@@ -92,12 +82,11 @@ class TestStackedKernels:
         for definition in SafetyDefinition:
             refs = references(topology, faulty, definition)
             unsafe_ref, r1_ref, enabled_ref, r2_ref = refs
-            for kernel in UNSAFE_KERNELS:
-                unsafe, r1 = kernel(topology, faulty, definition, topology.num_nodes)
-                assert np.array_equal(unsafe, unsafe_ref) and r1.tolist() == r1_ref
-            for kernel in ENABLED_KERNELS:
-                enabled, r2 = kernel(topology, faulty, unsafe_ref, topology.num_nodes)
-                assert np.array_equal(enabled, enabled_ref) and r2.tolist() == r2_ref
+            budget = topology.num_nodes
+            unsafe, r1 = unsafe_fixpoints(topology, faulty, definition, budget)
+            assert np.array_equal(unsafe, unsafe_ref) and r1.tolist() == r1_ref
+            enabled, r2 = enabled_fixpoints(topology, faulty, unsafe_ref, budget)
+            assert np.array_equal(enabled, enabled_ref) and r2.tolist() == r2_ref
 
     @given(stacks(max_density=0.5), st.sampled_from(list(SafetyDefinition)))
     @settings(max_examples=40, deadline=None)
@@ -126,30 +115,19 @@ class TestStackedKernels:
             lambda p=p: unsafe_fixpoint_reference(topology, p, definition, max_rounds=1)
             for p in faulty
         )
-        for kernel in UNSAFE_KERNELS:
-            check(kernel, expected, definition)
+        check(unsafe_fixpoints, expected, definition)
         unsafe_ref = references(topology, faulty, definition)[0]
         expected = first_error(
             lambda p=p, u=u: enabled_fixpoint_reference(topology, p, u, max_rounds=1)
             for p, u in zip(faulty, unsafe_ref)
         )
-        for kernel in ENABLED_KERNELS:
-            check(kernel, expected, unsafe_ref)
-        # The public 2-D kernels are the T = 1 calls: same errors per plane.
-        for p, u in zip(faulty, unsafe_ref):
-            for kernel, args, ref in (
-                (unsafe_fixpoint_sparse, (definition,), unsafe_fixpoint_reference),
-                (enabled_fixpoint_sparse, (u,), enabled_fixpoint_reference),
-            ):
-                wanted = first_error([lambda: ref(topology, p, *args, max_rounds=1)])
-                got = first_error([lambda: kernel(topology, p, *args, max_rounds=1)])
-                assert got == wanted, kernel.__name__
+        check(enabled_fixpoints, expected, unsafe_ref)
 
 
-def label_mesh_rows(topology, faulty, definition, method):
+def label_mesh_rows(topology, faulty, definition):
     rows = []
     for plane in faulty:
-        result = label_mesh(topology, FaultSet.from_mask(plane), definition, method=method)
+        result = label_mesh(topology, FaultSet.from_mask(plane), definition)
         rows.append(
             (
                 result.rounds_phase1,
@@ -162,8 +140,8 @@ def label_mesh_rows(topology, faulty, definition, method):
     return rows
 
 
-def batch_rows(topology, faulty, definition, method):
-    out = label_batch(topology, faulty, definition, method)
+def batch_rows(topology, faulty, definition):
+    out = label_batch(topology, faulty, definition)
     return list(
         zip(
             out.rounds_phase1.tolist(),
@@ -176,22 +154,18 @@ def batch_rows(topology, faulty, definition, method):
 
 
 class TestLabelBatch:
-    @given(
-        stacks(max_density=0.35),
-        st.sampled_from(list(SafetyDefinition)),
-        st.sampled_from(["dense", "frontier", "auto"]),
-    )
+    @given(stacks(max_density=0.35), st.sampled_from(list(SafetyDefinition)))
     @settings(max_examples=80, deadline=None)
-    def test_matches_label_mesh_per_plane(self, stack, definition, method):
+    def test_matches_label_mesh_per_plane(self, stack, definition):
         topology, faulty = stack
         try:
-            expected = label_mesh_rows(topology, faulty, definition, method)
+            expected = label_mesh_rows(topology, faulty, definition)
         except ValueError as exc:  # a torus plane with no planar view
             with pytest.raises(ValueError, match="cannot unwrap") as info:
-                batch_rows(topology, faulty, definition, method)
+                batch_rows(topology, faulty, definition)
             assert str(info.value) == str(exc)
             return
-        assert batch_rows(topology, faulty, definition, method) == expected
+        assert batch_rows(topology, faulty, definition) == expected
 
     @pytest.mark.parametrize("topo_cls", TOPOLOGIES)
     def test_no_component_spans_two_planes(self, topo_cls):
@@ -203,8 +177,8 @@ class TestLabelBatch:
         faulty[0, -1, 2:4] = True
         faulty[1, 0, 2:4] = True
         faulty[2, 0, 3] = faulty[2, -1, 4] = True
-        rows = batch_rows(topology, faulty, SafetyDefinition.DEF_2B, "dense")
-        assert rows == label_mesh_rows(topology, faulty, SafetyDefinition.DEF_2B, "dense")
+        rows = batch_rows(topology, faulty, SafetyDefinition.DEF_2B)
+        assert rows == label_mesh_rows(topology, faulty, SafetyDefinition.DEF_2B)
         assert [r[2] for r in rows] == ([1, 1, 1] if topo_cls is Torus2D else [1, 1, 2])
 
     def test_ratios_keep_block_order(self):
@@ -213,8 +187,8 @@ class TestLabelBatch:
         rng = np.random.default_rng(7)
         faulty = rng.random((4, 30, 30)) < 0.15
         definition = SafetyDefinition.DEF_2B
-        rows = batch_rows(topology, faulty, definition, "dense")
-        assert rows == label_mesh_rows(topology, faulty, definition, "dense")
+        rows = batch_rows(topology, faulty, definition)
+        assert rows == label_mesh_rows(topology, faulty, definition)
         assert sum(len(set(r[4])) > 1 for r in rows) >= 2
 
     def test_input_stack_untouched(self):
@@ -227,5 +201,3 @@ class TestLabelBatch:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="fault plane shape"):
             label_batch(Mesh2D(4, 4), np.zeros((2, 4, 5), dtype=bool))
-        with pytest.raises(ValueError, match="unknown method"):
-            label_batch(Mesh2D(4, 4), np.zeros((2, 4, 4), dtype=bool), method="x")

@@ -3,7 +3,9 @@ bit-identical labels and identical round counts, on both topologies,
 both safety definitions, and every fault regime (empty, single, sparse
 random, clustered).  The dense arm is the production bit-packed kernel,
 itself checked against the bool-grid reference loops, so frontier ≡
-packed ≡ reference."""
+packed ≡ reference.  The warm start the incremental engine runs —
+resuming from the fixpoint of ``F1`` seeded with the cells of ``F2`` —
+reaches the packed fixpoint of ``F1 ∪ F2``."""
 
 import numpy as np
 import pytest
@@ -14,13 +16,11 @@ from repro.core import (
     SafetyDefinition,
     enabled_fixpoint,
     enabled_fixpoint_sparse,
-    label_mesh,
     unsafe_fixpoint,
     unsafe_fixpoint_sparse,
 )
 from repro.core.enabling import enabled_fixpoint_reference
 from repro.core.safety import unsafe_fixpoint_reference
-from repro.faults import FaultSet
 from repro.faults.generators import clustered, uniform_random
 from repro.mesh import Mesh2D, Torus2D
 from tests.strategies import fault_sets
@@ -80,33 +80,14 @@ class TestFrontierEquivalence:
             assert_kernels_agree(topo, faults.mask, definition)
 
 
-class TestPipelineMethods:
-    @given(fault_sets(W, H, 14), topologies, definitions)
-    @settings(max_examples=25, deadline=None)
-    def test_method_choice_is_invisible(self, faults, topology, definition):
-        try:
-            dense = label_mesh(topology, faults, definition, method="dense")
-        except ValueError:
-            # Dense fault patterns can wrap unsafe labels all the way
-            # around a torus, which has no planar unwrapping.  The
-            # kernels must at least agree that the instance is
-            # un-unwrappable.
-            for method in ("frontier", "auto"):
-                with pytest.raises(ValueError, match="unwrap"):
-                    label_mesh(topology, faults, definition, method=method)
-            return
-        frontier = label_mesh(topology, faults, definition, method="frontier")
-        auto = label_mesh(topology, faults, definition, method="auto")
-        for other in (frontier, auto):
-            assert np.array_equal(dense.labels.unsafe, other.labels.unsafe)
-            assert np.array_equal(dense.labels.enabled, other.labels.enabled)
-            assert dense.rounds_phase1 == other.rounds_phase1
-            assert dense.rounds_phase2 == other.rounds_phase2
-        assert dense.method == "dense"
-        assert frontier.method == "frontier"
-
-    def test_unknown_method_rejected(self):
-        faults = FaultSet.from_coords((W, H), [(2, 2)])
-        for backend in ("vectorized", "distributed"):
-            with pytest.raises(ValueError, match="unknown method"):
-                label_mesh(Mesh2D(W, H), faults, backend=backend, method="turbo")
+class TestWarmStart:
+    @given(fault_sets(W, H, 10), fault_sets(W, H, 10), topologies, definitions)
+    @settings(max_examples=60, deadline=None)
+    def test_resumes_to_the_union_fixpoint(self, f1, f2, topology, definition):
+        first, _ = unsafe_fixpoint(topology, f1.mask, definition)
+        union = f1.mask | f2.mask
+        grid, _ = unsafe_fixpoint_sparse(
+            topology, union, definition,
+            initial=first, seeds=np.flatnonzero(f2.mask),
+        )
+        assert np.array_equal(grid, unsafe_fixpoint(topology, union, definition)[0])

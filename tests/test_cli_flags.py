@@ -30,7 +30,6 @@ CASES = {
             ([], ["--definition", "2a"]),
             ([], ["--torus"]),
             ([], ["--clustered"]),
-            ([], ["--method", "dense"]),
             ([], ["--backend", "distributed"]),
             ([], ["--verify"]),
             ([], ["--svg", "o.svg"]),
@@ -62,7 +61,6 @@ CASES = {
             ([], ["--torus"]),
             ([], ["--f-max", "15"]),
             ([], ["--f-step", "10"]),
-            ([], ["--method", "dense"]),
             ([], ["--jobs", "2"]),
         ],
     ),
@@ -98,9 +96,9 @@ CASES = {
     ),
 }
 
-#: Flags that must not change the output: the kernel choice and the
-#: worker count of a Figure-5 sweep.
-INVARIANT = {("fig5", "--method"), ("fig5", "--jobs")}
+#: Flags that must not change the output: the worker count of a
+#: Figure-5 sweep.
+INVARIANT = {("fig5", "--jobs")}
 
 
 def _subparsers():
