@@ -40,7 +40,6 @@ from repro.geometry._bitplanes import expand_runs
 from repro.geometry.boundary import corner_cells
 from repro.geometry.cells import CellSet, _gather_runs
 from repro.geometry.quadrants import quadrant_extreme_corner, quadrants_with_members
-from repro.geometry.rectangles import is_rectangle
 from repro.geometry.staircase import connect_orthoconvex
 from repro.mesh.coords import Quadrant
 
@@ -161,11 +160,20 @@ def _closure(
 
 
 def check_blocks_rectangular(result: LabelingResult) -> CheckOutcome:
-    """Faulty blocks are full rectangles (Section 3)."""
+    """Faulty blocks are full rectangles (Section 3).  One pass reads
+    every block's cell count and cell bounding box (both kept with the
+    set since extraction); the claim holds iff each count equals its
+    box's area.  An empty block fails."""
     claim = "faulty blocks are rectangles"
-    for b in result.blocks:
-        if not is_rectangle(b.cells):
-            return _fail(claim, f"block at {b.rect} is not a full rectangle")
+    blocks = result.blocks
+    stats = np.array(
+        [(len(c), *c.bounding_box()) if c else (0,) * 5 for c in (b.cells for b in blocks)],
+        dtype=np.int64,
+    ).reshape(-1, 5)
+    count, x0, y0, x1, y1 = stats.T
+    bad = np.flatnonzero(count != np.where(count, (x1 - x0 + 1) * (y1 - y0 + 1), -1))
+    if bad.size:
+        return _fail(claim, f"block at {blocks[int(bad[0])].rect} is not a full rectangle")
     return _ok(claim)
 
 

@@ -5,35 +5,46 @@ flit of every worm in Python each cycle — fine for deadlock demos, far
 too slow for million-packet saturation campaigns.  This engine models
 the simpler *store-and-forward* discipline the paper's payoff argument
 actually needs (one packet = one unit, one hop per cycle, per-link
-capacity one) and keeps **every in-flight packet in parallel numpy
-arrays**: position, destination, detour state, inject/start/finish
-cycle, hop and stall counters.  One simulated cycle is one fused array
-pass:
+capacity one) and works in two steps, *route* then *arbitrate*.
+
+**Route.**  A packet's path does not depend on contention: its next hop
+is a pure function of its cell, destination and detour state, and the
+state changes only when it moves.  So the routing kernel
+(:mod:`repro.routing.vectorized`) routes each packet once, in array
+form, when admission first reaches its chunk of the inject order.  A
+path comes back as a few straight segments plus how it ends: arrival,
+``BLOCKED`` before hop *k*, or ``BUDGET`` at ``max_hops``.
+
+**Arbitrate.**  Every in-flight packet is a *lane* of parallel numpy
+arrays: the link it proposes next, that link's step per hop, the hops
+left in its segment.  One simulated cycle is a few fused array passes:
 
 1. **admit** packets whose inject cycle arrived (bad endpoints drop
    with ``BAD_ENDPOINT``; source == dest delivers locally with zero
    latency),
-2. **budget-check** (``hops >= max_hops`` drops with ``BUDGET``),
-3. **decide** next hops for the whole batch through a vectorized
-   routing kernel (:mod:`repro.routing.vectorized`); kernel-blocked
-   packets drop with ``BLOCKED``,
-4. **contend**: each directed link carries one packet per cycle.  The
+2. **drop** the packets whose path is used up short of arrival, with
+   the path's end as the reason (the cycle counts),
+3. **contend**: each directed link carries one packet per cycle.  The
    winner is the *oldest* packet (lowest packet id — ids are assigned
-   in inject order).  Scattering proposal indices into a per-link
-   occupancy array in *reverse* id order leaves the lowest (= oldest)
-   index in place, which is exactly that age priority; losers stall,
-5. **move** winners, committing detour state only for packets that
-   moved, and retire arrivals (``finish = cycle + 1``).
+   in inject order).  Scattering lane indices into a per-link array in
+   *reverse* id order leaves the lowest (= oldest) index in place,
+   which is exactly that age priority; losers stall,
+4. **move** winners one hop along their segment, load the next segment
+   of those that finished one, and retire arrivals
+   (``finish = cycle + 1``).
+
+A lane hops or stalls in every cycle from its admission on, so hop and
+stall counts follow from the path and the retire cycle.
 
 Determinism
 -----------
-The active array is kept sorted by packet id, decisions are pure
-functions of committed state, and contention is resolved by first
-occurrence in id order — so a run is a deterministic function of
-``(view, kernel, traffic, max_cycles)``, independent of batch size or
-chunking.  ``engine="reference"`` replays the identical schedule with
-scalar Python loops (the oracle); property tests pin the two
-bit-for-bit.
+Lanes are kept sorted by packet id, paths are independent of
+contention, and contention is resolved by first occurrence in id order
+— so a run is a deterministic function of ``(view, kernel, traffic,
+max_hops, max_cycles)``, independent of chunking or compaction.
+``engine="reference"`` replays the identical schedule with scalar
+Python loops, deciding every packet's hop every cycle with the kernel's
+``decide_one`` (the oracle); property tests pin the two bit-for-bit.
 
 Idle gaps with nothing in flight are skipped by fast-forwarding the
 clock to the next injection, so low injection rates cost nothing.
@@ -52,7 +63,7 @@ from repro.errors import RoutingError
 from repro.obs.metrics import nearest_rank
 from repro.routing.base import FaultModelView
 from repro.routing.packet import DropReason
-from repro.routing.vectorized import TrafficKernel, make_kernel
+from repro.routing.vectorized import ARRIVED, BLOCKED, BUDGET, TrafficKernel, make_kernel
 
 __all__ = [
     "BatchedNetwork",
@@ -71,8 +82,9 @@ STATUS_NAMES = ("pending", "active", "delivered", "dropped", "stuck")
 
 # Drop reason codes (result column ``reason``) — index into _REASONS.
 _R_NONE = np.int8(0)
-_R_BLOCKED = np.int8(1)
-_R_BUDGET = np.int8(2)
+# A path's end code is its drop reason (``ARRIVED`` is ``_R_NONE``).
+_R_BLOCKED = np.int8(BLOCKED)
+_R_BUDGET = np.int8(BUDGET)
 _R_BAD_ENDPOINT = np.int8(3)
 _REASONS = (
     DropReason.NONE,
@@ -80,12 +92,6 @@ _REASONS = (
     DropReason.BUDGET,
     DropReason.BAD_ENDPOINT,
 )
-
-# Direction code per hop delta: E=0 (x+1), W=1 (x-1), N=2 (y+1),
-# S=3 (y-1); indexed by (ddx + 2*ddy + 2).  Index 2 is the zero delta
-# (tombstoned lanes), mapped arbitrarily — their link is faked anyway.
-_DIR_LUT = np.array([3, 1, 2, 0, 2], dtype=np.int32)
-
 
 def _percentile(values: np.ndarray, q: float) -> float:
     """Nearest-rank ``q``-quantile of a latency column; ``nan`` when empty."""
@@ -215,6 +221,109 @@ class BatchedResult:
         return "results equal"
 
 
+_LANE_COLS = ("cid", "link", "step", "rem", "seg", "hi")
+
+
+class _Lanes:
+    """The in-flight packets of a batched run, and the path rows they read.
+
+    One *lane* per packet: parallel int64 arrays in packet-id order of
+    the packet id (``cid``), the link it proposes next, that link's step
+    per hop, the hops left in its segment (``rem``), and its next and
+    end row in the segment store (``seg``, ``hi``).  A retired lane
+    proposes the ``sink`` link, steps 0 and holds ``rem = -1`` until a
+    compaction sweeps it out; a lane whose path is used up short of its
+    destination holds ``rem = 0`` until the engine drops it.
+
+    The store holds each segment's first link, step per hop and length:
+    the rows live lanes have still to read, then the rows of the newest
+    routed chunk, then one empty sentinel row for pathless packets.
+    """
+
+    def __init__(self, sink: int, height: int):
+        self.sink = sink
+        self.dead = 0
+        self._link_step = np.array([4 * height, -4 * height, 4, -4], dtype=np.int64)
+        self._store = (np.array([sink]), np.zeros(1, np.int64), np.zeros(1, np.int64))
+        self._queue, self._queued = (), 0
+        self.clear()
+
+    @property
+    def live(self) -> int:
+        return self.cid.size - self.dead
+
+    def clear(self) -> None:
+        for name in _LANE_COLS:
+            setattr(self, name, np.empty(0, dtype=np.int64))
+        self.dead = 0
+
+    def select(self, keep) -> None:
+        """Keep (or reorder) lanes by a mask or an index array."""
+        for name in _LANE_COLS:
+            setattr(self, name, getattr(self, name)[keep])
+        self.dead = int(np.count_nonzero(self.rem < 0))
+
+    def load(self, ids, routes) -> None:
+        """Take the routes of packets ``ids`` (inject order) into the
+        store and queue their lanes for admission."""
+        live = np.flatnonzero(self.rem >= 0)
+        seg = self.seg[live]
+        cnt = self.hi[live] - seg
+        first = np.cumsum(cnt) - cnt
+        carry = np.repeat(seg - first, cnt) + np.arange(cnt.sum())
+        self.seg[live] = first
+        self.hi[live] = first + cnt
+        s_link, s_step, s_len = self._store
+        steps = self._link_step[routes.link & 3]
+        self._store = s_link, s_step, s_len = (
+            np.concatenate((s_link[carry], routes.link, [self.sink])),
+            np.concatenate((s_step[carry], steps, [0])),
+            np.concatenate((s_len[carry], routes.length, [0])),
+        )
+        lo = routes.ptr[:-1] + carry.size
+        hi = routes.ptr[1:] + carry.size
+        row = np.where(routes.hops > 0, lo, s_len.size - 1)
+        self._queue = (
+            ids, s_link[row], s_step[row], s_len[row], np.where(routes.hops > 0, lo + 1, hi), hi
+        )
+        self._queued = 0
+
+    def admit(self, m: int) -> int:
+        """Append the next ``m`` queued lanes; returns how many of them
+        are pathless."""
+        a = self._queued
+        b = self._queued = a + m
+        if not m:
+            return 0
+        for name, col in zip(_LANE_COLS, self._queue):
+            setattr(self, name, np.concatenate((getattr(self, name), col[a:b])))
+        return int(np.count_nonzero(self._queue[3][a:b] == 0))
+
+    def next_segment(self, fin):
+        """Lanes ``fin`` finished a segment: load their next one.
+        Returns the lanes whose path is used up."""
+        s = self.seg[fin]
+        more = s < self.hi[fin]
+        nxt, s = fin[more], s[more]
+        s_link, s_step, s_len = self._store
+        self.link[nxt], self.step[nxt], self.rem[nxt] = s_link[s], s_step[s], s_len[s]
+        self.seg[nxt] = s + 1
+        return fin[~more]
+
+    def kill(self, lane) -> None:
+        self.link[lane] = self.sink
+        self.step[lane] = 0
+        self.rem[lane] = -1
+        self.dead += lane.size
+
+    def hops_left(self):
+        """Live lanes' packet ids and the hops left on their paths."""
+        live = np.flatnonzero(self.rem >= 0)
+        pos = np.concatenate(([0], np.cumsum(self._store[2])))
+        seg, hi = self.seg[live], self.hi[live]
+        return self.cid[live], self.rem[live] + pos[hi] - pos[seg]
+
+
 class BatchedNetwork:
     """Store-and-forward traffic simulator with batched numpy advancement.
 
@@ -299,15 +408,17 @@ class BatchedNetwork:
 
     # Compact dead lanes away once they exceed this fraction of lanes.
     _COMPACT_FRAC = 8
+    # Packets routed at a time, in inject order: bounds the memory the
+    # route step and the held routes take on a long campaign.
+    _ROUTE_CHUNK = 1 << 14
 
     def _run_batched(self, traffic, max_cycles: int, telemetry) -> BatchedResult:
         cols = self._columns(traffic)
         sx, sy, dx, dy, inject = cols
         n = sx.size
         kern = self.kernel
-        enabled = kern.enabled
         height = kern.height
-        nlinks = kern.width * height * 4
+        lanes = _Lanes(sink=kern.width * height * 4, height=height)
 
         status = np.full(n, _PENDING, dtype=np.int8)
         reason = np.full(n, _R_NONE, dtype=np.int8)
@@ -315,6 +426,8 @@ class BatchedNetwork:
         finish = np.full(n, -1, dtype=np.int64)
         hops = np.zeros(n, dtype=np.int64)
         stalls = np.zeros(n, dtype=np.int64)
+        plen = np.zeros(n, dtype=np.int64)  # path hops, once routed
+        pend = np.zeros(n, dtype=np.int8)  # path end = drop reason
 
         order = np.argsort(inject, kind="stable")
         inj_sorted = inject[order]
@@ -322,204 +435,121 @@ class BatchedNetwork:
         # order keeps them so unless custom traffic injects out of id
         # order; only then may an admission need a re-sort.
         out_of_order = bool(np.any(np.diff(order) < 0))
-        ptr = 0
+        ok_ep = kern.enabled[sx, sy] & kern.enabled[dx, dy]
+        flies = ok_ep & ((sx != dx) | (sy != dy))
+        fly_sorted = flies[order]
+        fly_at = np.concatenate(([0], np.cumsum(fly_sorted)))
+        ptr = routed = 0
         cycle = 0
-        budget_floor = float("inf")
-
-        # In-flight packets live in compact *lanes* — parallel arrays
-        # indexed by lane, not packet id.  Retired lanes are tombstoned
-        # (``alive`` False) and ride along, excluded from contention by
-        # a unique fake link id, until the dead fraction crosses
-        # 1/_COMPACT_FRAC and one compaction sweeps them out.  This
-        # keeps the per-cycle loop free of id-indexed gather/scatter.
-        cid = np.empty(0, dtype=np.int64)  # packet ids, ascending
-        cpx = np.empty(0, dtype=np.int32)
-        cpy = np.empty(0, dtype=np.int32)
-        cdx = np.empty(0, dtype=np.int32)
-        cdy = np.empty(0, dtype=np.int32)
-        chops = np.empty(0, dtype=np.int64)
-        cstalls = np.empty(0, dtype=np.int64)
-        alive = np.empty(0, dtype=bool)
-        state = kern.new_state(0)
-        ndead = 0
+        npending = 0
 
         hist_occ = hist_lat = None
         if telemetry is not None:
             hist_occ = telemetry.histogram("link_occupancy")
             hist_lat = telemetry.histogram("packet_latency_cycles")
 
-        # Contention scratch: ``winner[link]`` holds the lowest proposal
-        # lane targeting that link this cycle.  Writing lane indices in
+        # Contention scratch: ``winner[link]`` holds the lowest lane
+        # proposing that link this cycle.  Writing lane indices in
         # *reverse* order makes the last (= lowest-lane) write win, with
         # no sort and no per-cycle reset — every link read back was
-        # freshly written this cycle.  Slots past ``nlinks`` are the
-        # fake links that keep dead lanes out of contention.
-        winner = np.zeros(nlinks, dtype=np.int32)
-        iota = np.empty(0, dtype=np.int32)
-        fake = np.empty(0, dtype=np.int32)  # nlinks + lane, per lane
+        # freshly written this cycle.
+        winner = np.zeros(lanes.sink + 1, dtype=np.int64)
+        iota = np.empty(0, dtype=np.int64)
 
-        def flush(mask):
-            """Write a retiring lane subset's counters back by id."""
-            rows = cid[mask]
-            hops[rows] = chops[mask]
-            stalls[rows] = cstalls[mask]
+        def retire(lane, state, why, done):
+            """Record lanes ending at cycle ``done``, then kill them."""
+            rows = lanes.cid[lane]
+            status[rows] = state
+            reason[rows] = why
+            hops[rows] = plen[rows]
+            # Every cycle from admission on, a lane hops or stalls.
+            stalls[rows] = done - np.maximum(inject[rows], 0) - plen[rows]
+            lanes.kill(lane)
             return rows
 
         while cycle < max_cycles:
-            # 1. admit
+            # 1. admit, routing the next chunk of packets when needed
             if ptr < n:
                 k = int(np.searchsorted(inj_sorted, cycle, side="right"))
                 if k > ptr:
-                    new = order[ptr:k]
-                    ptr = k
-                    ok_ep = enabled[sx[new], sy[new]] & enabled[dx[new], dy[new]]
-                    bad = new[~ok_ep]
-                    status[bad] = _DROPPED
-                    reason[bad] = _R_BAD_ENDPOINT
-                    good = new[ok_ep]
-                    start[good] = inject[good]
-                    local = (sx[good] == dx[good]) & (sy[good] == dy[good])
-                    loc = good[local]
-                    status[loc] = _DELIVERED
-                    finish[loc] = inject[loc]
-                    live = good[~local]
-                    status[live] = _ACTIVE
-                    if live.size:
-                        # A lane gains at most one hop per cycle, so no
-                        # budget drop can fire before this floor.
-                        budget_floor = min(
-                            budget_floor, cycle + self.max_hops
-                        )
-                        cid = np.concatenate((cid, live))
-                        cpx = np.concatenate((cpx, sx[live]))
-                        cpy = np.concatenate((cpy, sy[live]))
-                        cdx = np.concatenate((cdx, dx[live]))
-                        cdy = np.concatenate((cdy, dy[live]))
-                        z = np.zeros(live.size, dtype=np.int64)
-                        chops = np.concatenate((chops, z))
-                        cstalls = np.concatenate((cstalls, z))
-                        alive = np.concatenate(
-                            (alive, np.ones(live.size, dtype=bool))
-                        )
-                        if state is not None:
-                            state = state.append_idle(live.size)
-                        if out_of_order and np.any(np.diff(cid) < 0):
-                            o = np.argsort(cid, kind="stable")
-                            cid = cid[o]
-                            cpx, cpy = cpx[o], cpy[o]
-                            cdx, cdy = cdx[o], cdy[o]
-                            chops, cstalls = chops[o], cstalls[o]
-                            alive = alive[o]
-                            if state is not None:
-                                state = state.select(o)
-                        if winner.size < nlinks + cid.size:
-                            winner = np.zeros(
-                                nlinks + cid.size, dtype=np.int32
+                    while ptr < k:
+                        if ptr == routed:
+                            routed = min(n, ptr + self._ROUTE_CHUNK)
+                            ids = order[ptr:routed][fly_sorted[ptr:routed]]
+                            routes = kern.decide(
+                                sx[ids], sy[ids], dx[ids], dy[ids], self.max_hops
                             )
-                        if iota.size < cid.size:
-                            iota = np.arange(cid.size, dtype=np.int32)
-                            fake = nlinks + iota
-            if cid.size - ndead == 0:
-                if cid.size:
-                    # Everything in flight retired: drop the lanes.
-                    cid = cid[:0]
-                    cpx, cpy = cpx[:0], cpy[:0]
-                    cdx, cdy = cdx[:0], cdy[:0]
-                    chops, cstalls = chops[:0], cstalls[:0]
-                    alive = alive[:0]
-                    state = kern.new_state(0)
-                    ndead = 0
+                            plen[ids], pend[ids] = routes.hops, routes.end
+                            lanes.load(ids, routes)
+                        e = min(k, routed)
+                        npending += lanes.admit(int(fly_at[e] - fly_at[ptr]))
+                        ptr = e
+                    if out_of_order and np.any(np.diff(lanes.cid) < 0):
+                        lanes.select(np.argsort(lanes.cid, kind="stable"))
+                    if iota.size < lanes.cid.size:
+                        iota = np.arange(lanes.cid.size, dtype=np.int64)
+            if lanes.live == 0:
+                if lanes.cid.size:
+                    lanes.clear()  # everything in flight retired
                 if ptr >= n:
                     break
                 cycle = int(inj_sorted[ptr])
                 continue
 
-            # 2. hop budget
-            if cycle >= budget_floor:
-                over = alive & (chops >= self.max_hops)
-                if over.any():
-                    rows = flush(over)
-                    status[rows] = _DROPPED
-                    reason[rows] = _R_BUDGET
-                    alive &= ~over
-                    ndead += int(over.sum())
-                    if cid.size - ndead == 0:
-                        continue
-
-            # 3. decide (dead lanes compute garbage that stays isolated:
-            # their proposals get fake links, their status writes are
-            # masked by ``alive``, and their counters were flushed).
-            nx, ny, blocked, changes = kern.decide(cpx, cpy, cdx, cdy, state)
-            drop = alive & blocked
-            if drop.any():
-                rows = flush(drop)
-                status[rows] = _DROPPED
-                reason[rows] = _R_BLOCKED
-                alive &= ~blocked
-                ndead += int(drop.sum())
-                if cid.size - ndead == 0:
+            # 2. drop the lanes whose path is used up short of arrival
+            # (BLOCKED or BUDGET); the cycle counts.
+            if npending:
+                gone = np.flatnonzero(lanes.rem == 0)
+                retire(gone, _DROPPED, pend[lanes.cid[gone]], cycle)
+                npending = 0
+                if lanes.live == 0:
                     cycle += 1
                     continue
 
-            # 4. contend: one packet per directed link, oldest id wins.
+            # 3. contend: one packet per directed link, oldest id wins.
             # Lanes are ascending by id, so lane order is age order; the
             # reverse-write trick keeps the lowest lane per link.
-            ddx = nx - cpx  # one of (+-1, 0) per dim, at most one nonzero
-            ddy = ny - cpy
-            dircode = _DIR_LUT.take(ddx + 2 * ddy + 2)
-            m = cid.size
-            idx = iota[:m]
-            link = np.where(
-                alive,
-                (cpx * height + cpy) * 4 + dircode,
-                fake[:m],
-            )
+            link, rem = lanes.link, lanes.rem
+            idx = iota[: link.size]
             winner[link[::-1]] = idx[::-1]
             win = winner[link] == idx
-            cstalls += ~win  # only live losers can lose their link
             if hist_occ is not None:
-                _, counts = np.unique(link[alive], return_counts=True)
+                _, counts = np.unique(link[link < lanes.sink], return_counts=True)
                 hist_occ.observe_many(counts)
 
-            # 5. move winners, commit their detour state, retire arrivals.
-            cpx = np.where(win, nx, cpx)
-            cpy = np.where(win, ny, cpy)
-            chops += win
-            if changes is not None:
-                crows = changes[0]
-                sel = win[crows]
-                if sel.any():
-                    g = crows[sel]
-                    state.on[g] = changes[1][sel]
-                    state.axis[g] = changes[2][sel]
-                    state.face[g] = changes[3][sel]
-                    state.run[g] = changes[4][sel]
-                    state.rect[g] = changes[5][sel]
-            arrived = alive & win & (cpx == cdx) & (cpy == cdy)
-            if arrived.any():
-                rows = flush(arrived)
-                status[rows] = _DELIVERED
-                finish[rows] = cycle + 1
-                alive &= ~arrived
-                ndead += int(arrived.sum())
+            # 4. move winners one hop along their segment; a finished
+            # segment loads the next one or ends the path.
+            np.add(link, lanes.step, out=link, where=win)
+            np.subtract(rem, 1, out=rem, where=win)
+            fin = np.flatnonzero(rem == 0)
+            if fin.size:
+                fin = lanes.next_segment(fin)
+                arrived = fin[pend[lanes.cid[fin]] == ARRIVED]
+                if arrived.size:
+                    finish[retire(arrived, _DELIVERED, _R_NONE, cycle + 1)] = cycle + 1
+                npending += fin.size - arrived.size
 
-            if ndead * self._COMPACT_FRAC > cid.size:
-                keep = alive
-                cid = cid[keep]
-                cpx, cpy = cpx[keep], cpy[keep]
-                cdx, cdy = cdx[keep], cdy[keep]
-                chops, cstalls = chops[keep], cstalls[keep]
-                alive = np.ones(cid.size, dtype=bool)
-                if state is not None:
-                    state = state.select(keep)
-                ndead = 0
+            if lanes.dead * self._COMPACT_FRAC > lanes.cid.size:
+                lanes.select(lanes.rem >= 0)
 
             cycle += 1
-            if cid.size - ndead == 0 and ptr >= n:
+            if lanes.live == 0 and ptr >= n:
                 break
 
-        if cid.size and alive.any():
-            flush(alive)  # stuck at the horizon: record partial progress
+        # Admitted packets that never flew; lanes stuck at the horizon.
+        seen = order[:ptr]
+        bad = seen[~ok_ep[seen]]
+        status[bad] = _DROPPED
+        reason[bad] = _R_BAD_ENDPOINT
+        good = seen[ok_ep[seen]]
+        start[good] = inject[good]
+        local = good[~flies[good]]
+        status[local] = _DELIVERED
+        finish[local] = inject[local]
+        rows, left = lanes.hops_left()
+        hops[rows] = plen[rows] - left
+        stalls[rows] = cycle - np.maximum(inject[rows], 0) - hops[rows]
+
         result = self._result(cols, start, finish, hops, stalls, status, reason, cycle)
         if hist_lat is not None:
             hist_lat.observe_many(result.latencies)
@@ -544,7 +574,7 @@ class BatchedNetwork:
         finish = np.full(n, -1, dtype=np.int64)
         hops = np.zeros(n, dtype=np.int64)
         stalls = np.zeros(n, dtype=np.int64)
-        st = [kern.initial_state_one() for _ in range(n)]
+        st = [kern.idle] * n
 
         order = np.argsort(inject, kind="stable")
         order_list = order.astype(int).tolist()
@@ -589,6 +619,7 @@ class BatchedNetwork:
                     survivors.append(i)
             act = survivors
             if not act:
+                cycle += 1  # a budget drop uses up its cycle, as a blocked one does
                 continue
 
             proposals = []

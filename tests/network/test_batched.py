@@ -86,6 +86,13 @@ class TestSinglePacket:
         assert res.num_delivered == 0
         assert res.drop_counts() == {"BUDGET": 1}
         assert int(res.hops[0]) == 3
+        # Three hops in cycles 0-2, the drop in cycle 3: four cycles, in
+        # both engines, as a drop on a blocked hop counts its cycle.
+        assert res.cycles == 4
+        ref = one_packet(
+            clean_view(), (0, 0), (7, 7), kernel="xy", max_hops=3, engine="reference"
+        )
+        assert ref.equals(res), ref.diff_summary(res)
 
     def test_bad_endpoint_drop(self):
         blocks, _ = faulty_views([(3, 3)])

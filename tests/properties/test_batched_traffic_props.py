@@ -1,11 +1,12 @@
 """Property: the batched traffic engine IS the scalar oracle.
 
-The numpy engine in :mod:`repro.network.batched` advances every
-in-flight packet per cycle with fused array passes, tombstoned lanes
-and reverse-write link arbitration.  None of that machinery may be
+The numpy engine in :mod:`repro.network.batched` routes every packet
+once and then arbitrates links per cycle with reverse-write scatters,
+tombstoned lanes and compaction.  None of that machinery may be
 observable: on any view (blocks or regions, mesh or torus), any fault
-workload (uniform or clustered), and either routing kernel, the result
-columns must equal the scalar reference engine's bit for bit.
+workload (uniform or clustered), either routing kernel, any hop budget
+and any cycle horizon, the result columns must equal the scalar
+reference engine's bit for bit.
 
 A second family pins the kernels to the path routers they vectorize:
 single-packet XY traffic agrees with :class:`XYRouter`, and the
@@ -14,13 +15,11 @@ and hop count (the kernel drops by hop budget where the router's
 seen-set detects a cycle, so drop *reasons* are pinned to the
 blocked/budget pair rather than equated).
 
-A third family pins the detour kernel's two decision paths to each
-other lane by lane: ``DetourKernel.decide`` (full-width greedy pass,
-then the leftovers through ``decide_one`` or the vector replan loop)
-must agree with ``decide_one`` on every lane's proposal, blocked flag
-and committed state, for inputs snapshotted from running engines and
-states built by ``_plan_one``, with the crossover between the two
-leftover paths forced to both extremes.
+A third family pins the route step to the oracle packet by packet:
+expanding the straight segments ``decide`` returns, hop by hop, must
+give the cells, the end and the hop count of stepping ``decide_one``
+from the idle state, and the paths checked must pass through every
+branch of the detour state machine.
 """
 
 from collections import Counter
@@ -35,15 +34,10 @@ from repro.faults import FaultSet, clustered
 from repro.mesh import Mesh2D, Torus2D
 from repro.network import BatchedNetwork, BatchedTraffic, synthetic_traffic
 from repro.routing import DropReason, FaultModelView, FRingRouter, XYRouter
-from repro.routing.vectorized import DetourKernel, DetourState
+from repro.routing.vectorized import ARRIVED, BLOCKED, BUDGET, make_kernel
 from tests.strategies import fault_sets
 
 W = H = 8
-
-# Leftover-lane crossovers the detour kernel must be indifferent to:
-# every leftover through the vector replan loop, the default, and every
-# leftover through ``decide_one``.
-CROSSOVERS = (0, DetourKernel._SCALAR_MAX, 1 << 62)
 
 
 @st.composite
@@ -79,36 +73,49 @@ class TestEngineEquality:
         st.sampled_from(list(SafetyDefinition)),
         st.integers(0, 2**31 - 1),
         st.floats(0.25, 8.0),
-        st.sampled_from(CROSSOVERS),
+        st.one_of(st.none(), st.integers(0, 12)),
+        st.one_of(st.just(1_000_000), st.integers(1, 40)),
     )
     @settings(max_examples=60, deadline=None)
     def test_batched_equals_reference(
-        self, faults, topo_kind, view_kind, kernel, definition, seed, rate, crossover
+        self, faults, topo_kind, view_kind, kernel, definition, seed, rate,
+        max_hops, max_cycles,
     ):
+        # Small hop budgets end paths with BUDGET; short horizons leave
+        # packets stuck mid-segment or waiting to drop.
         view = make_view(topo_kind, faults, view_kind, definition)
         assume(view.num_enabled >= 2)
         traffic = synthetic_traffic(
             view, 250, np.random.default_rng(seed), injection_rate=rate
         )
-        batched = BatchedNetwork(view, kernel=kernel)
-        batched.kernel._SCALAR_MAX = crossover
-        fast = batched.run(traffic)
-        slow = BatchedNetwork(view, kernel=kernel, engine="reference").run(
-            traffic
+        fast = BatchedNetwork(view, kernel=kernel, max_hops=max_hops).run(
+            traffic, max_cycles
         )
+        slow = BatchedNetwork(
+            view, kernel=kernel, engine="reference", max_hops=max_hops
+        ).run(traffic, max_cycles)
         assert fast.equals(slow), fast.diff_summary(slow)
 
-    @given(mixed_fault_sets(), st.integers(0, 2**31 - 1), st.integers(1, 12))
+    @given(
+        mixed_fault_sets(),
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 12),
+        st.sampled_from([1, 7, 64, 1 << 14]),
+        st.sampled_from(["xy", "detour"]),
+    )
     @settings(max_examples=15, deadline=None)
-    def test_compaction_invariance(self, faults, seed, frac):
+    def test_compaction_invariance(self, faults, seed, frac, chunk, kernel):
+        # Neither the compaction threshold nor the route chunk size (how
+        # many packets the engine routes at a time) may show.
         view = make_view("mesh", faults, "regions")
         assume(view.num_enabled >= 2)
         traffic = synthetic_traffic(
             view, 250, np.random.default_rng(seed), injection_rate=4.0
         )
-        baseline = BatchedNetwork(view).run(traffic)
-        tweaked = BatchedNetwork(view)
+        baseline = BatchedNetwork(view, kernel=kernel).run(traffic)
+        tweaked = BatchedNetwork(view, kernel=kernel)
         tweaked._COMPACT_FRAC = frac
+        tweaked._ROUTE_CHUNK = chunk
         assert tweaked.run(traffic).equals(baseline)
 
 
@@ -172,25 +179,33 @@ class TestKernelPins:
 
 
 # ---------------------------------------------------------------------------
-# DetourKernel.decide vs decide_one, lane by lane
+# Route step vs decide_one, packet by packet
+
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # E, W, N, S
 
 
-def lane_state(state, i):
-    return (
-        bool(state.on[i]),
-        int(state.axis[i]),
-        int(state.face[i]),
-        int(state.run[i]),
-        int(state.rect[i]),
-    )
+def expand(kern, routes, i):
+    """The cells packet ``i`` enters, one per hop of its segments."""
+    cells = []
+    for s in range(int(routes.ptr[i]), int(routes.ptr[i + 1])):
+        cell, d = divmod(int(routes.link[s]), 4)
+        x, y = divmod(cell, kern.height)
+        assert 0 <= d < 4 and routes.length[s] >= 1
+        for _ in range(int(routes.length[s])):
+            x, y = x + _STEPS[d][0], y + _STEPS[d][1]
+            cells.append((x, y))
+    return cells
 
 
 def lane_kind(kern, x, y, dx, dy, st):
-    """Which branch of the detour state machine a lane starts in."""
+    """Which branch of the detour state machine a hop starts in."""
     on, axis, face, run, rect = st
-    if (x, y) == (dx, dy):
-        return "at-destination"
     if not on:
+        if x != dx and y != dy:
+            hop_x = (x + (1 if dx > x else -1), y)
+            hop_y = (x, y + (1 if dy > y else -1))
+            if not kern.enabled[hop_x] and kern.enabled[hop_y]:
+                return "idle-along-wall"
         return "idle"
     cross, along = (y, x) if axis == 0 else (x, y)
     if cross != face:
@@ -205,121 +220,59 @@ def lane_kind(kern, x, y, dx, dy, st):
     return "running"
 
 
-def idle_normal(st):
-    # Off-detour lanes never read axis/face/run/rect; compare them as idle.
-    return st if st[0] else (False, 0, 0, 0, -1)
-
-
-def assert_lanes_agree(kern, snap, crossover) -> Counter:
-    """``decide`` at ``crossover`` equals ``decide_one`` on every lane."""
-    px, py, dx, dy, state = snap
-    before = state.select(np.arange(px.size))
-    kern._SCALAR_MAX = crossover
-    nx, ny, blocked, changes = kern.decide(px, py, dx, dy, state)
-    for col in ("on", "axis", "face", "run", "rect"):  # read-only input
-        assert np.array_equal(getattr(state, col), getattr(before, col))
-    committed = {}
-    if changes is not None:
-        rows, *cols = changes
-        assert np.unique(rows).size == rows.size
-        for j, lane in enumerate(rows.tolist()):
-            committed[lane] = tuple(c[j].item() for c in cols)
-    kinds = Counter()
-    for i in range(px.size):
-        lane = (int(px[i]), int(py[i]), int(dx[i]), int(dy[i]))
-        st_i = lane_state(state, i)
-        kinds[lane_kind(kern, *lane, st_i)] += 1
-        nxt, new = kern.decide_one(*lane, st_i)
-        where = f"lane {i} {lane} {st_i} at crossover {crossover}"
-        assert bool(blocked[i]) == (nxt is None), where
+def walk(kern, source, dest, max_hops, kinds=None):
+    """Step ``decide_one`` from the idle state, as the reference engine
+    does between contention rounds: ``(cells entered, end)``."""
+    (x, y), st, cells = source, kern.idle, []
+    while True:
+        if (x, y) == dest:
+            return cells, ARRIVED
+        if len(cells) >= max_hops:
+            return cells, BUDGET
+        if kinds is not None and st is not None:
+            kinds[lane_kind(kern, x, y, *dest, st)] += 1
+        nxt, st = kern.decide_one(x, y, *dest, st)
         if nxt is None:
-            continue  # a blocked lane drops; its state is never committed
-        assert (int(nx[i]), int(ny[i])) == nxt, where
-        assert idle_normal(committed.get(i, st_i)) == idle_normal(new), where
-    return kinds
+            return cells, BLOCKED
+        (x, y) = nxt
+        cells.append(nxt)
 
 
-def engine_snapshots(view, traffic):
-    """Every ``decide`` input a batched detour run hands its kernel."""
-    net = BatchedNetwork(view, kernel="detour")
-    kern = net.kernel
-    real = kern.decide
-    snaps = []
-
-    def record(px, py, dx, dy, state):
-        lanes = np.arange(px.size)
-        snaps.append(
-            (px.copy(), py.copy(), dx.copy(), dy.copy(), state.select(lanes))
-        )
-        return real(px, py, dx, dy, state)
-
-    kern.decide = record
-    net.run(traffic)
-    del kern.decide
-    return kern, snaps
+def assert_routes_are_walks(kern, traffic, max_hops, kinds=None):
+    routes = kern.decide(traffic.sx, traffic.sy, traffic.dx, traffic.dy, max_hops)
+    assert routes.ptr.size == traffic.sx.size + 1
+    for i in range(traffic.sx.size):
+        source = (int(traffic.sx[i]), int(traffic.sy[i]))
+        dest = (int(traffic.dx[i]), int(traffic.dy[i]))
+        cells, end = walk(kern, source, dest, max_hops, kinds)
+        where = f"packet {i} {source}->{dest}, max_hops {max_hops}"
+        assert expand(kern, routes, i) == cells, where
+        assert int(routes.end[i]) == end, where
+        assert int(routes.hops[i]) == len(cells), where
 
 
-def planned_lanes(kern, rng, dests_per_cell=4):
-    """Lanes holding the fresh ``_plan_one`` detour that ``decide_one``
-    replans into when a greedy hop hits a rectangle: every enabled cell
-    next to a disabled rectangle cell, toward random destinations past
-    that cell."""
-    enabled = np.argwhere(kern.enabled)
-    walls = np.argwhere(~kern.enabled & (kern.rect_grid >= 0))
-    rows = []
-    for x, y in walls.tolist():
-        rid = int(kern.rect_grid[x, y])
-        for ax, ay in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if not (0 <= ax < kern.width and 0 <= ay < kern.height):
-                continue
-            if not kern.enabled[ax, ay]:
-                continue
-            picks = enabled[rng.integers(0, len(enabled), dests_per_cell)]
-            for bx, by in picks.tolist():
-                # The wall cell must be the greedy hop toward (bx, by).
-                if ay == y and (bx - ax) * (x - ax) <= 0:
-                    continue
-                if ax == x and (by - ay) * (y - ay) <= 0:
-                    continue
-                plan = kern._plan_one(ax, ay, bx, by, x, y, rid)
-                if plan is not None:
-                    rows.append((ax, ay, bx, by) + plan)
-    if not rows:
-        return None
-    cols = list(zip(*rows))
-    state = DetourState(
-        on=np.array(cols[4], dtype=bool),
-        axis=np.array(cols[5], dtype=np.int8),
-        face=np.array(cols[6], dtype=np.int32),
-        run=np.array(cols[7], dtype=np.int32),
-        rect=np.array(cols[8], dtype=np.int32),
-    )
-    return tuple(np.array(c, dtype=np.int32) for c in cols[:4]) + (state,)
-
-
-class TestDetourLanes:
+class TestRoutes:
     @given(
         mixed_fault_sets(max_faults=14),
+        st.sampled_from(["mesh", "torus"]),
         st.sampled_from(["blocks", "regions"]),
+        st.sampled_from(["xy", "detour"]),
         st.sampled_from(list(SafetyDefinition)),
         st.integers(0, 2**31 - 1),
-        st.floats(1.0, 8.0),
+        st.one_of(st.none(), st.integers(0, 12)),
     )
-    @settings(max_examples=20, deadline=None)
-    def test_decide_matches_decide_one_per_lane(
-        self, faults, view_kind, definition, seed, rate
+    @settings(max_examples=40, deadline=None)
+    def test_segments_are_decide_one_hops(
+        self, faults, topo_kind, view_kind, kernel, definition, seed, max_hops
     ):
-        view = make_view("mesh", faults, view_kind, definition)
+        view = make_view(topo_kind, faults, view_kind, definition)
         assume(view.num_enabled >= 2)
-        rng = np.random.default_rng(seed)
-        traffic = synthetic_traffic(view, 150, rng, injection_rate=rate)
-        kern, snaps = engine_snapshots(view, traffic)
-        planned = planned_lanes(kern, rng)
-        if planned is not None:
-            snaps.append(planned)
-        for snap in snaps:
-            for crossover in CROSSOVERS:
-                assert_lanes_agree(kern, snap, crossover)
+        traffic = synthetic_traffic(
+            view, 150, np.random.default_rng(seed), injection_rate=4.0
+        )
+        if max_hops is None:
+            max_hops = BatchedNetwork(view).max_hops
+        assert_routes_are_walks(make_kernel(kernel, view), traffic, max_hops)
 
     # Uniform faults on 8x8 whose Def 2b regions have bounding
     # rectangles close enough for a run to hit a second rectangle.
@@ -329,19 +282,16 @@ class TestDetourLanes:
     ]
 
     @pytest.mark.parametrize("view_kind", ["blocks", "regions"])
-    def test_every_lane_kind_is_covered(self, view_kind):
+    def test_every_branch_is_covered(self, view_kind):
         faults = FaultSet.from_coords((W, H), self.CHAIN_FAULTS)
         view = make_view("mesh", faults, view_kind)
         traffic = synthetic_traffic(
             view, 250, np.random.default_rng(8), injection_rate=4.0
         )
-        kern, snaps = engine_snapshots(view, traffic)
-        snaps.append(planned_lanes(kern, np.random.default_rng(8)))
+        kern = make_kernel("detour", view)
         kinds = Counter()
-        for snap in snaps:
-            for crossover in CROSSOVERS:
-                kinds.update(assert_lanes_agree(kern, snap, crossover))
-        expected = {"idle", "mid-slide", "at-run-target", "at-destination"}
+        assert_routes_are_walks(kern, traffic, BatchedNetwork(view).max_hops, kinds)
+        expected = {"idle", "idle-along-wall", "mid-slide", "running", "at-run-target"}
         if view_kind == "regions":
             expected.add("run-into-another-rectangle")
         assert expected <= set(kinds), kinds
