@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.errors import RoutingError
 from repro.obs.metrics import nearest_rank
-from repro.routing.base import FaultModelView
+from repro.routing.base import FaultModelView, hop_budget
 from repro.routing.packet import DropReason
 from repro.routing.vectorized import ARRIVED, BLOCKED, BUDGET, TrafficKernel, make_kernel
 
@@ -337,8 +337,8 @@ class BatchedNetwork:
         ``"batched"`` (numpy columns, the default) or ``"reference"``
         (scalar Python oracle with identical semantics).
     max_hops:
-        Per-packet hop budget; defaults to the :class:`Router` budget
-        ``4 * (diameter + 1) + 16``.
+        Per-packet hop budget; defaults to the path routers' budget,
+        :func:`~repro.routing.base.hop_budget`.
     """
 
     def __init__(
@@ -351,13 +351,10 @@ class BatchedNetwork:
         if engine not in ("batched", "reference"):
             raise RoutingError(f"unknown engine {engine!r}")
         self.view = view
-        self.kernel: TrafficKernel = make_kernel(kernel, view)
+        # Build the run-length tables now, so a run times routing alone.
+        self.kernel: TrafficKernel = make_kernel(kernel, view).prepare()
         self.engine = engine
-        self.max_hops = (
-            max_hops
-            if max_hops is not None
-            else 4 * (view.topology.diameter + 1) + 16
-        )
+        self.max_hops = max_hops if max_hops is not None else hop_budget(view.topology)
 
     def run(self, traffic, max_cycles: int = 1_000_000, telemetry=None) -> BatchedResult:
         """Simulate ``traffic`` to completion or the ``max_cycles`` horizon.

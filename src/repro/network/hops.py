@@ -83,19 +83,16 @@ def block_detour_hops(view: FaultModelView) -> HopFunction:
             faces.sort(key=lambda f: abs(dest[1] - f))
             for face in faces:
                 step = (at[0], at[1] + (1 if face > at[1] else -1))
-                if step != at and self_enabled(step):
+                if view.is_enabled(step):
                     return step
             return None
         faces = [f for f in (rect.x0 - 1, rect.x1 + 1) if 0 <= f < w]
         faces.sort(key=lambda f: abs(dest[0] - f))
         for face in faces:
             step = (at[0] + (1 if face > at[0] else -1), at[1])
-            if step != at and self_enabled(step):
+            if view.is_enabled(step):
                 return step
         return None
-
-    def self_enabled(c: Coord) -> bool:
-        return view.is_enabled(c)
 
     return fn
 

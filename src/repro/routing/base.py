@@ -12,13 +12,14 @@ Two views of the same machine are compared throughout the benchmarks:
 
 Routers are deterministic functions from (source, dest) to a path
 through enabled nodes; they never tunnel through disabled or faulty
-nodes.
+nodes.  The hop-by-hop routers (XY, f-ring, safety levels) share one
+walk loop, :meth:`Router._walk`, over a step function.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +30,17 @@ from repro.mesh.topology import Topology
 from repro.routing.packet import DropReason, RouteResult, finish
 from repro.types import BoolGrid, Coord
 
-__all__ = ["FaultModelView", "Router"]
+__all__ = ["FaultModelView", "Router", "hop_budget"]
+
+#: ``step(at, dest, state) -> (next node | None, new state)``: one hop
+#: of a walk; ``None`` refuses the hop.
+Step = Callable[[Coord, Coord, object], Tuple[Optional[Coord], object]]
+
+
+def hop_budget(topology: Topology) -> int:
+    """Default per-packet hop budget: any sane detour fits in 4x the
+    diameter."""
+    return 4 * (topology.diameter + 1) + 16
 
 
 class FaultModelView:
@@ -115,8 +126,7 @@ class Router(abc.ABC):
 
     def __init__(self, view: FaultModelView):
         self.view = view
-        # Hop budget: any sane detour fits in 4x the diameter.
-        self.max_hops = 4 * (view.topology.diameter + 1) + 16
+        self.max_hops = hop_budget(view.topology)
 
     def route(self, source: Coord, dest: Coord) -> RouteResult:
         """Route one packet; never raises for routable inputs.
@@ -136,6 +146,30 @@ class Router(abc.ABC):
         """Subclass hook; endpoints are validated and distinct."""
 
     # -- shared helpers ------------------------------------------------------------
+
+    def _walk(self, source: Coord, dest: Coord, step: Step, state) -> RouteResult:
+        """Follow ``step`` from ``source`` and ``state`` until ``dest``.
+
+        Before each hop the walk drops the packet with ``BUDGET`` once
+        the path exceeds ``max_hops``, then with ``BLOCKED`` when it
+        stands on a (cell, state) it stood on before (a cycle) or when
+        ``step`` refuses the hop.
+        """
+        path = [source]
+        at = source
+        seen = set()
+        while at != dest:
+            if len(path) > self.max_hops:
+                return finish(source, dest, path, DropReason.BUDGET)
+            key = (at, state)
+            if key in seen:
+                return finish(source, dest, path, DropReason.BLOCKED)
+            seen.add(key)
+            at, state = step(at, dest, state)
+            if at is None:
+                return finish(source, dest, path, DropReason.BLOCKED)
+            path.append(at)
+        return finish(source, dest, path, DropReason.NONE)
 
     def _xy_preferred(self, at: Coord, dest: Coord) -> List[Coord]:
         """Dimension-order preferred next hops: X first, then Y."""

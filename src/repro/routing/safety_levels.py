@@ -27,13 +27,13 @@ minimal; the benchmarks measure how much of :class:`~repro.routing.minimal.Minim
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.mesh.coords import Direction
 from repro.routing.base import FaultModelView, Router
-from repro.routing.packet import DropReason, RouteResult, finish
+from repro.routing.packet import RouteResult
 from repro.types import BoolGrid, Coord, IntGrid
 
 __all__ = ["safety_levels", "SafetyLevelRouter"]
@@ -89,19 +89,9 @@ class SafetyLevelRouter(Router):
         self._levels = safety_levels(view.enabled)
 
     def _route(self, source: Coord, dest: Coord) -> RouteResult:
-        path = [source]
-        at = source
-        while at != dest:
-            if len(path) > self.max_hops:
-                return finish(source, dest, path, DropReason.BUDGET)
-            nxt = self._pick(at, dest)
-            if nxt is None:
-                return finish(source, dest, path, DropReason.BLOCKED)
-            path.append(nxt)
-            at = nxt
-        return finish(source, dest, path, DropReason.NONE)
+        return self._walk(source, dest, self._pick, None)
 
-    def _pick(self, at: Coord, dest: Coord) -> Coord | None:
+    def _pick(self, at: Coord, dest: Coord, state) -> Tuple[Optional[Coord], None]:
         options = []
         if at[0] != dest[0]:
             d = Direction.EAST if dest[0] > at[0] else Direction.WEST
@@ -118,8 +108,5 @@ class SafetyLevelRouter(Router):
             viable.append(hop)
             if self._levels[d][at] >= offset:
                 assured.append(hop)
-        if assured:
-            return assured[0]
-        if viable:
-            return viable[0]
-        return None
+        hops = assured or viable
+        return (hops[0] if hops else None), None

@@ -1,9 +1,8 @@
 """Route-once kernels for the batched traffic engine.
 
-:mod:`repro.routing.fring` routes one packet at a time with Python
-recursion; a traffic campaign of a million packets cannot afford a
-Python call per packet per hop.  This module routes a whole batch of
-packets in array form, and it routes each packet once.
+A traffic campaign of a million packets cannot afford a Python call per
+packet per hop.  This module routes a whole batch of packets in array
+form, and it routes each packet once.
 
 A packet's path does not depend on contention.  A hop decision is a
 pure function of the packet's cell, its destination and its detour
@@ -13,37 +12,37 @@ that loses its link decides the same hop again next cycle.  So
 every packet's whole path as a few straight segments, plus how the path
 ends (:class:`Routes`); the engine in :mod:`repro.network.batched` only
 arbitrates links.  Each vector step of ``decide`` moves every packet
-still routing through one whole segment.  Run-length tables built with
-the kernel give, per cell and direction, how many enabled cells lie
-ahead (``_steps``); the detour kernel adds, north and south, how many
-disabled cells start there (``_walls``).  So the length of a straight
-leg is a minimum of a few table reads.
+still routing through one whole segment.  Run-length tables give, per
+cell and direction, how many enabled cells lie ahead (``_steps``); the
+detour kernel adds, north and south, how many disabled cells start
+there (``_walls``).  So the length of a straight leg is a minimum of a
+few table reads.  The tables are built by :meth:`TrafficKernel.prepare`,
+on the first ``decide`` at the latest; ``decide_one`` reads none.
 
 Two kernels are provided:
 
-* :class:`XYKernel` — strict dimension-order routing (the array form of
-  :class:`~repro.routing.xy.XYRouter`): X first, then Y, drop on the
-  first disabled hop.
-* :class:`DetourKernel` — the rectangle f-ring detour (the array form
-  of :class:`~repro.routing.fring.FRingRouter`): FRing's slide/run
-  state machine becomes integer columns ``(on, axis, face, run, rect)``
-  and ``_plan`` becomes ``np.where`` selections.  Obstacles are taken
-  as *bounding rectangles* of the view's fault regions, so the kernel
-  works on both the faulty-block view and the refined region view
-  (region rims lie outside every bounding rectangle, hence on enabled
-  cells).
+* :class:`XYKernel` — strict dimension-order routing: X first, then Y,
+  drop on the first disabled hop.
+* :class:`DetourKernel` — the rectangle f-ring detour: a slide/run
+  state machine held as integer columns ``(on, axis, face, run,
+  rect)``, with the detour plan as ``np.where`` selections.  Obstacles
+  are taken as *bounding rectangles* of the view's fault regions, so
+  the kernel works on both the faulty-block view and the refined
+  region view (region rims lie outside every bounding rectangle, hence
+  on enabled cells).
 
 Determinism contract
 --------------------
 Every kernel also implements ``decide_one``: one hop of one packet in
-scalar Python.  It is the oracle.  The scalar reference engine in
-:mod:`repro.network.batched` calls it every cycle, and stepping it from
-the ``idle`` state yields a packet's path hop by hop.  Both paths share
-the branch order and tie-breaks (preferred X hop before Y hop; the
-*low* face wins a distance tie; first-match rectangle lookup) and the
-same bounded replan loop in place of FRing's unbounded recursion;
-property tests pin the segments of ``decide`` to the hops of
-``decide_one``.
+scalar Python.  It is the oracle, and the one hop rule of its routing:
+:class:`~repro.routing.xy.XYRouter` and
+:class:`~repro.routing.fring.FRingRouter` walk ``decide_one`` hop by
+hop from the ``idle`` state, and the scalar reference engine in
+:mod:`repro.network.batched` calls it every cycle.  ``decide`` shares
+its branch order and tie-breaks (preferred X hop before Y hop; the
+*low* face wins a distance tie; first-match rectangle lookup) and its
+bounded replan loop; property tests pin the segments of ``decide`` to
+the hops of ``decide_one``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import RoutingError
-from repro.geometry.rectangles import bounding_rect
 from repro.routing.base import FaultModelView
 
 __all__ = [
@@ -111,48 +109,51 @@ def _same_ahead(a: np.ndarray) -> np.ndarray:
 
 
 class TrafficKernel:
-    """Shared precomputation: enabled grid, rectangle ids, intersections,
-    run-length tables."""
+    """Shared precomputation: enabled grid, rectangles and a per-cell
+    rectangle id; run-length tables once :meth:`prepare` builds them."""
 
     name = "kernel"
     #: The scalar state a packet starts ``decide_one`` from.
     idle = None
+    _steps = None
 
     def __init__(self, view: FaultModelView):
         self.view = view
         self.width, self.height = view.topology.shape
         self.enabled = np.ascontiguousarray(view.enabled, dtype=bool)
-        rects = [bounding_rect(obs) for obs in view.obstacles if len(obs)]
-        self.num_rects = len(rects)
-        self._x0 = np.array([r.x0 for r in rects], dtype=np.int32)
-        self._x1 = np.array([r.x1 for r in rects], dtype=np.int32)
-        self._y0 = np.array([r.y0 for r in rects], dtype=np.int32)
-        self._y1 = np.array([r.y1 for r in rects], dtype=np.int32)
-        # First-match rectangle id per cell (mirrors FRing._rect_containing):
+        boxes = [obs.bounding_box() for obs in view.obstacles if len(obs)]
+        self.num_rects = len(boxes)
+        self._x0, self._y0, self._x1, self._y1 = np.array(
+            boxes, dtype=np.int32
+        ).reshape(-1, 4).T
+        # First-match rectangle id per cell (the view's obstacle order):
         # paint in reverse order so earlier obstacles win overlaps.
         self.rect_grid = np.full((self.width, self.height), -1, dtype=np.int32)
         for i in range(self.num_rects - 1, -1, -1):
-            self.rect_grid[
-                self._x0[i] : self._x1[i] + 1, self._y0[i] : self._y1[i] + 1
-            ] = i
+            x0, y0, x1, y1 = boxes[i]
+            self.rect_grid[x0 : x1 + 1, y0 : y1 + 1] = i
         # Flat copy for the route step: ``take(cell, mode="clip")`` never
         # faults on the masked-out lanes whose hop leaves the mesh.
         self._rg_flat = self.rect_grid.ravel()
-        if self.num_rects:
-            no_x = (self._x1[:, None] < self._x0[None, :]) | (
-                self._x1[None, :] < self._x0[:, None]
-            )
-            no_y = (self._y1[:, None] < self._y0[None, :]) | (
-                self._y1[None, :] < self._y0[:, None]
-            )
-            self.isect = ~(no_x | no_y)
-        else:
-            self.isect = np.zeros((0, 0), dtype=bool)
-        # Bounded replacement for FRing's recursion: one iteration per
-        # replan (greedy -> plan, nested plan, detour-complete -> greedy);
-        # a chain can visit each rectangle at most once per decision.
+        # Bound on the transitions without a hop in one decision (greedy
+        # -> plan, nested plan, detour-complete -> greedy).  A planned
+        # face lies off the blocked hop's row or column, so a plan is
+        # always followed by a slide: a decision takes at most three
+        # iterations, and the cap only guards termination.
         self.max_replans = self.num_rects + 4
-        self._build_tables()
+
+    def prepare(self) -> "TrafficKernel":
+        """Build the run-length tables :meth:`decide` reads, once, and
+        return the kernel.  Stepping :meth:`decide_one` needs none."""
+        if self._steps is None:
+            self._build_tables()
+        return self
+
+    def _meets(self, a, b):
+        """Whether rectangles ``a`` and ``b`` (ids, or id arrays) share
+        a cell."""
+        x0, x1, y0, y1 = self._x0, self._x1, self._y0, self._y1
+        return (x0[a] <= x1[b]) & (x0[b] <= x1[a]) & (y0[a] <= y1[b]) & (y0[b] <= y1[a])
 
     def _build_tables(self) -> tuple:
         """Run-length table ``_steps``, indexed ``direction * cells +
@@ -195,6 +196,7 @@ class TrafficKernel:
         destination is off (a detour around a blocked X hop slides in
         the packet's column, and ``x != dx`` there).
         """
+        self.prepare()
         n = len(sx)
         lane = np.arange(n)
         x, y = np.array(sx, dtype=np.int64), np.array(sy, dtype=np.int64)
@@ -313,7 +315,7 @@ class DetourKernel(TrafficKernel):
         )
 
     def _plan_vec(self, ax, ay, bx, by, hx, hy, rid):
-        """Vectorized ``FRing._plan``: returns ``(ok, axis, face, run)``.
+        """Vectorized :meth:`_plan_one`: returns ``(ok, axis, face, run)``.
 
         ``hx/hy`` is the blocked hop cell, ``rid`` the rectangle that
         contains it (all ``>= 0``).
@@ -393,7 +395,7 @@ class DetourKernel(TrafficKernel):
             o_hop = cell[r] + self._delta[dir_o[r]]
             other = np.where(r_on & ~slide[r] & ~done, rg.take(o_hop, mode="clip"), -1)
             c = np.flatnonzero(other >= 0)
-            other[c[self.isect[other[c], rect[r[c]]]]] = -1
+            other[c[self._meets(other[c], rect[r[c]])]] = -1
             rx = np.where(need_x[r], rg.take(hop_x[r], mode="clip"), -1)
             ry = np.where(need_y[r], rg.take(hop_y[r], mode="clip"), -1)
             use_x = rx >= 0
@@ -484,7 +486,7 @@ class DetourKernel(TrafficKernel):
             if self.enabled[nxt]:
                 return nxt, (on, axis, face, run, rect)
             other = int(self.rect_grid[nxt])
-            if other >= 0 and not self.isect[other, rect]:
+            if other >= 0 and not self._meets(other, rect):
                 plan = self._plan_one(x, y, dx, dy, nxt[0], nxt[1], other)
                 if plan is not None:
                     on, axis, face, run, rect = plan

@@ -5,12 +5,17 @@ fault-free mesh this is minimal and deadlock-free (the classic e-cube
 result, re-verified by the CDG tests); with faults it drops the packet
 at the first disabled node on its fixed path, which is exactly why the
 fault-tolerant literature the paper belongs to exists.
+
+The hop rule is :meth:`~repro.routing.vectorized.XYKernel.decide_one`,
+the same one the batched traffic engine routes with; the router walks
+it one hop at a time.
 """
 
 from __future__ import annotations
 
-from repro.routing.base import Router
-from repro.routing.packet import DropReason, RouteResult, finish
+from repro.routing.base import FaultModelView, Router
+from repro.routing.packet import RouteResult
+from repro.routing.vectorized import XYKernel
 from repro.types import Coord
 
 __all__ = ["XYRouter"]
@@ -21,16 +26,11 @@ class XYRouter(Router):
 
     name = "xy"
 
+    def __init__(self, view: FaultModelView):
+        super().__init__(view)
+        self._decide = XYKernel(view).decide_one
+
     def _route(self, source: Coord, dest: Coord) -> RouteResult:
-        path = [source]
-        at = source
-        while at != dest:
-            if len(path) > self.max_hops:
-                return finish(source, dest, path, DropReason.BUDGET)
-            preferred = self._xy_preferred(at, dest)
-            nxt = preferred[0]  # strict dimension order: X before Y
-            if not self.view.is_enabled(nxt):
-                return finish(source, dest, path, DropReason.BLOCKED)
-            path.append(nxt)
-            at = nxt
-        return finish(source, dest, path, DropReason.NONE)
+        return self._walk(
+            source, dest, lambda at, to, st: self._decide(*at, *to, st), None
+        )

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core import SafetyDefinition, label_mesh
 from repro.faults import FaultSet, clustered
+from repro.geometry.cells import CellSet
 from repro.mesh import Mesh2D, Torus2D
 from repro.network import BatchedNetwork, BatchedTraffic, synthetic_traffic
 from repro.routing import DropReason, FaultModelView, FRingRouter, XYRouter
@@ -215,7 +216,9 @@ def lane_kind(kern, x, y, dx, dy, st):
     step = 1 if run > along else -1
     nxt = (x + step, y) if axis == 0 else (x, y + step)
     other = int(kern.rect_grid[nxt])
-    if not kern.enabled[nxt] and other >= 0 and not kern.isect[other, rect]:
+    if not kern.enabled[nxt] and other >= 0:
+        if kern._meets(other, rect):
+            return "run-into-overlapping-rectangle"
         return "run-into-another-rectangle"
     return "running"
 
@@ -295,3 +298,40 @@ class TestRoutes:
         if view_kind == "regions":
             expected.add("run-into-another-rectangle")
         assert expected <= set(kinds), kinds
+
+    # Hand-built views in which a detour's run meets a second obstacle
+    # whose bounding rectangle overlaps the first one's; the kernels
+    # refuse that hop.  In "l-shape" the refusal decides the outcome: a
+    # nested plan around the L's rectangle would deliver down column 1.
+    OVERLAPS = {
+        "rectangles": (
+            (10, 10),
+            [
+                [(x, y) for x in (3, 4, 5) for y in (3, 4, 5)],
+                [(x, y) for x in (5, 6, 7) for y in (1, 2, 3)],
+            ],
+            ((1, 4), (9, 4)),
+            [(2, 4), (2, 3), (2, 2), (3, 2), (4, 2)],
+        ),
+        "l-shape": (
+            (7, 7),
+            [[(3, 3), (4, 3)], [(2, 2), (2, 3), (3, 2), (4, 2)]],
+            ((0, 4), (3, 0)),
+            [(1, 4), (2, 4), (3, 4), (2, 4)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERLAPS))
+    def test_run_into_overlapping_rectangle_is_refused(self, case):
+        shape, obstacles, pair, cells = self.OVERLAPS[case]
+        obstacles = tuple(CellSet.from_coords(shape, c) for c in obstacles)
+        enabled = np.ones(shape, dtype=bool)
+        for obs in obstacles:
+            enabled &= ~obs.mask
+        view = FaultModelView(Mesh2D(*shape), enabled, obstacles)
+        kern = make_kernel("detour", view)
+        kinds = Counter()
+        max_hops = BatchedNetwork(view).max_hops
+        assert_routes_are_walks(kern, BatchedTraffic.from_pairs([pair]), max_hops, kinds)
+        assert kinds["run-into-overlapping-rectangle"] == 1, kinds
+        assert walk(kern, *pair, max_hops) == (cells, BLOCKED)
