@@ -3,9 +3,9 @@
 
 Times the hot paths this repository optimises —
 
-* phase-1 / phase-2 fixpoints, bit-packed dense Jacobi vs sparse
-  frontier kernels (on the acceptance workload: a 500x500 mesh with 100
-  clustered faults),
+* phase-1 / phase-2 fixpoints, the bool-grid reference loops vs the
+  bit-packed dense Jacobi kernels (on the acceptance workload: a
+  500x500 mesh with 100 clustered faults),
 * the end-to-end pipeline, reference geometry + the bool-grid reference
   kernels vs the default fast path (packed kernels + vectorized
   extraction), with a
@@ -62,7 +62,6 @@ from repro.analysis.sweep import sweep
 from repro.core.blocks import extract_blocks, extract_blocks_reference
 from repro.core.distributed import distributed_enabled, distributed_unsafe
 from repro.core.enabling import enabled_fixpoint, enabled_fixpoint_reference
-from repro.core.frontier import enabled_fixpoint_sparse, unsafe_fixpoint_sparse
 from repro.core.pipeline import label_mesh
 from repro.core.regions import extract_regions, extract_regions_reference
 from repro.core.safety import unsafe_fixpoint, unsafe_fixpoint_reference
@@ -122,31 +121,31 @@ def _sweep_metric(params, rng):
 
 
 def bench_kernels(size: int, f: int, repeats: int) -> dict:
-    """Dense vs frontier fixpoints on clustered faults (phase 1 and 2)."""
+    """Reference vs packed fixpoints on clustered faults (phase 1 and 2)."""
     topo = Mesh2D(size, size)
     faults = clustered(
         topo.shape, f, np.random.default_rng(20010423), clusters=3, spread=2.0
     )
     faulty = faults.mask
 
+    t_ref1, (unsafe_r, r1_r) = _best_of(
+        lambda: unsafe_fixpoint_reference(topo, faulty), repeats
+    )
     t_dense1, (unsafe_d, r1_d) = _best_of(
         lambda: unsafe_fixpoint(topo, faulty), repeats
     )
-    t_front1, (unsafe_f, r1_f) = _best_of(
-        lambda: unsafe_fixpoint_sparse(topo, faulty), repeats
-    )
-    assert np.array_equal(unsafe_d, unsafe_f) and r1_d == r1_f, (
-        "frontier phase-1 diverged from dense"
+    assert np.array_equal(unsafe_d, unsafe_r) and r1_d == r1_r, (
+        "packed phase-1 diverged from reference"
     )
 
+    t_ref2, (en_r, r2_r) = _best_of(
+        lambda: enabled_fixpoint_reference(topo, faulty, unsafe_d), repeats
+    )
     t_dense2, (en_d, r2_d) = _best_of(
         lambda: enabled_fixpoint(topo, faulty, unsafe_d), repeats
     )
-    t_front2, (en_f, r2_f) = _best_of(
-        lambda: enabled_fixpoint_sparse(topo, faulty, unsafe_d), repeats
-    )
-    assert np.array_equal(en_d, en_f) and r2_d == r2_f, (
-        "frontier phase-2 diverged from dense"
+    assert np.array_equal(en_d, en_r) and r2_d == r2_r, (
+        "packed phase-2 diverged from reference"
     )
 
     # End-to-end: everything slow (the bool-grid reference kernels +
@@ -202,11 +201,11 @@ def bench_kernels(size: int, f: int, repeats: int) -> dict:
         "fault_model": "clustered",
         "rounds_phase1": r1_d,
         "rounds_phase2": r2_d,
-        "phase1": _pair("phase1 dense vs frontier", t_dense1, t_front1),
-        "phase2": _pair("phase2 dense vs frontier", t_dense2, t_front2),
+        "phase1": _pair("phase1 reference vs packed", t_ref1, t_dense1),
+        "phase2": _pair("phase2 reference vs packed", t_ref2, t_dense2),
         "pipeline": _pair("pipeline slow vs fast path", t_pipe_slow, t_pipe_fast),
         "breakdown": {
-            "kernels_s": round(t_front1 + t_front2, 6),
+            "kernels_s": round(t_dense1 + t_dense2, 6),
             "extraction": _pair(
                 "extraction ref vs vectorized", t_extract_ref, t_extract_vec
             ),

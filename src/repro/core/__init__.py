@@ -29,7 +29,6 @@ __all__ = [
     "distributed_enabled",
     "distributed_unsafe",
     "enabled_fixpoint",
-    "enabled_fixpoint_sparse",
     "enabled_step",
     "extract_blocks",
     "extract_regions",
@@ -37,7 +36,6 @@ __all__ = [
     "recursive_enable_fixpoints",
     "theorems",
     "unsafe_fixpoint",
-    "unsafe_fixpoint_sparse",
     "unsafe_step",
 ]
 
@@ -45,7 +43,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "blocks": ("FaultyBlock", "extract_blocks"),
     "distributed": ("async_enabled", "async_unsafe", "distributed_enabled", "distributed_unsafe"),
     "enabling": ("enabled_fixpoint", "enabled_step", "recursive_enable_fixpoints"),
-    "frontier": ("enabled_fixpoint_sparse", "unsafe_fixpoint_sparse"),
     "incremental": ("BlockEnableCache", "DeltaReport", "IncrementalLabeling"),
     "pipeline": ("LabelingResult", "assemble_result", "label_mesh"),
     "protocols": ("EnableProgram", "SafetyProgram"),

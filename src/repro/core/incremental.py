@@ -8,11 +8,11 @@ the mesh.  Three structural facts make that possible:
 
 * **Phase 1 is monotone in the fault set**, so after an injection the
   old unsafe labels are a valid under-approximation of the new fixpoint.
-  The update re-asserts the changed cells and propagates a frontier wave
-  outward from them only (:func:`~repro.core.frontier
-  .unsafe_fixpoint_sparse` with warm-start seeds, or an equivalent
-  per-cell wave for tiny deltas).  The per-round flip sets equal the
-  dense warm-started schedule's, so round counts are exact.
+  The update re-asserts the changed cells and resumes the fixpoint from
+  that plane: a per-cell frontier wave outward from them for small
+  deltas, the packed kernel (:func:`~repro.core.safety.unsafe_fixpoint`)
+  with the plane as its mask for batches.  The per-round flip sets equal
+  the dense warm-started schedule's, so round counts are exact.
 
 * **Phase 2 is per-block independent.**  Faulty blocks are maximal
   4-connected unsafe components, so every neighbour outside a block is
@@ -49,7 +49,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.enabling import enabled_fixpoint
-from repro.core.frontier import unsafe_fixpoint_sparse
 from repro.core.pipeline import LabelingResult, assemble_result
 from repro.core.safety import unsafe_fixpoint
 from repro.core.status import LabelGrid, NodeStatus, SafetyDefinition
@@ -66,8 +65,8 @@ __all__ = [
     "canonical_delta",
 ]
 
-#: Delta size above which the phase-1 wave switches from the per-cell
-#: Python frontier to the vectorized sparse kernel.
+#: Seed count from which the phase-1 wave switches from the per-cell
+#: Python frontier to the packed kernel.
 _WAVE_VECTOR_MIN = 64
 
 #: Cache key: (extent_x, extent_y, sorted flat fault offsets).
@@ -264,9 +263,10 @@ class IncrementalLabeling:
         A :class:`BlockEnableCache` to (re)use, or ``None`` for a fresh
         private one (the cache-sharing property tests pass one in).
     telemetry:
-        Optional :class:`~repro.obs.telemetry.Telemetry`; the phase-1
-        wave observes its per-round frontier size into the
-        ``frontier_active_cells`` histogram.
+        Optional :class:`~repro.obs.telemetry.Telemetry`; the per-cell
+        phase-1 wave observes its per-round frontier size into the
+        ``frontier_active_cells`` histogram.  Batch deltas run the packed
+        kernel and observe nothing, as one-shot labeling does.
     """
 
     def __init__(
@@ -287,7 +287,6 @@ class IncrementalLabeling:
         self._blocks: Dict[int, _Block] = {}
         self._next_id = 0
         self.cache = cache if cache is not None else BlockEnableCache()
-        self._telemetry = telemetry
         self._frontier_meter = (
             None
             if telemetry is None or telemetry.metrics is None
@@ -670,18 +669,15 @@ class IncrementalLabeling:
         if not seeds:
             return 0, []
         if len(seeds) >= _WAVE_VECTOR_MIN:
-            before = self._unsafe.copy()
-            flat = np.array([x * self._H + y for x, y in seeds], dtype=np.intp)
-            grid, rounds = unsafe_fixpoint_sparse(
-                self._topology,
-                self._faulty,
-                self._definition,
-                telemetry=self._telemetry,
-                initial=self._unsafe,
-                seeds=flat,
+            # The plane holds the seeds and lies below the fixpoint, so
+            # the packed kernel resumes from it as its mask.
+            grid, rounds = unsafe_fixpoint(
+                self._topology, self._unsafe, self._definition
             )
+            # flatnonzero, not argwhere: ~15x faster on a sparse plane.
+            flat = np.flatnonzero(grid & ~self._unsafe)
+            grown = list(zip((flat // self._H).tolist(), (flat % self._H).tolist()))
             self._unsafe = grid
-            grown = [(int(x), int(y)) for x, y in np.argwhere(grid & ~before)]
             return rounds, grown
         unsafe = self._unsafe
         W, H = self._W, self._H

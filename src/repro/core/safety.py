@@ -111,6 +111,13 @@ def unsafe_fixpoint(
         and exceed the network diameter, so the loose bound is the only
         safe default.
 
+    Resuming: the rule is monotone with a unique fixpoint, so any mask
+    ``S`` with faults ⊆ ``S`` ⊆ fixpoint(faults) passed as ``faulty``
+    gives the plane and round count of the schedule warm-started from
+    ``S`` — every cell of ``S`` starts unsafe, and the fixpoint above it
+    is the faults' own.  The incremental engine resumes its batch deltas
+    this way.
+
     Returns
     -------
     (unsafe, rounds):

@@ -9,7 +9,7 @@ block-based router.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
 from repro.types import Coord
 
-__all__ = ["Rect", "is_rectangle", "bounding_rect"]
+__all__ = ["Rect", "is_rectangle", "bounding_rect", "rect_id_grid"]
 
 
 @dataclass(frozen=True, order=True)
@@ -139,3 +139,14 @@ def is_rectangle(cells: CellSet) -> bool:
     if not cells:
         return False
     return len(cells) == bounding_rect(cells).area
+
+
+def rect_id_grid(shape: Tuple[int, int], boxes: Sequence[Tuple[int, int, int, int]]) -> np.ndarray:
+    """First-match rectangle id per cell: the index of the first
+    inclusive box ``(x0, y0, x1, y1)`` containing the cell, ``-1`` in
+    none.  Boxes are painted in reverse so earlier ones win overlaps."""
+    grid = np.full(shape, -1, dtype=np.int32)
+    for i in range(len(boxes) - 1, -1, -1):
+        x0, y0, x1, y1 = boxes[i]
+        grid[x0 : x1 + 1, y0 : y1 + 1] = i
+    return grid

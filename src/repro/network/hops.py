@@ -54,20 +54,13 @@ def block_detour_hops(view: FaultModelView) -> HopFunction:
     routing relation.  It can fail (return None) when a block pins the
     packet to the mesh edge; the simulator then drops the worm.
     """
-    from repro.geometry.rectangles import bounding_rect, is_rectangle
+    from repro.geometry.rectangles import is_rectangle, rect_id_grid
 
-    rects = []
-    for obs in view.obstacles:
-        if is_rectangle(obs):
-            rects.append(bounding_rect(obs))
+    boxes = [obs.bounding_box() for obs in view.obstacles if is_rectangle(obs)]
+    rects = [Rect(*box) for box in boxes]
     base = xy_hops()
     w, h = view.topology.shape
-
-    def rect_containing(c: Coord) -> Optional[Rect]:
-        for r in rects:
-            if r.contains(c):
-                return r
-        return None
+    rect_id = rect_id_grid((w, h), boxes)
 
     def fn(at: Coord, dest: Coord) -> Optional[Coord]:
         hop = base(at, dest)
@@ -75,9 +68,10 @@ def block_detour_hops(view: FaultModelView) -> HopFunction:
             return None
         if view.is_enabled(hop):
             return hop
-        rect = rect_containing(hop)
-        if rect is None:
+        rid = rect_id[hop]
+        if rid < 0:
             return None
+        rect = rects[rid]
         if hop[1] == at[1]:  # blocked along x: slide in y
             faces = [f for f in (rect.y0 - 1, rect.y1 + 1) if 0 <= f < h]
             faces.sort(key=lambda f: abs(dest[1] - f))

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import RoutingError
+from repro.geometry.rectangles import rect_id_grid
 from repro.routing.base import FaultModelView
 
 __all__ = [
@@ -126,12 +127,8 @@ class TrafficKernel:
         self._x0, self._y0, self._x1, self._y1 = np.array(
             boxes, dtype=np.int32
         ).reshape(-1, 4).T
-        # First-match rectangle id per cell (the view's obstacle order):
-        # paint in reverse order so earlier obstacles win overlaps.
-        self.rect_grid = np.full((self.width, self.height), -1, dtype=np.int32)
-        for i in range(self.num_rects - 1, -1, -1):
-            x0, y0, x1, y1 = boxes[i]
-            self.rect_grid[x0 : x1 + 1, y0 : y1 + 1] = i
+        # First-match rectangle id per cell, in the view's obstacle order.
+        self.rect_grid = rect_id_grid((self.width, self.height), boxes)
         # Flat copy for the route step: ``take(cell, mode="clip")`` never
         # faults on the masked-out lanes whose hop leaves the mesh.
         self._rg_flat = self.rect_grid.ravel()

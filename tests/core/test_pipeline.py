@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import SafetyDefinition, label_mesh
-from repro.core import frontier
-from repro.core.batch import label_batch
 from repro.faults import FaultSet, uniform_random
 from repro.mesh import Mesh2D, Torus2D
 
@@ -47,28 +45,6 @@ class TestLabelMesh:
         faults = FaultSet.from_coords((10, 10), [(0, 0), (9, 9)])
         r = label_mesh(t, faults)
         assert len(r.blocks) == 1  # wrap-diagonal pair joins one block
-
-
-class TestKernelChoice:
-    @pytest.mark.parametrize("side, count", [(1000, 250), (100, 100)])
-    def test_never_runs_frontier(self, monkeypatch, side, count):
-        # The sparse instances a sparsity rule would send to the frontier
-        # kernels: one-shot labeling runs the packed kernels regardless.
-        # Every frontier loop gathers neighbours through one helper.
-        def refuse(*args, **kwargs):
-            raise AssertionError("a frontier kernel ran")
-
-        monkeypatch.setattr(frontier, "_neighbor_indices", refuse)
-        m = Mesh2D(side, side)
-        faulty = uniform_random(m.shape, count, np.random.default_rng(0)).mask
-        for d in SafetyDefinition:
-            r = label_mesh(m, FaultSet.from_mask(faulty), d)
-            assert r.method == "dense"
-            out = label_batch(m, faulty[None], d)
-            assert (out.rounds_phase1[0], out.rounds_phase2[0]) == (
-                r.rounds_phase1,
-                r.rounds_phase2,
-            )
 
 
 class TestResultMetrics:

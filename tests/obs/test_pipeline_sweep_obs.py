@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.sweep import sweep
-from repro.core.frontier import unsafe_fixpoint_sparse
+from repro.core.incremental import IncrementalLabeling
 from repro.core.pipeline import label_mesh
 from repro.faults import FaultSet
 from repro.mesh import Mesh2D
@@ -76,20 +76,20 @@ class TestPipelineTelemetry:
 
 class TestFrontierTelemetry:
     def test_frontier_sizes_observed(self):
+        # A small multi-cell delta runs the engine's per-cell wave; the
+        # diagonal pair flips its two shared neighbours in one round.
         reg = MetricsRegistry()
-        topo = Mesh2D(10, 10)
-        faulty = _faults(topo).mask
-        _, rounds = unsafe_fixpoint_sparse(
-            topo, faulty, telemetry=Telemetry(metrics=reg)
-        )
+        engine = IncrementalLabeling(Mesh2D(10, 10), telemetry=Telemetry(metrics=reg))
+        report = engine.inject([(2, 2), (3, 3)])
+        assert report.rounds_phase1 == 1
         hist = reg.histogram("frontier_active_cells")
         # One observation per executed round, including the quiescent one.
-        assert hist.count == rounds + 1
+        assert hist.count == report.rounds_phase1 + 1
         assert hist.min is not None and hist.min >= 1
 
     def test_pipeline_routes_phase_labels_to_kernels(self):
         # The packed kernels take no telemetry, so a vectorized run
-        # observes no frontier sizes (only incremental warm starts do);
+        # observes no frontier sizes (only the engine's per-cell wave does);
         # the fabric engines get phase-labeled children.
         topo = Mesh2D(10, 10)
         keys = {}

@@ -233,7 +233,7 @@ class TestPipelineBackendAgreement:
         except ValueError:
             # Dense torus workloads can make the unsafe set wrap every
             # column/row, which the unwrap step rejects before geometry
-            # runs (test_frontier_props pins that rejection).
+            # runs (tests/analysis/test_fig5.py pins that rejection).
             return
         # The oracles run on the pipeline's own (torus: unwrapped) planes.
         labels = result.labels

@@ -18,6 +18,8 @@ from repro.core import (
     label_mesh,
     unsafe_fixpoint,
 )
+from repro.core.incremental import _WAVE_VECTOR_MIN
+from repro.core.safety import unsafe_fixpoint_reference
 from repro.errors import FaultModelError
 from repro.faults.generators import clustered, uniform_random
 from repro.mesh import Mesh2D, Torus2D
@@ -124,7 +126,7 @@ class TestBatchAndGenerators:
     def test_large_batches_use_the_vectorized_wave(
         self, topo_cls, definition, generator
     ):
-        # >= 64 seeds routes through the warm-started sparse kernel.
+        # >= 64 seeds resumes the packed kernel from the seeded plane.
         topo = topo_cls(60, 60)
         rng = np.random.default_rng(17)
         if generator == "uniform":
@@ -139,6 +141,30 @@ class TestBatchAndGenerators:
         engine.inject(list(second))
         assert_matches_scratch(engine)
         engine.repair(list(first))
+        assert_matches_scratch(engine)
+
+    @pytest.mark.parametrize("topo_cls", [Mesh2D, Torus2D])
+    @pytest.mark.parametrize("definition", list(SafetyDefinition))
+    @pytest.mark.parametrize("batch", [1, 8, _WAVE_VECTOR_MIN - 1, _WAVE_VECTOR_MIN, 150])
+    @given(st.integers(0, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_wave_rounds_are_the_warm_start_rounds(
+        self, topo_cls, definition, batch, prior, seed
+    ):
+        # An inject-only delta of safe cells seeds exactly ``batch``
+        # cells, on either side of the per-cell/packed switch; its
+        # phase-1 rounds are the reference loop's from the seeded plane.
+        topo = topo_cls(24, 24)
+        rng = np.random.default_rng(seed)
+        engine = IncrementalLabeling(topo, definition)
+        engine.inject(list(uniform_random(topo.shape, prior, rng)))
+        plane = engine.labels.unsafe.copy()
+        safe = np.flatnonzero(~plane)
+        cells = rng.choice(safe, size=min(batch, safe.size), replace=False)
+        plane.flat[cells] = True
+        report = engine.inject([divmod(int(i), topo.shape[1]) for i in cells])
+        _, rounds = unsafe_fixpoint_reference(topo, plane, definition)
+        assert report.rounds_phase1 == rounds
         assert_matches_scratch(engine)
 
     @pytest.mark.parametrize("seed", range(6))

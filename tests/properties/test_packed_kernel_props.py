@@ -1,7 +1,11 @@
 """Property: the bit-packed dense fixpoints ARE the bool-grid reference
 loops — bit-identical labels, identical round counts and identical
 budget errors, on meshes and tori, under Definitions 2a and 2b, for both
-phases, at heights on both sides of every 64-bit word boundary."""
+phases, at heights on both sides of every 64-bit word boundary.  The
+warm start the incremental engine runs — the phase-1 kernel resumed
+from the fixpoint of ``F1`` with the cells of ``F2`` added — is the
+reference loop from the same plane and reaches the fixpoint of
+``F1 ∪ F2``."""
 
 import numpy as np
 import pytest
@@ -83,6 +87,21 @@ class TestPackedEquivalence:
             faulty[x, edges] = True
         for definition in SafetyDefinition:
             assert_packed_matches_reference(topology, faulty, definition)
+
+
+class TestWarmStart:
+    @given(instances(), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1),
+           st.sampled_from(list(SafetyDefinition)))
+    @settings(max_examples=120, deadline=None)
+    def test_resumes_to_the_union_fixpoint(self, instance, density, seed, definition):
+        topology, f1 = instance
+        f2 = np.random.default_rng(seed).random(topology.shape) < density
+        plane = unsafe_fixpoint(topology, f1, definition)[0] | f2
+        grid, rounds = unsafe_fixpoint(topology, plane, definition)
+        grid_ref, rounds_ref = unsafe_fixpoint_reference(topology, plane, definition)
+        assert np.array_equal(grid, grid_ref)
+        assert rounds == rounds_ref
+        assert np.array_equal(grid, unsafe_fixpoint(topology, f1 | f2, definition)[0])
 
 
 class TestBudget:
