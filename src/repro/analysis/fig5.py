@@ -19,15 +19,16 @@ The paper shows two panels per metric without labelling the pair; both
 Definition 2a and 2b appear in its Section 3, so this driver sweeps the
 definition (and optionally the topology) and reports every combination.
 
-The unit of work is a *batch*: the trials of one ``f`` value, split so
-that a batch holds at most ``_BATCH_CELLS`` cells (and at least one
-plane).  Each trial draws its faults from its own generator, exactly as
-a per-trial run would, and :func:`repro.core.batch.label_batch` labels
-the batch as one ``(T, width, height)`` stack of planes on the packed
+The unit of work is a *batch*: the next ``_BATCH_CELLS // nodes``
+(f, trial) cells of the sweep in (f, trial) order (at least one), so a
+batch may hold the last trials of one ``f`` value and the first of the
+next.  Each trial draws its faults from its own generator, exactly as a
+per-trial run would, and :func:`repro.core.batch.label_batch` labels the
+batch as one ``(T, width, height)`` stack of planes on the packed
 kernel and reduces it to the per-trial rows with array operations.
-Rows are aggregated in trial order, so every float is summed in the
-same order as by one ``label_mesh`` call per trial, and the tables are
-identical to that path's (the tests keep it as the oracle).
+Rows are aggregated in (f, trial) order, so every float is summed in
+the same order as by one ``label_mesh`` call per trial, and the tables
+are identical to that path's (the tests keep it as the oracle).
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ class Fig5Curve:
 #: Decorrelates the per-f root seeds (same constant as always).
 _F_SEED_STRIDE = 7919
 
-#: Cells labeled per batch: a batch holds ``_BATCH_CELLS // nodes``
-#: trials of one ``f`` value (at least one), so peak memory does not grow
-#: with the trial count.
+#: Cells labeled per batch: a batch holds the next ``_BATCH_CELLS //
+#: nodes`` (f, trial) cells of the sweep (at least one), across ``f``
+#: values, so peak memory does not grow with the trial count.
 _BATCH_CELLS = 1 << 18
 
 #: One trial's contribution: (rounds1, rounds2, per-block ratios, #blocks, #regions).
@@ -115,13 +116,14 @@ _TrialRow = Tuple[float, float, List[float], float, float]
 
 
 def _fig5_batch(
-    task: Tuple[Topology, SafetyDefinition, int, int, int, int, int, int],
+    task: Tuple[Topology, SafetyDefinition, Tuple[int, ...], int, int, int, int],
 ) -> List[_TrialRow]:
-    """The rows of trials ``start .. stop - 1`` of one ``f`` value."""
-    topo, definition, f, fi, start, stop, trials, seed = task
+    """The rows of the sweep's (f, trial) cells ``start .. stop - 1``."""
+    topo, definition, f_values, trials, seed, start, stop = task
     faulty = np.zeros((stop - start, topo.num_nodes), dtype=bool)
-    for plane, ti in zip(faulty, range(start, stop)):
-        draw_uniform(plane, f, trial_rng(trials, seed + _F_SEED_STRIDE * fi, ti))
+    for plane, cell in zip(faulty, range(start, stop)):
+        fi, ti = divmod(cell, trials)
+        draw_uniform(plane, f_values[fi], trial_rng(trials, seed + _F_SEED_STRIDE * fi, ti))
     faulty = faulty.reshape(-1, *topo.shape)
     out = label_batch(topo, faulty, definition)
     return list(
@@ -174,10 +176,10 @@ def run_fig5(
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}: the sweep runs the dense kernel")
     per_batch = max(1, _BATCH_CELLS // topo.num_nodes)
+    cells = len(f_values) * trials
     tasks = [
-        (topo, definition, f, fi, lo, min(lo + per_batch, trials), trials, seed)
-        for fi, f in enumerate(f_values)
-        for lo in range(0, trials, per_batch)
+        (topo, definition, tuple(f_values), trials, seed, lo, min(lo + per_batch, cells))
+        for lo in range(0, cells, per_batch)
     ]
     batches, _ = run_cells(_fig5_batch, tasks, jobs)
     rows = [row for batch in batches for row in batch]

@@ -35,10 +35,14 @@ stack unchanged.  The public 2-D fixpoints are the ``T = 1`` call.
 
 A plane has converged once a round leaves its words unchanged, and it
 stays converged, so each plane's round count is the number of rounds
-that changed it; the loop stops when no plane changes, and unpacks the
-stack once, at the end.  The bool-grid loops in
-:mod:`repro.core.safety` and :mod:`repro.core.enabling`
-(``*_fixpoint_reference``) are the oracles this loop is tested against.
+that changed it; the loop stops when no plane changes.
+
+**Frames in, frames out.**  :func:`fixpoint` takes and returns frames:
+:func:`repro.core.batch.label_batch` packs its fault stack once and cuts
+runs straight from the result, and the bool fixpoints of
+:mod:`repro.core.safety` and :mod:`repro.core.enabling` pack, call it
+and unpack.  Their bool-grid loops (``*_fixpoint_reference``) are this
+loop's oracles.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from repro.core.status import SafetyDefinition
 from repro.errors import ConvergenceError
-from repro.geometry._bitplanes import WORD, pack, unpack
+from repro.geometry._bitplanes import WORD
 from repro.mesh.topology import Topology
 
 _ONE = np.uint64(1)
@@ -93,35 +98,36 @@ def two_of_four(c, cn, cp, e, w, out, t1, t2) -> None:
     out |= t2
 
 
+#: The phase-1 rule of each definition.
+RULES = {SafetyDefinition.DEF_2A: two_of_four, SafetyDefinition.DEF_2B: both_dimensions}
+
+
 def fixpoint(
     topology: Topology,
-    start: np.ndarray,
-    faulty: np.ndarray,
+    cur: np.ndarray,
+    keep: np.ndarray,
     rule: Rule,
     fill: bool,
     budget: int,
-    what: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Iterate ``next = cur | (rule(cur) & ~faulty)`` to its fixpoint on
-    every plane of a ``(T, width, height)`` stack at once.
+    """Iterate ``next = cur | (rule(cur) & keep)`` to its fixpoint on
+    every plane of a ``(T, width + 2, words)`` frame at once.
 
-    ``start`` is the stack of initial planes, ``fill`` the ghost label of
-    a mesh (``False`` for unsafe, ``True`` for enabled).  Returns the
-    fixpoint stack and every plane's number of changing rounds; raises
-    :class:`ConvergenceError` naming ``what`` once ``budget`` rounds pass
-    with some plane still changing.
+    ``cur`` frames the initial planes, ring clear, and is reused as
+    scratch; ``keep`` frames the cells that may change, ring clear.
+    ``fill`` is the ghost label of a mesh: ``False`` for unsafe, ``True``
+    for enabled.  Returns the fixpoint frame, ring written, and every
+    plane's number of changing rounds; raises :class:`ConvergenceError`
+    once ``budget`` rounds pass with some plane still changing.
     """
-    height = topology.height
-    planes = start.shape[0]
-    cur = pack(start)
+    planes = cur.shape[0]
     topology.frame_packed(cur, fill)
     nxt = cur.copy()
     stride = cur.shape[-1]
     lo, hi = stride, cur.size - stride
-    # Cells that may change: valid nonfaulty bits.  Its zero padding,
-    # guard bits and ghost rows are the per-round padding mask; the
-    # ghost rows between planes keep every plane from reading another.
-    keep = pack(~faulty).reshape(-1)[lo:hi]
+    # Its clear ring is the per-round padding mask; the ghost rows
+    # between planes keep every plane from reading another.
+    keep = keep.reshape(-1)[lo:hi]
     temps = [np.empty(hi - lo, dtype=WORD) for _ in range(2)]
     # Which words changed in a round, over a whole frame whose first and
     # last rows stay False, so that it splits into one row per plane.
@@ -149,10 +155,11 @@ def fixpoint(
         np.not_equal(out, cur_v[0], out=diff[lo:hi])
         moved = changed.any(axis=1)
         if not moved.any():
-            return unpack(cur, height), rounds
+            return cur, rounds
         if wraps:
             topology.frame_packed(nxt, fill)
         rounds += moved
         cur, nxt = nxt, cur
         cur_v, nxt_v = nxt_v, cur_v
+    what = "enable" if fill else "unsafe"
     raise ConvergenceError(f"{what} labeling did not converge within {budget} rounds")

@@ -1,21 +1,20 @@
 """Label a stack of independent fault patterns in one pass.
 
 The paper's Figure-5 study (:mod:`repro.analysis.fig5`) averages many
-small, independent labelings and reads five numbers from each: the two
-round counts, the block and region counts, and every reducible block's
-enabled ratio.  :func:`label_batch` computes exactly those for a
-``(T, width, height)`` stack of fault planes, without building a
-:class:`~repro.core.pipeline.LabelingResult`, a block or a cell set per
-plane:
+small, independent labelings (a stack may mix fault counts) and reads
+five numbers from each: the two round counts, the block and region
+counts, and every reducible block's enabled ratio.  :func:`label_batch`
+computes exactly those for a ``(T, width, height)`` stack of fault
+planes, packed once and kept packed, with no
+:class:`~repro.core.pipeline.LabelingResult`, block or cell set per plane:
 
-* **Kernels.**  Both fixpoints run once over the whole stack — the
-  packed Jacobi loop of :mod:`repro.core._packed` on a ``(T, width + 2,
-  words)`` frame, the kernel :func:`~repro.core.pipeline.label_mesh`
-  runs — and return every plane's round count.
-* **Torus.**  Each plane is rolled to its own unwrap frame
-  (:func:`~repro.core.pipeline._torus_unwrap_shift`), as
-  :func:`~repro.core.pipeline.assemble_result` does for one plane.
-* **Extraction.**  The stack is cut into runs on its packed words and
+* **Kernels.**  Both fixpoints run once over the whole stack in the
+  packed Jacobi loop of :mod:`repro.core._packed` (the kernel
+  :func:`~repro.core.pipeline.label_mesh` runs), on a ``(T, width + 2,
+  words)`` frame, from inputs built with word operations.
+* **Torus.**  Each plane is unpacked, rolled to its own unwrap frame
+  (:func:`~repro.core.pipeline._torus_unwrap_shift`) and re-packed.
+* **Extraction.**  The unsafe and disabled frames are cut into runs and
   labeled in one run pass: plane ``t``'s column ``x`` becomes column
   ``t * (width + 2) + x`` (the frame rows of
   :func:`~repro.geometry._bitplanes.pack`), so the empty ghost columns
@@ -23,9 +22,9 @@ plane:
   plane's runs.  Components come out plane by plane, each
   plane's in the order :func:`~repro.core.blocks.extract_blocks` /
   :func:`~repro.core.regions.extract_regions` give.  The fault and
-  enabled planes are read at the members of the runs, and every count
-  and ratio is a ``bincount`` of those reads.  The rectangle, fault
-  coverage and fault-holding checks are the ones those extractors run.
+  enabled bits are read off their frames' words at the runs' members,
+  and every count and ratio is a ``bincount`` of those reads.  The
+  rectangle, coverage and fault-holding checks are those extractors'.
 
 For every plane the results equal those of ``label_mesh`` on that
 plane alone (property tested against it).
@@ -37,15 +36,14 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
+from repro.core._packed import RULES, fixpoint, two_of_four
 from repro.core.blocks import _check_covers, _check_rectangles
-from repro.core.enabling import enabled_fixpoints
 from repro.core.pipeline import _torus_unwrap_shift
 from repro.core.regions import _check_faults_held
-from repro.core.safety import unsafe_fixpoints
 from repro.core.status import SafetyDefinition
-from repro.geometry._bitplanes import expand_runs, frame_runs, pack
+from repro.geometry._bitplanes import WORD, expand_runs, frame_runs, pack, unpack
 from repro.geometry.components import _label_runs, _Runs
-from repro.mesh.topology import Topology
+from repro.mesh.topology import Topology, _valid_row
 
 __all__ = ["BatchLabels", "label_batch"]
 
@@ -86,30 +84,36 @@ def label_batch(
         raise ValueError(
             f"fault plane shape {faulty.shape[1:]} != topology shape {topology.shape}"
         )
-    budget = topology.num_nodes + 2
-    faults = int(np.count_nonzero(faulty))
-    unsafe, rounds1 = unsafe_fixpoints(topology, faulty, definition, budget)
-    enabled, rounds2 = enabled_fixpoints(topology, faulty, unsafe, budget)
-    if topology.wraps:
-        faulty, unsafe, enabled = _unwrap(faulty, unsafe, enabled)
-
     planes = faulty.shape[0]
     width, height = topology.shape
+    budget = topology.num_nodes + 2
+    faults = int(np.count_nonzero(faulty))
+    fault_frame = pack(faulty)
+    # The cells either phase may change: every valid nonfaulty bit.
+    keep = np.zeros_like(fault_frame[0])
+    keep[1:-1, 1:] = _valid_row(height)
+    keep = keep & ~fault_frame
+    rule = RULES[definition]
+    unsafe, rounds1 = fixpoint(topology, fault_frame.copy(), keep, rule, False, budget)
+    # keep & ~unsafe: every valid safe bit.  On a mesh the unsafe ring is
+    # the ghost label False, so the frame goes to extraction as it is.
+    enabled, rounds2 = fixpoint(topology, keep & ~unsafe, keep, two_of_four, True, budget)
+    if topology.wraps:
+        fault_frame, unsafe, enabled = _unwrap(faulty, unsafe, enabled)
+
     stride = width + 2  # column stride of a plane in a stacked scan
-    fault_plane = faulty.reshape(-1)
-    frame = pack(unsafe)
-    runs = _label_runs(_Runs(*frame_runs(frame)), height, 4)
+    runs = _label_runs(_Runs(*frame_runs(unsafe)), height, 4)
     sizes, boxes = _check_rectangles(runs, topology.shape)
     block_plane = boxes[0] // stride
-    # Each block's faults and freed cells, read off the planes at its
+    # Each block's faults and freed cells, read off the frames at its
     # members: a Figure-5 plane holds a few hundred unsafe cells, far
     # fewer than a word scan of the fault plane costs.
-    at = _flat_cells(runs, topology.shape)
+    at = expand_runs(runs.x, runs.y0, runs.y1)
     block = np.repeat(runs.comp, runs.lengths())
-    faults_at = fault_plane[at]
+    faults_at = _bits(fault_frame, *at)
     _check_covers(np.count_nonzero(faults_at) == faults, "unsafe")
     nonfaulty = sizes - np.bincount(block[faults_at], minlength=runs.count)
-    freed = np.bincount(block[enabled.reshape(-1)[at]], minlength=runs.count)
+    freed = np.bincount(block[_bits(enabled, *at)], minlength=runs.count)
     reducible = nonfaulty > 0
     ratios = freed[reducible] / nonfaulty[reducible]
     per_plane = np.bincount(block_plane[reducible], minlength=planes)
@@ -117,9 +121,9 @@ def label_batch(
         part.tolist() for part in np.split(ratios, np.cumsum(per_plane)[:-1])
     ]
 
-    frame &= ~pack(enabled)  # the disabled cells
-    regions = _label_runs(_Runs(*frame_runs(frame)), height, 8)
-    faults_at = fault_plane[_flat_cells(regions, topology.shape)]
+    unsafe &= ~enabled  # the disabled cells
+    regions = _label_runs(_Runs(*frame_runs(unsafe)), height, 8)
+    faults_at = _bits(fault_frame, *expand_runs(regions.x, regions.y0, regions.y1))
     _check_covers(np.count_nonzero(faults_at) == faults, "disabled")
     region = np.repeat(regions.comp, regions.lengths())
     _check_faults_held(
@@ -137,21 +141,22 @@ def label_batch(
     )
 
 
-def _unwrap(*stacks: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Copies of the label stacks with every plane rolled to the unwrap
-    frame of its unsafe plane (the second stack)."""
-    out = tuple(s.copy() for s in stacks)
-    for t in range(stacks[0].shape[0]):
+def _unwrap(faulty: np.ndarray, *frames: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The frames of the fault stack and of the label ``frames``, every
+    plane rolled to the unwrap frame of its unsafe plane (the first of
+    ``frames``)."""
+    height = faulty.shape[-1]
+    stacks = [faulty.copy(), *(unpack(frame, height) for frame in frames)]
+    for t in range(faulty.shape[0]):
         dx, dy = _torus_unwrap_shift(stacks[1][t])
-        for s in out:
+        for s in stacks:
             s[t] = np.roll(s[t], (dx, dy), axis=(0, 1))
-    return out
+    return tuple(pack(s) for s in stacks)
 
 
-def _flat_cells(runs: _Runs, shape: Tuple[int, int]) -> np.ndarray:
-    """The flat stack index ``(t * width + x) * height + y`` of every cell
-    of ``runs`` cut from a stack of planes of ``shape``, run by run."""
-    width, height = shape
-    cols, ys = expand_runs(runs.x, runs.y0, runs.y1)
-    # Plane t's column x was scanned as column t * (width + 2) + x.
-    return (cols - 2 * (cols // (width + 2))) * height + ys
+def _bits(frame: np.ndarray, cols: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The bits of ``frame`` at the cells ``(cols, ys)`` of a stacked scan
+    (column ``t * (width + 2) + x`` for plane ``t``'s column ``x``): word
+    ``(col + 1) * words + 1 + y // 64``, bit ``y % 64``."""
+    words = frame.reshape(-1)[(cols + 1) * frame.shape[-1] + 1 + (ys >> 6)]
+    return (words >> (ys & 63).astype(WORD) & 1).astype(bool)

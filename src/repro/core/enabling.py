@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core import _packed
 from repro.errors import ConvergenceError
+from repro.geometry._bitplanes import pack, unpack
 from repro.mesh.topology import Topology
 from repro.types import BoolGrid
 
@@ -125,9 +126,9 @@ def enabled_fixpoints(
     """:func:`enabled_fixpoint` of every plane of ``(T, width, height)``
     stacks in one packed loop: the fixpoint stack and each plane's
     changing-round count.  ``budget`` bounds every plane's rounds."""
-    return _packed.fixpoint(
-        topology, ~unsafe, faulty, _packed.two_of_four, True, budget, "enable"
-    )
+    start, keep = pack(~unsafe), pack(~faulty)
+    frame, rounds = _packed.fixpoint(topology, start, keep, _packed.two_of_four, True, budget)
+    return unpack(frame, topology.height), rounds
 
 
 def enabled_fixpoint_reference(

@@ -65,9 +65,10 @@ __all__ = [
     "canonical_delta",
 ]
 
-#: Seed count from which the phase-1 wave switches from the per-cell
-#: Python frontier to the packed kernel.
-_WAVE_VECTOR_MIN = 64
+def _wave_vector_min(cells: int) -> int:
+    """Seeds from which the phase-1 wave on ``cells`` leaves the per-cell
+    frontier for the packed kernel (crossovers: docs/algorithms.md §5.6)."""
+    return 20 + cells // 4096
 
 #: Cache key: (extent_x, extent_y, sorted flat fault offsets).
 CacheKey = Tuple[int, int, Tuple[int, ...]]
@@ -668,7 +669,7 @@ class IncrementalLabeling:
         """
         if not seeds:
             return 0, []
-        if len(seeds) >= _WAVE_VECTOR_MIN:
+        if len(seeds) >= _wave_vector_min(self._W * self._H):
             # The plane holds the seeds and lies below the fixpoint, so
             # the packed kernel resumes from it as its mask.
             grid, rounds = unsafe_fixpoint(

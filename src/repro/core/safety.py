@@ -35,6 +35,7 @@ import numpy as np
 from repro.core import _packed
 from repro.errors import ConvergenceError
 from repro.core.status import SafetyDefinition
+from repro.geometry._bitplanes import pack, unpack
 from repro.mesh.topology import Topology
 from repro.types import BoolGrid
 
@@ -145,12 +146,9 @@ def unsafe_fixpoints(
     """:func:`unsafe_fixpoint` of every plane of a ``(T, width, height)``
     fault stack in one packed loop: the fixpoint stack and each plane's
     changing-round count.  ``budget`` bounds every plane's rounds."""
-    rule = (
-        _packed.two_of_four
-        if definition is SafetyDefinition.DEF_2A
-        else _packed.both_dimensions
-    )
-    return _packed.fixpoint(topology, faulty, faulty, rule, False, budget, "unsafe")
+    start, keep, rule = pack(faulty), pack(~faulty), _packed.RULES[definition]
+    frame, rounds = _packed.fixpoint(topology, start, keep, rule, False, budget)
+    return unpack(frame, topology.height), rounds
 
 
 def unsafe_fixpoint_reference(

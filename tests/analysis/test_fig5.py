@@ -128,11 +128,13 @@ class TestBatchMatchesPerTrialOracle:
     @pytest.mark.parametrize("topo_cls", [Mesh2D, Torus2D])
     @pytest.mark.parametrize("definition", list(SafetyDefinition))
     def test_rows_identical_across_batch_splits(self, monkeypatch, topo_cls, definition):
-        # Batches of 1, 3 and all 7 planes: the split never shows in a row.
+        # Batches of 1, 3, 7 and 10 of the 28 (f, trial) cells; 3 and 10
+        # straddle f values.  The split never shows in a row.
         topo = topo_cls(17, 13)
         trials, seed, f_values = 7, 5, (0, 3, 6, 12)
         expected = fig5_rows_reference(topo, definition, f_values, trials, seed)
-        for planes in (1, 3, trials):
+        cells = len(f_values) * trials
+        for planes in (1, 3, 7, 10):
             monkeypatch.setattr(fig5, "_BATCH_CELLS", planes * topo.num_nodes)
             curve = run_fig5(
                 definition, topology=topo, f_values=f_values, trials=trials,
@@ -141,14 +143,13 @@ class TestBatchMatchesPerTrialOracle:
             assert curve.as_table() == _curve(
                 definition, topo, f_values, trials, seed, expected
             ).as_table()
-            for fi, f in enumerate(f_values):
-                rows = []
-                for start in range(0, trials, planes):
-                    stop = min(start + planes, trials)
-                    rows += fig5._fig5_batch(
-                        (topo, definition, f, fi, start, stop, trials, seed)
-                    )
-                assert rows == expected[fi * trials : (fi + 1) * trials]
+            rows = []
+            for start in range(0, cells, planes):
+                stop = min(start + planes, cells)
+                rows += fig5._fig5_batch(
+                    (topo, definition, f_values, trials, seed, start, stop)
+                )
+            assert rows == expected
 
     def test_budget_holds_at_least_one_plane(self, monkeypatch):
         monkeypatch.setattr(fig5, "_BATCH_CELLS", 1)

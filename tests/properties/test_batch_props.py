@@ -6,9 +6,15 @@
   and 2b, for both phases, at heights on both sides of the 64-bit word
   boundaries; a budget too small for some plane raises the reference's
   ``ConvergenceError``.
+* Frames — the frame-returning loop behind them, fed the word-built
+  inputs :func:`~repro.core.batch.label_batch` builds, unpacks to the
+  same planes and round counts; the frames extraction scans, once their
+  ring is masked (on a mesh, as they are), are exactly the packed
+  planes, so the run scan reads no ring bit.
 * Batch — :func:`repro.core.batch.label_batch` returns, for every
   plane, the round counts, block and region counts and per-block
-  enabled ratios of ``label_mesh`` on that plane alone.
+  enabled ratios of ``label_mesh`` on that plane alone, and on a mesh
+  packs its fault stack once and unpacks nothing.
 """
 
 import numpy as np
@@ -16,13 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SafetyDefinition
+from repro.core import SafetyDefinition, _packed, batch, enabling, safety
 from repro.core.batch import label_batch
 from repro.core.enabling import enabled_fixpoint_reference, enabled_fixpoints
 from repro.core.pipeline import label_mesh
 from repro.core.safety import unsafe_fixpoint_reference, unsafe_fixpoints
 from repro.errors import ConvergenceError
 from repro.faults import FaultSet
+from repro.geometry._bitplanes import frame_runs, pack, scan_runs, unpack
 from repro.mesh import Mesh2D, Torus2D
 
 HEIGHTS = (1, 63, 64, 65, 129)
@@ -124,6 +131,42 @@ class TestStackedKernels:
         check(enabled_fixpoints, expected, unsafe_ref)
 
 
+class TestPackedFrames:
+    @given(stacks(), st.sampled_from(list(SafetyDefinition)))
+    @settings(max_examples=80, deadline=None)
+    def test_frames_unpack_to_the_references(self, stack, definition):
+        # Phase 1 from the packed faults, phase 2 from keep & ~unsafe,
+        # both under keep = valid & ~faulty, as label_batch runs them.
+        topology, faulty = stack
+        height, budget = topology.height, topology.num_nodes + 2
+        unsafe_ref, r1_ref, enabled_ref, r2_ref = references(topology, faulty, definition)
+        valid = pack(np.ones(topology.shape, dtype=bool))
+        keep = valid & ~pack(faulty)
+        rule = _packed.RULES[definition]
+        unsafe, r1 = _packed.fixpoint(topology, pack(faulty), keep, rule, False, budget)
+        assert np.array_equal(unpack(unsafe, height), unsafe_ref)
+        assert r1.tolist() == r1_ref
+        enabled, r2 = _packed.fixpoint(
+            topology, keep & ~unsafe, keep, _packed.two_of_four, True, budget
+        )
+        assert np.array_equal(unpack(enabled, height), enabled_ref)
+        assert r2.tolist() == r2_ref
+        # Extraction scans the unsafe frame (on a mesh as the loop returns
+        # it) and unsafe & ~enabled.  Once the ring is masked, neither has
+        # a padding, guard or ghost-row bit set: each is its packed planes
+        # word for word, and the run scan cuts exactly their runs.
+        disabled = unsafe & ~enabled
+        if not topology.wraps:
+            assert np.array_equal(unsafe, pack(unsafe_ref))
+            assert np.array_equal(disabled, pack(unsafe_ref & ~enabled_ref))
+            # The enabled ring holds the ghost label True: never scanned.
+            assert not np.array_equal(enabled, pack(enabled_ref))
+        for frame, ref in ((unsafe, unsafe_ref), (disabled, unsafe_ref & ~enabled_ref)):
+            frame &= valid
+            assert np.array_equal(frame, pack(ref))
+            assert all(map(np.array_equal, frame_runs(frame), scan_runs(ref)))
+
+
 def label_mesh_rows(topology, faulty, definition):
     rows = []
     for plane in faulty:
@@ -190,6 +233,28 @@ class TestLabelBatch:
         rows = batch_rows(topology, faulty, definition)
         assert rows == label_mesh_rows(topology, faulty, definition)
         assert sum(len(set(r[4])) > 1 for r in rows) >= 2
+
+    def test_mesh_stack_packs_once_and_never_unpacks(self, monkeypatch):
+        calls = {"pack": 0, "unpack": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        # The bool fixpoints pack and unpack too: label_batch calls none.
+        for module in (batch, enabling, safety):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        topology = Mesh2D(30, 65)
+        faulty = np.random.default_rng(11).random((6, 30, 65)) < 0.08
+        for definition in SafetyDefinition:
+            calls.update(pack=0, unpack=0)
+            rows = batch_rows(topology, faulty, definition)
+            assert calls == {"pack": 1, "unpack": 0}
+            assert rows == label_mesh_rows(topology, faulty, definition)
 
     def test_input_stack_untouched(self):
         topology = Torus2D(12, 12)

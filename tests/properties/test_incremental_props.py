@@ -18,7 +18,8 @@ from repro.core import (
     label_mesh,
     unsafe_fixpoint,
 )
-from repro.core.incremental import _WAVE_VECTOR_MIN
+from repro.core import incremental
+from repro.core.incremental import _wave_vector_min
 from repro.core.safety import unsafe_fixpoint_reference
 from repro.errors import FaultModelError
 from repro.faults.generators import clustered, uniform_random
@@ -126,7 +127,7 @@ class TestBatchAndGenerators:
     def test_large_batches_use_the_vectorized_wave(
         self, topo_cls, definition, generator
     ):
-        # >= 64 seeds resumes the packed kernel from the seeded plane.
+        # 80 and 90 seeds resume the packed kernel from the seeded plane.
         topo = topo_cls(60, 60)
         rng = np.random.default_rng(17)
         if generator == "uniform":
@@ -145,7 +146,9 @@ class TestBatchAndGenerators:
 
     @pytest.mark.parametrize("topo_cls", [Mesh2D, Torus2D])
     @pytest.mark.parametrize("definition", list(SafetyDefinition))
-    @pytest.mark.parametrize("batch", [1, 8, _WAVE_VECTOR_MIN - 1, _WAVE_VECTOR_MIN, 150])
+    @pytest.mark.parametrize(
+        "batch", [1, 8, _wave_vector_min(24 * 24) - 1, _wave_vector_min(24 * 24), 150]
+    )
     @given(st.integers(0, 60), st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)
     def test_wave_rounds_are_the_warm_start_rounds(
@@ -165,6 +168,31 @@ class TestBatchAndGenerators:
         report = engine.inject([divmod(int(i), topo.shape[1]) for i in cells])
         _, rounds = unsafe_fixpoint_reference(topo, plane, definition)
         assert report.rounds_phase1 == rounds
+        assert_matches_scratch(engine)
+
+    @pytest.mark.parametrize("topo_cls", [Mesh2D, Torus2D])
+    @pytest.mark.parametrize("side", [24, 512])
+    def test_wave_switch_weighs_seeds_against_cells(self, monkeypatch, topo_cls, side):
+        # The packed kernel takes a delta from _wave_vector_min(cells)
+        # seeds: 20 on 24^2, 84 on 512^2, so a 64-seed delta runs it on
+        # the small mesh and the per-cell wave on the large one.
+        topo = topo_cls(side, side)
+        threshold = _wave_vector_min(topo.num_nodes)
+        assert (threshold <= 64) == (side == 24)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return unsafe_fixpoint(*args)
+
+        monkeypatch.setattr(incremental, "unsafe_fixpoint", counting)
+        rng = np.random.default_rng(side)
+        for batch, packed in ((threshold - 1, False), (threshold, True), (64, side == 24)):
+            engine = IncrementalLabeling(topo)
+            cells = rng.choice(topo.num_nodes, size=batch, replace=False)
+            calls.clear()
+            engine.inject([divmod(int(i), side) for i in cells])
+            assert len(calls) == packed, (batch, threshold)
         assert_matches_scratch(engine)
 
     @pytest.mark.parametrize("seed", range(6))

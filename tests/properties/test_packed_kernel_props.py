@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SafetyDefinition
-from repro.core._packed import pack, unpack
 from repro.core.enabling import enabled_fixpoint, enabled_fixpoint_reference
 from repro.core.safety import unsafe_fixpoint, unsafe_fixpoint_reference
 from repro.errors import ConvergenceError
+from repro.geometry._bitplanes import pack, unpack
 from repro.mesh import Mesh2D, Torus2D
 
 HEIGHTS = (1, 2, 63, 64, 65, 127, 128, 129)
