@@ -86,8 +86,7 @@ def density_study(
             faults = uniform_random(topology.shape, f, rng)
             result = label_mesh(topology, faults, definition)
             nonfaulty = total - f
-            blocks = result.blocks
-            largest.append(float(max((len(b.cells) for b in blocks), default=0)))
+            largest.append(float(result.blocks.cells.stats[4].max(initial=0)))
             in_blocks = result.num_unsafe_nonfaulty
             imprisoned.append(in_blocks / nonfaulty if nonfaulty else 0.0)
             freed.append(

@@ -28,13 +28,15 @@ batch as one ``(T, width, height)`` stack of planes on the packed
 kernel and reduces it to the per-trial rows with array operations.
 Rows are aggregated in (f, trial) order, so every float is summed in
 the same order as by one ``label_mesh`` call per trial, and the tables
-are identical to that path's (the tests keep it as the oracle).
+are identical to that path's (the tests keep it as the oracle).  A torus
+trial whose unsafe nodes occupy every column or row has no planar view;
+it is left out of its point, and the table notes how many were.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,11 +98,16 @@ class Fig5Curve:
             f"{self.topology.width}x{self.topology.height}, "
             f"Definition {self.definition.value}, {self.trials} trials"
         )
-        return format_table(
+        table = format_table(
             ["f", "rounds(FB)", "rounds(DR)", "enabled %", "#blocks", "#regions"],
             rows,
             title=title,
         )
+        for p in self.points:
+            if p.rounds_fb.n < self.trials:
+                left_out = f"{self.trials - p.rounds_fb.n} of {self.trials} trials"
+                table += f"\nf={p.f}: {left_out} have no planar view"
+        return table
 
 
 #: Decorrelates the per-f root seeds (same constant as always).
@@ -111,8 +118,9 @@ _F_SEED_STRIDE = 7919
 #: values, so peak memory does not grow with the trial count.
 _BATCH_CELLS = 1 << 18
 
-#: One trial's contribution: (rounds1, rounds2, per-block ratios, #blocks, #regions).
-_TrialRow = Tuple[float, float, List[float], float, float]
+#: One trial's contribution: (rounds1, rounds2, per-block ratios, #blocks,
+#: #regions), or ``None`` for a torus trial with no planar view.
+_TrialRow = Optional[Tuple[float, float, List[float], float, float]]
 
 
 def _fig5_batch(
@@ -126,15 +134,14 @@ def _fig5_batch(
         draw_uniform(plane, f_values[fi], trial_rng(trials, seed + _F_SEED_STRIDE * fi, ti))
     faulty = faulty.reshape(-1, *topo.shape)
     out = label_batch(topo, faulty, definition)
-    return list(
-        zip(
-            out.rounds_phase1.astype(float).tolist(),
-            out.rounds_phase2.astype(float).tolist(),
-            out.enabled_ratios,
-            out.num_blocks.astype(float).tolist(),
-            out.num_regions.astype(float).tolist(),
-        )
+    rows = zip(
+        out.rounds_phase1.astype(float).tolist(),
+        out.rounds_phase2.astype(float).tolist(),
+        out.enabled_ratios,
+        out.num_blocks.astype(float).tolist(),
+        out.num_regions.astype(float).tolist(),
     )
+    return [row if planar else None for row, planar in zip(rows, out.planar.tolist())]
 
 
 def run_fig5(
@@ -194,7 +201,8 @@ def _curve(
     seed: int,
     rows: Sequence[_TrialRow],
 ) -> Fig5Curve:
-    """The curve of a sweep's trial ``rows``, in (f, trial) order."""
+    """The curve of a sweep's trial ``rows``, in (f, trial) order; a
+    ``None`` row (no planar view) is left out of its point."""
     points: List[Fig5Point] = []
     for fi, f in enumerate(f_values):
         rounds_fb: List[float] = []
@@ -202,7 +210,8 @@ def _curve(
         ratios: List[float] = []
         blocks: List[float] = []
         regions: List[float] = []
-        for r1, r2, block_ratios, nb, nr in rows[fi * trials : (fi + 1) * trials]:
+        used = filter(None, rows[fi * trials : (fi + 1) * trials])
+        for r1, r2, block_ratios, nb, nr in used:
             rounds_fb.append(r1)
             rounds_dr.append(r2)
             ratios.extend(block_ratios)

@@ -13,7 +13,8 @@ planes, packed once and kept packed, with no
   :func:`~repro.core.pipeline.label_mesh` runs), on a ``(T, width + 2,
   words)`` frame, from inputs built with word operations.
 * **Torus.**  Each plane is unpacked, rolled to its own unwrap frame
-  (:func:`~repro.core.pipeline._torus_unwrap_shift`) and re-packed.
+  (:func:`~repro.core.pipeline._torus_unwrap_shift`) and re-packed; a
+  plane with no planar view is cleared and reported, not raised on.
 * **Extraction.**  The unsafe and disabled frames are cut into runs and
   labeled in one run pass: plane ``t``'s column ``x`` becomes column
   ``t * (width + 2) + x`` (the frame rows of
@@ -54,13 +55,16 @@ class BatchLabels(NamedTuple):
     The arrays have one entry per plane; ``enabled_ratios[t]`` lists
     plane ``t``'s per-reducible-block enabled ratios in block order —
     :meth:`~repro.core.pipeline.LabelingResult.per_block_enabled_ratios`
-    of that plane."""
+    of that plane.  ``planar[t]`` is False for a torus plane with no
+    planar view (``label_mesh`` raises on it); such a plane reports its
+    rounds but no blocks, regions or ratios."""
 
     rounds_phase1: np.ndarray
     rounds_phase2: np.ndarray
     num_blocks: np.ndarray
     num_regions: np.ndarray
     enabled_ratios: List[List[float]]
+    planar: np.ndarray
 
 
 def label_batch(
@@ -76,9 +80,7 @@ def label_batch(
     Raises
     ------
     ValueError
-        On a plane shape other than the topology's, or a torus plane
-        whose unsafe nodes occupy every column or row (as ``label_mesh``
-        raises).
+        On a plane shape other than the topology's.
     """
     if faulty.shape[1:] != topology.shape:
         raise ValueError(
@@ -98,8 +100,10 @@ def label_batch(
     # keep & ~unsafe: every valid safe bit.  On a mesh the unsafe ring is
     # the ghost label False, so the frame goes to extraction as it is.
     enabled, rounds2 = fixpoint(topology, keep & ~unsafe, keep, two_of_four, True, budget)
+    planar = np.ones(planes, dtype=bool)
     if topology.wraps:
-        fault_frame, unsafe, enabled = _unwrap(faulty, unsafe, enabled)
+        fault_frame, unsafe, enabled = _unwrap(faulty, planar, unsafe, enabled)
+        faults = int(np.count_nonzero(faulty[planar]))
 
     stride = width + 2  # column stride of a plane in a stacked scan
     runs = _label_runs(_Runs(*frame_runs(unsafe)), height, 4)
@@ -138,19 +142,24 @@ def label_batch(
         num_blocks=np.bincount(block_plane, minlength=planes),
         num_regions=np.bincount(region_plane, minlength=planes),
         enabled_ratios=enabled_ratios,
+        planar=planar,
     )
 
 
-def _unwrap(faulty: np.ndarray, *frames: np.ndarray) -> Tuple[np.ndarray, ...]:
+def _unwrap(faulty: np.ndarray, planar: np.ndarray, *frames: np.ndarray) -> tuple:
     """The frames of the fault stack and of the label ``frames``, every
     plane rolled to the unwrap frame of its unsafe plane (the first of
-    ``frames``)."""
+    ``frames``).  A plane with no unwrap frame is cleared in every stack
+    and marked False in ``planar``."""
     height = faulty.shape[-1]
     stacks = [faulty.copy(), *(unpack(frame, height) for frame in frames)]
     for t in range(faulty.shape[0]):
-        dx, dy = _torus_unwrap_shift(stacks[1][t])
+        try:
+            shift = _torus_unwrap_shift(stacks[1][t])
+        except ValueError:
+            planar[t] = False
         for s in stacks:
-            s[t] = np.roll(s[t], (dx, dy), axis=(0, 1))
+            s[t] = np.roll(s[t], shift, axis=(0, 1)) if planar[t] else False
     return tuple(pack(s) for s in stacks)
 
 

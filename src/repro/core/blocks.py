@@ -10,26 +10,25 @@ non-rectangular component ever appears.
 :func:`extract_blocks` cuts the unsafe and fault masks into vertical
 runs on their 64-cell words, runs one union-find label pass over the
 unsafe runs and reduces bounding boxes and sizes over those runs, not
-over member cells; every block's cells and faults are lazily built
-:class:`~repro.geometry.cells.CellSet` values, so no component touches
-a grid until it is read.  :func:`extract_blocks_reference`
-keeps the original per-component path as the oracle; both return the
-identical block list (property tested).
+over member cells.  It returns :class:`Blocks`, a sequence over that
+table (:class:`Geometry`): a block object is built when one is read.
+:func:`extract_blocks_reference` keeps the original per-component path
+as the oracle; both return equal block lists (property tested).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry._bitplanes import expand_runs
 from repro.geometry.cells import CellSet
 from repro.geometry.components import (
+    CellTable,
     _label_runs,
-    _lazy_components,
     _Runs,
     _scan,
     _subset_runs,
@@ -105,16 +104,6 @@ def _faults_in(runs: _Runs, faults: _Runs, h: int, name: str) -> _Runs:
     return held
 
 
-def _component_cells(runs: _Runs, shape: Tuple[int, int], comp: int) -> CellSet:
-    """Component ``comp`` of the labeled ``runs`` on a grid of ``shape``.
-    Run columns of a stack of planes (:func:`~repro.geometry._bitplanes.
-    scan_runs`) are taken to their plane's columns."""
-    on = runs.comp == comp
-    mask = np.zeros(shape, dtype=bool)
-    mask[expand_runs(runs.x[on] % (shape[0] + 2), runs.y0[on], runs.y1[on])] = True
-    return CellSet(mask)
-
-
 def _check_rectangles(
     runs: _Runs, shape: Tuple[int, int]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -127,16 +116,75 @@ def _check_rectangles(
     x0, y0, x1, y1 = boxes
     bad = np.flatnonzero(sizes != (x1 - x0 + 1) * (y1 - y0 + 1))
     if bad.size:
-        culprit = _component_cells(runs, shape, int(bad[0]))
         raise GeometryError(
-            f"faulty block {culprit!r} is not a rectangle — phase-1 labels corrupt"
+            f"faulty block CellSet(shape={shape}, count={sizes[bad[0]]}) is not a "
+            "rectangle — phase-1 labels corrupt"
         )
     return sizes, boxes
 
 
+class Geometry(Sequence):
+    """The blocks or regions of one result, an immutable sequence over
+    their table: the :class:`~repro.geometry.components.CellTable` of the
+    items' ``cells`` and of their ``faults``, and the ``(4, n)`` block
+    ``rects`` (``None`` for regions).  ``len`` reads the table; an item is
+    built on first read and kept.  Equal to any list of equal items."""
+
+    def __init__(self, cells: CellTable, faults: CellTable, rects=None, items=None):
+        self.cells, self.faults, self.rects = cells, faults, rects
+        self._items = [None] * len(cells) if items is None else items
+
+    @classmethod
+    def of(cls, shape: Tuple[int, int], items: Sequence) -> "Geometry":
+        """The sequence of the objects ``items``, which it hands back."""
+        items = list(items)
+        cells = CellTable.of(shape, [i.cells for i in items])
+        return cls(cells, CellTable.of(shape, [i.faults for i in items]), None, items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        item = self._items[k]
+        if item is None:
+            item = self._items[k] = self._build(range(len(self))[k])
+        return item
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Geometry, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __add__(self, other: Sequence) -> list:
+        return [*self, *other]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class Blocks(Geometry):
+    """The faulty blocks of one result (:class:`Geometry`)."""
+
+    @classmethod
+    def of(cls, shape: Tuple[int, int], items: Sequence) -> "Blocks":
+        blocks = super().of(shape, items)
+        rects = [(b.rect.x0, b.rect.y0, b.rect.x1, b.rect.y1) for b in blocks._items]
+        blocks.rects = np.array(rects, dtype=np.int64).reshape(-1, 4).T
+        return blocks
+
+    def _build(self, k: int) -> FaultyBlock:
+        return FaultyBlock(
+            cells=self.cells.cellset(k),
+            rect=Rect(*self.rects[:, k].tolist()),
+            faults=self.faults.cellset(k),
+        )
+
+
 def extract_blocks(
     unsafe: BoolGrid, faulty: BoolGrid, fault_runs: Optional[_Runs] = None
-) -> List[FaultyBlock]:
+) -> Blocks:
     """Decompose an unsafe mask into faulty blocks.
 
     Parameters
@@ -167,12 +215,9 @@ def extract_blocks(
     runs = _label_runs(_scan(unsafe), shape[1], connectivity=4)
     held = _faults_in(runs, fault_runs, shape[1], "unsafe")
     sizes, boxes = _check_rectangles(runs, shape)
-    faults = _lazy_components(shape, held)
-    lazy = CellSet._lazy
-    return [
-        FaultyBlock(cells=lazy(shape, (a, b, c, d), n), rect=Rect(a, b, c, d), faults=f)
-        for (a, b, c, d), n, f in zip(boxes.T.tolist(), sizes.tolist(), faults)
-    ]
+    return Blocks(
+        CellTable(shape, np.vstack([boxes, sizes])), CellTable.group(shape, held), boxes
+    )
 
 
 def extract_blocks_reference(unsafe: BoolGrid, faulty: BoolGrid) -> List[FaultyBlock]:

@@ -28,9 +28,9 @@ from typing import Any, Callable, List, Literal, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blocks import FaultyBlock, extract_blocks
+from repro.core.blocks import Blocks, extract_blocks
 from repro.core.enabling import enabled_fixpoint
-from repro.core.regions import DisabledRegion, extract_regions
+from repro.core.regions import Regions, extract_regions
 from repro.core.safety import unsafe_fixpoint
 from repro.core.status import LabelGrid, SafetyDefinition
 from repro.fabric.channel import ChannelModel
@@ -107,6 +107,8 @@ class LabelingResult:
         Faulty blocks (disjoint rectangles) from phase 1.
     regions:
         Disabled regions (orthogonal convex polygons) from phase 2.
+        Both are table-backed sequences (:class:`~repro.core.blocks.
+        Geometry`); a plain list of objects is turned into one.
     rounds_phase1, rounds_phase2:
         Rounds of status change each phase needed — the Figure 5 (a)/(b)
         quantities.
@@ -134,8 +136,8 @@ class LabelingResult:
     faults: FaultSet
     definition: SafetyDefinition
     labels: LabelGrid
-    blocks: List[FaultyBlock]
-    regions: List[DisabledRegion]
+    blocks: Blocks
+    regions: Regions
     rounds_phase1: int
     rounds_phase2: int
     backend: str = "vectorized"
@@ -143,6 +145,12 @@ class LabelingResult:
     stats_phase2: Optional[RunStats] = field(default=None, compare=False)
     unwrap_shift: Tuple[int, int] = (0, 0)
     method: str = field(default="dense", compare=False)
+
+    def __post_init__(self) -> None:
+        for name, kind in (("blocks", Blocks), ("regions", Regions)):
+            items = getattr(self, name)
+            if not isinstance(items, kind):
+                object.__setattr__(self, name, kind.of(self.labels.shape, items))
 
     @property
     def num_unsafe_nonfaulty(self) -> int:
@@ -169,17 +177,12 @@ class LabelingResult:
         fraction of its nonfaulty members that ended up enabled.  The
         paper averages these per-block percentages.
         """
-        faulty = self.labels.faulty
-        enabled = self.labels.enabled
-        ratios: List[float] = []
-        for b in self.blocks:
-            if not b.reducible:
-                continue
-            r = b.rect  # a block's cells are exactly its rectangle
-            box = (slice(r.x0, r.x1 + 1), slice(r.y0, r.y1 + 1))
-            freed = int((enabled[box] & ~faulty[box]).sum())
-            ratios.append(freed / b.num_nonfaulty)
-        return ratios
+        cells, faults = self.blocks.cells, self.blocks.faults
+        ids, xs, ys = cells.members
+        freed = np.bincount(ids[self.labels.enabled[xs, ys]], minlength=len(cells))
+        nonfaulty = cells.stats[4] - faults.stats[4]
+        reducible = nonfaulty > 0
+        return (freed[reducible] / nonfaulty[reducible]).tolist()
 
     def summary(self) -> dict:
         """Compact scalar summary used by the experiment harness."""

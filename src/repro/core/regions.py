@@ -10,9 +10,10 @@ pinched polygon.
 Theorem 1 guarantees every DR is an orthogonal convex polygon and
 Theorem 2 that it is the smallest one covering its faults.  Those are
 *checked*, not assumed, by :mod:`repro.core.theorems`; this module only
-extracts the regions and computes their bookkeeping.
-:func:`extract_regions_reference` keeps the original per-component path
-as the oracle for :func:`extract_regions` (property tested).
+extracts the regions, as a table-backed :class:`Regions` sequence that
+builds a region object when one is read (:class:`~repro.core.blocks.
+Geometry`).  :func:`extract_regions_reference` keeps the original
+per-component path as the oracle for :func:`extract_regions`.
 """
 
 from __future__ import annotations
@@ -23,16 +24,16 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.blocks import (
+    Geometry,
     _check_covers,
     _check_shapes,
-    _component_cells,
     _faults_in,
 )
 from repro.errors import GeometryError
 from repro.geometry.cells import CellSet
 from repro.geometry.components import (
+    CellTable,
     _label_runs,
-    _lazy_components,
     _Runs,
     _scan,
     connected_components_reference,
@@ -66,21 +67,28 @@ class DisabledRegion:
         return self.cells.diameter()
 
 
+class Regions(Geometry):
+    """The disabled regions of one result (:class:`Geometry`)."""
+
+    def _build(self, k: int) -> DisabledRegion:
+        return DisabledRegion(cells=self.cells.cellset(k), faults=self.faults.cellset(k))
+
+
 def _check_faults_held(runs: _Runs, held: np.ndarray, shape: Tuple[int, int]) -> None:
     """Every component of the labeled ``runs`` on a grid of ``shape``
     holds a fault: ``held`` counts each component's faults (or fault
     runs)."""
     empty = np.flatnonzero(held == 0)
     if empty.size:
-        culprit = _component_cells(runs, shape, int(empty[0]))
         raise GeometryError(
-            f"disabled region {culprit!r} contains no fault — phase-2 labels corrupt"
+            f"disabled region CellSet(shape={shape}, count={runs.sizes()[empty[0]]}) "
+            "contains no fault — phase-2 labels corrupt"
         )
 
 
 def extract_regions(
     disabled: BoolGrid, faulty: BoolGrid, fault_runs: Optional[_Runs] = None
-) -> List[DisabledRegion]:
+) -> Regions:
     """Decompose a disabled mask into disabled regions.
 
     Parameters
@@ -114,9 +122,7 @@ def extract_regions(
     runs = _label_runs(_scan(disabled), shape[1], connectivity=8)
     held = _faults_in(runs, fault_runs, shape[1], "disabled")
     _check_faults_held(runs, np.bincount(held.comp, minlength=runs.count), shape)
-    cells = _lazy_components(shape, runs)
-    faults = _lazy_components(shape, held)
-    return [DisabledRegion(cells=c, faults=f) for c, f in zip(cells, faults)]
+    return Regions(CellTable.group(shape, runs), CellTable.group(shape, held))
 
 
 def extract_regions_reference(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -90,11 +91,11 @@ class LabelGrid:
         shapes = {self.faulty.shape, self.unsafe.shape, self.enabled.shape}
         if len(shapes) != 1:
             raise GeometryError(f"label planes disagree on shape: {shapes}")
-        if np.any(self.faulty & ~self.unsafe):
+        if np.greater(self.faulty, self.unsafe).any():
             raise GeometryError("invariant violated: a faulty node is not unsafe")
-        if np.any(self.faulty & self.enabled):
+        if np.logical_and(self.faulty, self.enabled).any():
             raise GeometryError("invariant violated: a faulty node is enabled")
-        if np.any(~self.unsafe & ~self.enabled):
+        if not np.logical_or(self.unsafe, self.enabled).all():
             raise GeometryError("invariant violated: a safe node is disabled")
 
     @property
@@ -102,10 +103,12 @@ class LabelGrid:
         """Grid shape ``(width, height)``."""
         return self.faulty.shape  # type: ignore[return-value]
 
-    @property
+    @cached_property
     def disabled(self) -> BoolGrid:
         """Disabled nodes: unsafe and not enabled (includes all faults)."""
-        return self.unsafe & ~self.enabled
+        disabled = np.greater(self.unsafe, self.enabled)
+        disabled.setflags(write=False)
+        return disabled
 
     @property
     def activated(self) -> BoolGrid:

@@ -30,7 +30,7 @@ Checked claims:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.core.pipeline import LabelingResult
 from repro.core.regions import DisabledRegion
 from repro.geometry._bitplanes import expand_runs
 from repro.geometry.boundary import corner_cells
-from repro.geometry.cells import CellSet, _gather_runs
+from repro.geometry.cells import CellSet
 from repro.geometry.quadrants import quadrant_extreme_corner, quadrants_with_members
 from repro.geometry.staircase import connect_orthoconvex
 from repro.mesh.coords import Quadrant
@@ -106,17 +106,6 @@ def _crop(cells: CellSet, box: Tuple[slice, slice]) -> CellSet:
     return cells._crop(x0, y0, (x1 - x0, y1 - y0))
 
 
-def _members(sets: Iterable[CellSet]) -> _Tagged:
-    """Every member of ``sets`` as int64 ``(ids, xs, ys)``, tagged with the
-    index of its set and ordered by ``(id, x, y)``.  All sets' runs are
-    gathered first (an extracted set reads its run slice, a block one run
-    per column, with no grid scan) and expanded to cells in one pass."""
-    ids, x, y0, y1 = _gather_runs(list(sets))
-    tagged = (np.repeat(ids, y1 - y0 + 1), *expand_runs(x, y0, y1))
-    ids, xs, ys = (a.astype(np.int64, copy=False) for a in tagged)
-    return ids, xs, ys
-
-
 def _isin(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Whether each of ``targets`` is one of the ascending ``keys``."""
     if not keys.size:
@@ -160,17 +149,12 @@ def _closure(
 
 
 def check_blocks_rectangular(result: LabelingResult) -> CheckOutcome:
-    """Faulty blocks are full rectangles (Section 3).  One pass reads
-    every block's cell count and cell bounding box (both kept with the
-    set since extraction); the claim holds iff each count equals its
-    box's area.  An empty block fails."""
+    """Faulty blocks are full rectangles (Section 3).  The blocks' table
+    holds every block's cell count and cell bounding box; the claim holds
+    iff each count equals its box's area.  An empty block fails."""
     claim = "faulty blocks are rectangles"
     blocks = result.blocks
-    stats = np.array(
-        [(len(c), *c.bounding_box()) if c else (0,) * 5 for c in (b.cells for b in blocks)],
-        dtype=np.int64,
-    ).reshape(-1, 5)
-    count, x0, y0, x1, y1 = stats.T
+    x0, y0, x1, y1, count = blocks.cells.stats
     bad = np.flatnonzero(count != np.where(count, (x1 - x0 + 1) * (y1 - y0 + 1), -1))
     if bad.size:
         return _fail(claim, f"block at {blocks[int(bad[0])].rect} is not a full rectangle")
@@ -189,12 +173,9 @@ def check_block_separation(result: LabelingResult) -> CheckOutcome:
     claim = f"block separation >= {need}"
     blocks = result.blocks
     n = len(blocks)
-    rects = np.array(
-        [(b.rect.x0, b.rect.y0, b.rect.x1, b.rect.y1) for b in blocks], dtype=np.int64
-    ).reshape(-1, 4)
-    order = np.argsort(rects[:, 0], kind="stable")
-    rects = rects[order]
-    window = np.searchsorted(rects[:, 0], rects[:, 2] + need) - np.arange(1, n + 1)
+    order = np.argsort(blocks.rects[0], kind="stable")
+    x0, y0, x1, y1 = blocks.rects[:, order]
+    window = np.searchsorted(x0, x1 + need) - np.arange(1, n + 1)
     first = np.cumsum(window) - window  # first pair slot of every block
     best = None  # (i * n + j, distance)
     start = 0
@@ -203,9 +184,10 @@ def check_block_separation(result: LabelingResult) -> CheckOutcome:
         stop = max(start + 1, stop)
         at = np.arange(start, stop)
         a, b = expand_runs(at, at + 1, at + window[start:stop])
-        ra, rb = rects[a], rects[b]
-        gap = np.maximum(ra[:, :2], rb[:, :2]) - np.minimum(ra[:, 2:], rb[:, 2:])
-        dist = np.maximum(gap, 0).sum(axis=1)
+        # x0[a] <= x0[b]: the x gap is x0[b] past the nearer right edge.
+        dx = x0[b] - np.minimum(x1[a], x1[b])
+        dy = np.maximum(y0[a], y0[b]) - np.minimum(y1[a], y1[b])
+        dist = np.maximum(dx, 0) + np.maximum(dy, 0)
         bad = dist < need
         if bad.any():
             i, j = order[a[bad]], order[b[bad]]
@@ -228,10 +210,10 @@ def check_region_separation(result: LabelingResult) -> CheckOutcome:
     n = len(regions)
     if n < 2:
         return _ok(claim)
-    h = regions[0].cells.shape[1]
+    h = regions.cells.shape[1]
     # Every member cell as a row-major key tagged with its region id; the
     # stable sort keeps ids ascending among equal keys.
-    rid, xs, ys = _members(r.cells for r in regions)
+    rid, xs, ys = regions.cells.members
     key = xs * h + ys
     order = np.argsort(key, kind="stable")
     key, rid = key[order], rid[order]
@@ -265,11 +247,9 @@ def check_theorem1(result: LabelingResult) -> CheckOutcome:
     between two columns crosses each column in between)."""
     claim = "theorem 1 (regions are orthogonal convex polygons)"
     regions = result.regions
-    if not regions:
-        return _ok(claim)
-    w, h = regions[0].cells.shape
-    rid, xs, ys = _members(r.cells for r in regions)
-    bad = np.bincount(rid, minlength=len(regions)) == 0  # the empty set is no region
+    w, h = regions.cells.shape
+    rid, xs, ys = regions.cells.members
+    bad = regions.cells.stats[4] == 0  # the empty set is no region
     col, lo, hi, one_run = _lines(rid * w + xs, ys)
     bad[col[~one_run] // w] = True
     order = np.argsort((rid * h + ys) * w + xs)
@@ -293,16 +273,14 @@ def check_lemma1(result: LabelingResult) -> CheckOutcome:
     membership test is one ``searchsorted`` on the region-tagged keys."""
     claim = "lemma 1 (corner nodes are faulty)"
     regions = result.regions
-    if not regions:
-        return _ok(claim)
-    w, h = regions[0].cells.shape
-    rid, xs, ys = _members(r.cells for r in regions)
+    w, h = regions.cells.shape
+    rid, xs, ys = regions.cells.members
     key = (rid * w + xs) * h + ys
     east = (xs < w - 1) & _isin(key, key + h)
     west = (xs > 0) & _isin(key, key - h)
     north = (ys < h - 1) & _isin(key, key + 1)
     south = (ys > 0) & _isin(key, key - 1)
-    fid, fx, fy = _members(r.faults for r in regions)
+    fid, fx, fy = regions.faults.members
     corner = ~(east & west) & ~(north & south)
     bad = np.flatnonzero(corner & ~_isin((fid * w + fx) * h + fy, key))
     if not bad.size:
@@ -361,12 +339,10 @@ def check_theorem2(result: LabelingResult) -> CheckOutcome:
     of its fault set, computed for all regions at once."""
     claim = "theorem 2 (region == orthoconvex closure of its faults)"
     regions = result.regions
-    if not regions:
-        return _ok(claim)
-    shape = regions[0].cells.shape
+    shape = regions.cells.shape
     w, h = shape
-    cid, cx, cy = _closure(*_members(r.faults for r in regions), shape)
-    rid, xs, ys = _members(r.cells for r in regions)
+    cid, cx, cy = _closure(*regions.faults.members, shape)
+    rid, xs, ys = regions.cells.members
     closure, cells = (cid * w + cx) * h + cy, (rid * w + xs) * h + ys
     extra = np.bincount(rid[~_isin(closure, cells)], minlength=len(regions))
     missing = np.bincount(cid[~_isin(cells, closure)], minlength=len(regions))
@@ -393,7 +369,7 @@ def check_corollary(result: LabelingResult) -> CheckOutcome:
     claim = "corollary (regions cover <= smallest single-OCP nonfaulty nodes)"
     blocks, labels = result.blocks, result.labels
     faulty = labels.faulty
-    bid, xs, ys = _members(b.cells for b in blocks)
+    bid, xs, ys = blocks.cells.members
     kept = labels.unsafe[xs, ys] & ~labels.enabled[xs, ys] & ~faulty[xs, ys]
     in_regions = np.bincount(bid[kept], minlength=len(blocks))
     for k in np.flatnonzero(in_regions).tolist():

@@ -20,7 +20,7 @@ built unless a caller reads coordinates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -372,47 +372,3 @@ class CellSet:
     def __repr__(self) -> str:
         return f"CellSet(shape={self.shape}, count={self._count})"
 
-
-def _gather_runs(sets: Sequence[CellSet]) -> Tuple[np.ndarray, ...]:
-    """The member runs of every set of ``sets`` as ``(ids, x, y0, y1)``,
-    each run tagged with the index of its set, ordered by index and
-    row-major within a set (:meth:`CellSet._run_arrays` of each).
-
-    Run slices of shared arrays are gathered with one index per array,
-    and sets filling their bounding box are expanded to one run per
-    column together, so per set this costs attribute reads, not numpy
-    calls.
-    """
-    shared: Dict[int, Tuple[RunSlice, List[int], List[int], List[int]]] = {}
-    boxes: List[Tuple[int, int, int, int, int]] = []
-    parts: List[Tuple[np.ndarray, ...]] = []
-    for k, s in enumerate(sets):
-        if not s._count:
-            continue
-        runs = s._runs
-        if runs is not None:
-            _, ks, los, his = shared.setdefault(id(runs[0]), (runs, [], [], []))
-            ks.append(k)
-            los.append(runs[3])
-            his.append(runs[4])
-        elif s._fills_box():
-            boxes.append((k, *s.bounding_box()))
-        else:
-            x, y0, y1 = s._run_arrays()
-            parts.append((np.full(x.size, k), x, y0, y1))
-    for (x, y0, y1, _, _), ks, los, his in shared.values():
-        ids, at = expand_runs(np.array(ks), np.array(los), np.array(his) - 1)
-        parts.append((ids, x[at], y0[at], y1[at]))
-    if boxes:
-        k, bx0, by0, bx1, by1 = np.array(boxes, dtype=np.int64).T
-        ids, x = expand_runs(k, bx0, bx1)
-        n = bx1 - bx0 + 1
-        parts.append((ids, x, np.repeat(by0, n), np.repeat(by1, n)))
-    if not parts:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, empty
-    ids, x, y0, y1 = (np.concatenate(column) for column in zip(*parts))
-    if len(parts) > 1:
-        order = np.argsort(ids, kind="stable")
-        ids, x, y0, y1 = ids[order], x[order], y0[order], y1[order]
-    return ids, x, y0, y1

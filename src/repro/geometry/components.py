@@ -18,9 +18,9 @@ touching runs of neighbouring columns are found by interval overlap
 hooking roots and vectorized pointer jumping.  Every step costs time in
 the words and the runs, not the cells, and a faulty block or a disabled
 region meets each column in one run: a 1000 x 1000 block is 10^6 cells
-but 17,034 words and 1,000 runs.  Components come out as lazy
-:class:`CellSet` values holding slices of the shared run arrays, so no
-per-cell array is built unless a caller reads coordinates.  No per-cell
+but 17,034 words and 1,000 runs.  Components come out as a
+:class:`CellTable` of grouped runs and lazy :class:`CellSet` slices of
+it, so no per-cell array exists until a caller reads coordinates.  No per-cell
 Python work; this is what makes block/region extraction cheap enough
 for the per-trial hot path of large sweeps.  On the perfbench ``label``
 workload (seed 4242, 20 s runs, 10 alternating pairs on a shared 2-CPU
@@ -37,7 +37,8 @@ their smallest row-major member, so results are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, NamedTuple, Optional, Tuple
+from functools import cached_property
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -230,7 +231,8 @@ def connected_components(cells: CellSet, connectivity: int = 4) -> List[CellSet]
     """
     _check_connectivity(connectivity)
     runs = _label_runs(_Runs(*cells._run_arrays()), cells.shape[1], connectivity)
-    return _lazy_components(cells.shape, runs)
+    table = CellTable.group(cells.shape, runs)
+    return [table.cellset(k) for k in range(len(table))]
 
 
 def _subset_runs(runs: _Runs, sub: _Runs, h: int) -> Optional[_Runs]:
@@ -253,41 +255,85 @@ def _subset_runs(runs: _Runs, sub: _Runs, h: int) -> Optional[_Runs]:
     return sub._replace(comp=np.repeat(runs.comp, inside), count=runs.count)
 
 
-def _lazy_components(shape: Tuple[int, int], runs: _Runs) -> List[CellSet]:
-    """One lazily built :class:`CellSet` per component ``0..count-1`` of
-    the labeled ``runs`` (components may be empty).
+class CellTable:
+    """Cell sets ``0..n-1`` of one grid as columns: ``stats`` holds each
+    set's inclusive bounding box (rows ``x0, y0, x1, y1``; zeros if empty)
+    and size, ``runs`` its maximal vertical runs grouped by set (set ``k``
+    holds runs ``ptr[k]:ptr[k + 1]`` of ``(x, y0, y1, ptr)``, row-major).
+    Built without runs, the sets fill their boxes (one run per column,
+    expanded on first read).  Runs and members are cached, so checkers
+    reading every set share one expansion."""
 
-    A stable sort groups the runs by component, keeping row-major order
-    inside each group; it is skipped when the runs are already grouped,
-    as they are for a single component.  A group's first and last runs
-    give its ``x`` extent, and one ``reduceat`` per quantity its ``y``
-    extent and size.  Every set then holds its slice of the shared
-    grouped run arrays and its bounding box, so no component touches a
-    grid until it is read.
-    """
-    comp, x, y0, y1 = runs.comp, runs.x, runs.y0, runs.y1
-    if (comp[1:] < comp[:-1]).any():
-        order = np.argsort(comp, kind="stable")
-        x, y0, y1 = x[order], y0[order], y1[order]
-    counts = np.bincount(comp, minlength=runs.count)
-    ends = np.cumsum(counts)
-    held = counts > 0
-    first = (ends - counts)[held]
-    stats = np.zeros((5, runs.count), dtype=np.int64)  # x0, y0, x1, y1, size
-    if first.size:
-        stats[:, held] = (
-            x[first],
-            np.minimum.reduceat(y0, first),
-            x[ends[held] - 1],
-            np.maximum.reduceat(y1, first),
-            np.add.reduceat(y1 - y0 + 1, first),
-        )
-    ends = ends.tolist()
-    lazy = CellSet._lazy
-    return [
-        lazy(shape, (a, b, c, d), n, (x, y0, y1, lo, hi))
-        for a, b, c, d, n, lo, hi in zip(*stats.tolist(), [0] + ends[:-1], ends)
-    ]
+    def __init__(self, shape: Tuple[int, int], stats: np.ndarray, runs=None):
+        self.shape, self.stats, self._runs = shape, stats, runs
+
+    @classmethod
+    def group(cls, shape: Tuple[int, int], runs: _Runs) -> "CellTable":
+        """The components ``0..count-1`` of the labeled ``runs``: a stable
+        sort groups the runs (unless they are grouped), a group's first and
+        last runs give its ``x`` extent, one ``reduceat`` its ``y`` extent."""
+        comp, x, y0, y1 = runs.comp, runs.x, runs.y0, runs.y1
+        if (comp[1:] < comp[:-1]).any():
+            order = np.argsort(comp, kind="stable")
+            x, y0, y1 = x[order], y0[order], y1[order]
+        counts = np.bincount(comp, minlength=runs.count)
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        held = counts > 0
+        first = ptr[:-1][held]
+        stats = np.zeros((5, runs.count), dtype=np.int64)
+        if first.size:
+            stats[:, held] = (
+                x[first],
+                np.minimum.reduceat(y0, first),
+                x[ptr[1:][held] - 1],
+                np.maximum.reduceat(y1, first),
+                np.add.reduceat(y1 - y0 + 1, first),
+            )
+        return cls(shape, stats, (x, y0, y1, ptr))
+
+    @classmethod
+    def of(cls, shape: Tuple[int, int], sets: Sequence[CellSet]) -> "CellTable":
+        """The table of the cell set objects ``sets``: each one's size,
+        bounding box and runs, however it was built."""
+        stats = [(*s.bounding_box(), len(s)) if s else (0,) * 5 for s in sets]
+        stats = np.array(stats, dtype=np.int64).reshape(-1, 5).T
+        runs = [s._run_arrays() for s in sets]
+        empty = np.zeros(0, dtype=np.int64)
+        x, y0, y1 = (np.concatenate([empty, *(r[i] for r in runs)]) for i in range(3))
+        return cls(shape, stats, (x, y0, y1, np.cumsum([0] + [r[0].size for r in runs])))
+
+    def __len__(self) -> int:
+        return self.stats.shape[1]
+
+    @cached_property
+    def runs(self) -> Tuple[np.ndarray, ...]:
+        """The grouped runs ``(x, y0, y1, ptr)``."""
+        if self._runs is not None:
+            return self._runs
+        x0, y0, x1, y1, _ = self.stats
+        ids, x = expand_runs(np.arange(len(self)), x0, x1)
+        return x, y0[ids], y1[ids], np.searchsorted(ids, np.arange(len(self) + 1))
+
+    @cached_property
+    def members(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every member as int64 ``(ids, xs, ys)``, tagged with the index
+        of its set and ordered by ``(id, x, y)``."""
+        x, y0, y1, ptr = self.runs
+        ids = np.repeat(np.arange(len(self)), np.diff(ptr))
+        tagged = (np.repeat(ids, y1 - y0 + 1), *expand_runs(x, y0, y1))
+        ids, xs, ys = (a.astype(np.int64, copy=False) for a in tagged)
+        for a in (ids, xs, ys):
+            a.setflags(write=False)
+        return ids, xs, ys
+
+    def cellset(self, k: int) -> CellSet:
+        """Set ``k``, lazily built on its slice of the table's runs."""
+        *box, n = self.stats[:, k].tolist()
+        if self._runs is None:
+            return CellSet._lazy(self.shape, tuple(box), n)
+        x, y0, y1, ptr = self._runs
+        lo, hi = int(ptr[k]), int(ptr[k + 1])
+        return CellSet._lazy(self.shape, tuple(box), n, (x, y0, y1, lo, hi))
 
 
 def connected_components_reference(

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.analysis import fig5, run_fig5
 from repro.analysis.fig5 import _curve
-from repro.core import SafetyDefinition
+from repro.core import SafetyDefinition, label_mesh
+from repro.faults import uniform_random
 from repro.mesh import Mesh2D, Torus2D
 
 from tests.analysis.fig5_reference import fig5_rows_reference, run_fig5_reference
@@ -160,16 +162,27 @@ class TestBatchMatchesPerTrialOracle:
             == run_fig5_reference(SafetyDefinition.DEF_2A, topo, [10], 3, 2).as_table()
         )
 
-    def test_unwrappable_torus_raises_like_label_mesh(self):
-        # Dense faults on a small torus fill every column: the batch
-        # raises the ValueError label_mesh raises for that trial.
+    def test_unwrappable_torus_trials_are_left_out(self):
+        # Dense faults on a small torus fill every column: such a trial
+        # has no planar view (label_mesh raises on it), so both paths
+        # leave it out of its point and note how many were left out.
         topo = Torus2D(6, 6)
         with pytest.raises(ValueError, match="cannot unwrap torus labels"):
-            run_fig5_reference(SafetyDefinition.DEF_2A, topo, [30], 2, 0)
-        with pytest.raises(ValueError, match="cannot unwrap torus labels"):
-            run_fig5(
-                SafetyDefinition.DEF_2A, topology=topo, f_values=[30], trials=2, seed=0
-            )
+            label_mesh(topo, uniform_random(topo.shape, 30, np.random.default_rng(0)))
+        cases = (
+            (topo, (0, 30), 2, 0, "f=30: 2 of 2"),
+            (Torus2D(40, 65), (0, 20, 80), 5, 4242, "f=80: 1 of 5"),
+        )
+        for topology, f_values, trials, seed, note in cases:
+            table = run_fig5(
+                SafetyDefinition.DEF_2A, topology=topology, f_values=f_values,
+                trials=trials, seed=seed,
+            ).as_table()
+            assert table == run_fig5_reference(
+                SafetyDefinition.DEF_2A, topology, f_values, trials, seed
+            ).as_table()
+            assert table.endswith(f"\n{note} trials have no planar view")
+            assert table.count("planar view") == 1
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):

@@ -170,7 +170,11 @@ class TestPackedFrames:
 def label_mesh_rows(topology, faulty, definition):
     rows = []
     for plane in faulty:
-        result = label_mesh(topology, FaultSet.from_mask(plane), definition)
+        try:
+            result = label_mesh(topology, FaultSet.from_mask(plane), definition)
+        except ValueError:  # a torus plane with no planar view
+            rows.append(None)
+            continue
         rows.append(
             (
                 result.rounds_phase1,
@@ -185,30 +189,26 @@ def label_mesh_rows(topology, faulty, definition):
 
 def batch_rows(topology, faulty, definition):
     out = label_batch(topology, faulty, definition)
-    return list(
-        zip(
-            out.rounds_phase1.tolist(),
-            out.rounds_phase2.tolist(),
-            out.num_blocks.tolist(),
-            out.num_regions.tolist(),
-            out.enabled_ratios,
-        )
+    rows = zip(
+        out.rounds_phase1.tolist(),
+        out.rounds_phase2.tolist(),
+        out.num_blocks.tolist(),
+        out.num_regions.tolist(),
+        out.enabled_ratios,
     )
+    return [row if planar else None for row, planar in zip(rows, out.planar.tolist())]
 
 
 class TestLabelBatch:
     @given(stacks(max_density=0.35), st.sampled_from(list(SafetyDefinition)))
     @settings(max_examples=80, deadline=None)
     def test_matches_label_mesh_per_plane(self, stack, definition):
+        # A torus plane with no planar view is reported, not raised on,
+        # and leaves the other planes' rows as they are.
         topology, faulty = stack
-        try:
-            expected = label_mesh_rows(topology, faulty, definition)
-        except ValueError as exc:  # a torus plane with no planar view
-            with pytest.raises(ValueError, match="cannot unwrap") as info:
-                batch_rows(topology, faulty, definition)
-            assert str(info.value) == str(exc)
-            return
-        assert batch_rows(topology, faulty, definition) == expected
+        assert batch_rows(topology, faulty, definition) == label_mesh_rows(
+            topology, faulty, definition
+        )
 
     @pytest.mark.parametrize("topo_cls", TOPOLOGIES)
     def test_no_component_spans_two_planes(self, topo_cls):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import theorems
-from repro.core.blocks import extract_blocks, extract_blocks_reference
+from repro.core.blocks import Blocks, FaultyBlock, extract_blocks, extract_blocks_reference
 from repro.core.pipeline import label_mesh
 from repro.core.regions import extract_regions, extract_regions_reference
 from repro.core.status import SafetyDefinition
@@ -27,8 +27,12 @@ from repro.errors import GeometryError
 from repro.faults.generators import uniform_random
 from repro.geometry import CellSet, connected_components
 from repro.geometry._bitplanes import expand_runs, scan_runs
-from repro.geometry.cells import _gather_runs
-from repro.geometry.components import _label_runs, _scan, connected_components_reference
+from repro.geometry.components import (
+    CellTable,
+    _label_runs,
+    _scan,
+    connected_components_reference,
+)
 from repro.geometry.rectangles import Rect
 from repro.mesh import Mesh2D, Torus2D
 from tests.core.separation_reference import check_block_separation_reference
@@ -148,9 +152,9 @@ class TestRunSliceSets:
         ),
         st.data(),
     )
-    def test_gather_runs_tags_every_form(self, masks, data):
+    def test_table_of_groups_every_form(self, masks, data):
         # Mask-built, run-slice, box-filling and cropped sets, in any
-        # order, gather to each set's runs tagged with its index.
+        # order, make a table holding each set's runs, size and box.
         sets = []
         for m in masks:
             form = data.draw(st.sampled_from(["mask", "runs", "box", "crop"]))
@@ -165,10 +169,14 @@ class TestRunSliceSets:
                 sets.append(CellSet(m)._crop(0, 0, m.shape))
             else:
                 sets.append(CellSet(m))
-        ids, x, y0, y1 = _gather_runs(sets)
+        table = CellTable.of(masks[0].shape, sets)
+        x, y0, y1, ptr = table.runs
         for k, s in enumerate(sets):
-            _same((x[ids == k], y0[ids == k], y1[ids == k]), scan_runs_reference(s.mask))
-        assert (np.diff(ids) >= 0).all()
+            at = slice(ptr[k], ptr[k + 1])
+            _same((x[at], y0[at], y1[at]), scan_runs_reference(s.mask))
+            assert table.stats[4, k] == s.mask.sum()
+            if s:
+                assert tuple(table.stats[:4, k]) == s.bounding_box()
 
 
 def _make_result(topo_cls, w, h, definition, seed, count):
@@ -257,13 +265,16 @@ def block_layouts(draw):
     """Random rectangles, overlapping or not, some wide: the sweep's
     windows hold many blocks when boxes are wide or crowded."""
     n = draw(st.integers(0, 30))
-    rects = []
+    shape = (43, 34)
+    blocks = []
     for _ in range(n):
         x0, y0 = draw(st.integers(0, 30)), draw(st.integers(0, 30))
         x1, y1 = x0 + draw(st.integers(0, 12)), y0 + draw(st.integers(0, 3))
-        rects.append(SimpleNamespace(rect=Rect(x0, y0, x1, y1)))
+        rect = Rect(x0, y0, x1, y1)
+        cells = CellSet._lazy(shape, (x0, y0, x1, y1), rect.area)
+        blocks.append(FaultyBlock(cells=cells, rect=rect, faults=CellSet.empty(shape)))
     definition = draw(st.sampled_from(list(SafetyDefinition)))
-    return SimpleNamespace(definition=definition, blocks=rects)
+    return SimpleNamespace(definition=definition, blocks=Blocks.of(shape, blocks))
 
 
 class TestBlockSeparationSweep:

@@ -100,8 +100,8 @@ def tampered(draw):
     w, h = result.labels.shape
     for _ in range(draw(st.integers(1, 3))):
         regions, blocks = list(result.regions), list(result.blocks)
-        kind = draw(st.sampled_from(["add", "drop", "copy", "collide", "faults",
-                                     "block_cell", "block_rect", "drop_block", "disable"]))
+        kind = draw(st.sampled_from(["add", "drop", "copy", "collide", "faults", "block_cell",
+                                     "block_rect", "block_move", "drop_block", "disable"]))
         cell = (draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)))
         if kind == "disable":
             # A nonfaulty node turned disabled: inflates the corollary count.
@@ -123,6 +123,17 @@ def tampered(draw):
             elif kind == "block_cell":
                 flipped = _edit_cells(b.cells, cell, not b.cells.mask[cell])
                 blocks[k] = dataclasses.replace(b, cells=flipped)
+            elif kind == "block_move":
+                # Rect and cells moved together: still a rectangle, but
+                # it may crowd another block or leave its regions behind.
+                dx, dy = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+                r = b.rect
+                x0, y0, x1, y1 = b.cells.bounding_box() if b.cells else (r.x0, r.y0, r.x1, r.y1)
+                x0, y0, x1, y1 = min(x0, r.x0), min(y0, r.y0), max(x1, r.x1), max(y1, r.y1)
+                if 0 <= x0 + dx and x1 + dx < w and 0 <= y0 + dy and y1 + dy < h:
+                    blocks[k] = dataclasses.replace(
+                        b, cells=b.cells.translated(dx, dy),
+                        rect=Rect(r.x0 + dx, r.y0 + dy, r.x1 + dx, r.y1 + dy))
             else:
                 dx, dy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
                 blocks[k] = dataclasses.replace(b, rect=Rect(b.rect.x0 + dx, b.rect.y0 + dy,
